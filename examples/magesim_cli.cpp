@@ -45,6 +45,7 @@
 //                            1 = full fidelity, deterministic either way)
 // Unknown --flags are rejected (no silent typo-ignoring).
 // Exit status is nonzero if any invariant violation was detected.
+#include <climits>
 #include <cstdio>
 #include <cstring>
 #include <map>
@@ -242,12 +243,22 @@ int main(int argc, char** argv) {
   } else if (terminal != "poison") {
     return Usage();
   }
-  long fleet_nodes = std::atol(Get(args, "fleet-nodes", "0").c_str());
-  if (fleet_nodes > 0) opt.fleet.num_nodes = static_cast<int>(fleet_nodes);
-  long fleet_replicas = std::atol(Get(args, "fleet-replicas", "0").c_str());
-  if (fleet_replicas > 0) opt.fleet.replication = static_cast<int>(fleet_replicas);
-  double fleet_gbps = std::atof(Get(args, "fleet-rebuild-gbps", "0").c_str());
-  if (fleet_gbps > 0) opt.fleet.rebuild_gbps = fleet_gbps;
+  try {
+    if (args.count("fleet-nodes") != 0) {
+      opt.fleet.num_nodes =
+          ParseFleetCount("--fleet-nodes", args.at("fleet-nodes"), kMaxFleetNodes);
+    }
+    if (args.count("fleet-replicas") != 0) {
+      opt.fleet.replication =
+          ParseFleetCount("--fleet-replicas", args.at("fleet-replicas"), INT_MAX);
+    }
+    if (args.count("fleet-rebuild-gbps") != 0) {
+      opt.fleet.rebuild_gbps = ParseFleetRate("--fleet-rebuild-gbps", args.at("fleet-rebuild-gbps"));
+    }
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 2;
+  }
   long check_us = std::atol(Get(args, "check-interval", "0").c_str());
   if (check_us > 0) opt.check_interval = check_us * kMicrosecond;
   if (args.count("check") != 0) opt.check_final = true;
@@ -338,7 +349,7 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(t.hard_limit_waits),
                 static_cast<unsigned long long>(t.backpressure_waits));
   }
-  if (machine.resilience() != nullptr) {
+  if (machine.injector() != nullptr) {
     std::printf("resilience      retries %llu timeouts %llu breaker-opens %llu "
                 "poisoned %llu wb-lost %llu\n",
                 static_cast<unsigned long long>(r.rdma_retries),
@@ -347,7 +358,7 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(r.pages_poisoned),
                 static_cast<unsigned long long>(r.writebacks_lost));
   }
-  if (machine.fleet() != nullptr) {
+  if (r.fleet_nodes > 1) {
     std::printf("fleet           nodes %llu x%d  degraded-reads %llu  lost %llu  "
                 "rebuilt %llu  pending %llu  silent-losses %llu\n",
                 static_cast<unsigned long long>(r.fleet_nodes), machine.fleet()->replication(),

@@ -282,23 +282,21 @@ size_t InvariantChecker::CheckNow() {
 }
 
 size_t InvariantChecker::CheckFleetReplicas() {
-  ResilienceManager* res = kernel_.resilience();
-  FleetManager* fleet = res != nullptr ? res->fleet() : nullptr;
-  if (fleet == nullptr) return 0;
+  const FleetManager& fleet = kernel_.resilience().fleet();
   uint64_t before = total_violations_;
 
   PageTable& pt = kernel_.page_table();
   for (uint64_t vpn = 0; vpn < pt.num_pages(); ++vpn) {
     if (pt.At(vpn).present) continue;
     uint64_t slot = kernel_.FleetSlotOf(vpn);
-    if (!fleet->HasLiveCopy(slot) && !fleet->IsLostReported(slot)) {
+    if (!fleet.HasLiveCopy(slot) && !fleet.IsLostReported(slot)) {
       Add(ViolationClass::kFleetReplica, vpn, kTraceNoFrame,
           Describe("vpn=%" PRIu64 " lives remotely in slot %" PRIu64
                    " which has no live replica and was never surfaced as lost",
                    vpn, slot));
     }
   }
-  uint64_t silent = fleet->CheckConsistency();
+  uint64_t silent = fleet.CheckConsistency();
   if (silent != 0) {
     Add(ViolationClass::kFleetReplica, kTraceNoPage, kTraceNoFrame,
         Describe("fleet replica table holds %" PRIu64

@@ -98,11 +98,11 @@ class InvariantChecker {
   // resident pages. Runs as part of CheckNow; no-op without tenancy.
   size_t CheckTenantCharges();
 
-  // With a memory-server fleet attached, verifies the replica-safety rule:
-  // every non-present page (its data lives remotely) resolves to a slot with
-  // at least one live replica, or the slot has been surfaced as lost — and
-  // the fleet's own table contains no silently-lost slot. Runs as part of
-  // CheckNow; no-op without a fleet.
+  // Verifies the replica-safety rule of the machine's memory-server fleet
+  // (one server included): every non-present page (its data lives remotely)
+  // resolves to a slot with at least one live replica, or the slot has been
+  // surfaced as lost — and the fleet's own table contains no silently-lost
+  // slot. Runs as part of CheckNow.
   size_t CheckFleetReplicas();
 
   // When a LockAnalyzer is installed, verifies its lock state is quiescent

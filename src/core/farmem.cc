@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <ctime>
+#include <limits>
 #include <stdexcept>
 
 #include "src/metrics/run_report.h"
@@ -41,6 +42,37 @@ std::string LoadFaultPlanText(const std::string& opt) {
   return text;
 }
 }  // namespace
+
+int ParseFleetCount(const std::string& name, const std::string& text, int max) {
+  size_t used = 0;
+  long v = 0;
+  try {
+    v = std::stol(text, &used);
+  } catch (const std::exception&) {
+    used = 0;
+  }
+  if (used == 0 || used != text.size() || v <= 0) {
+    throw std::invalid_argument(name + "='" + text + "': expected a whole number > 0");
+  }
+  if (v > max) {
+    throw std::invalid_argument(name + "=" + text + ": at most " + std::to_string(max));
+  }
+  return static_cast<int>(v);
+}
+
+double ParseFleetRate(const std::string& name, const std::string& text) {
+  size_t used = 0;
+  double v = 0;
+  try {
+    v = std::stod(text, &used);
+  } catch (const std::exception&) {
+    used = 0;
+  }
+  if (used == 0 || used != text.size() || !(v > 0)) {
+    throw std::invalid_argument(name + "='" + text + "': expected a number > 0");
+  }
+  return v;
+}
 
 FarMemoryMachine::FarMemoryMachine(Options options, Workload& workload)
     : options_(std::move(options)), workload_(&workload) {
@@ -95,37 +127,48 @@ FarMemoryMachine::FarMemoryMachine(Options options, Workload& workload)
   assert(reserved);
   (void)reserved;
 
-  // Memory-server fleet: env overrides, then construction. Node 0 is the
-  // machine's classic NIC/memnode pair; the fleet owns servers 1..N-1.
+  // Memory-server fleet: env overrides, then construction. Server 0 is the
+  // machine's own NIC/memnode pair; the fleet owns servers 1..N-1.
   if (const char* env = std::getenv("MAGESIM_FLEET_NODES")) {
-    options_.fleet.num_nodes = std::atoi(env);
+    options_.fleet.num_nodes = ParseFleetCount("MAGESIM_FLEET_NODES", env, kMaxFleetNodes);
   }
   if (const char* env = std::getenv("MAGESIM_FLEET_REPLICAS")) {
-    options_.fleet.replication = std::atoi(env);
+    // Large values fall to the documented clamp, like Options::fleet.
+    options_.fleet.replication =
+        ParseFleetCount("MAGESIM_FLEET_REPLICAS", env, std::numeric_limits<int>::max());
   }
   if (const char* env = std::getenv("MAGESIM_FLEET_REBUILD_GBPS")) {
-    options_.fleet.rebuild_gbps = std::atof(env);
+    options_.fleet.rebuild_gbps = ParseFleetRate("MAGESIM_FLEET_REBUILD_GBPS", env);
   }
-  if (options_.fleet.num_nodes > 1) {
-    FleetManager::Options fo;
-    fo.num_nodes = std::min(options_.fleet.num_nodes, 16);
-    fo.replication = options_.fleet.replication;
-    fo.vnodes_per_node = options_.fleet.vnodes_per_node;
-    fo.seed = options_.seed;
-    fleet_ = std::make_unique<FleetManager>(*nic_, *memnode_, options_.hw, fo);
-    // The fleet data path (slot routing, per-server breakers) lives in the
-    // resilience layer.
-    options_.resilience_enabled = true;
+  if (options_.fleet.num_nodes < 1 || options_.fleet.num_nodes > kMaxFleetNodes) {
+    throw std::invalid_argument("fleet.num_nodes=" + std::to_string(options_.fleet.num_nodes) +
+                                ": expected 1.." + std::to_string(kMaxFleetNodes));
+  }
+  FleetManager::Options fo;
+  fo.num_nodes = options_.fleet.num_nodes;
+  fo.replication = options_.fleet.replication;
+  fo.vnodes_per_node = options_.fleet.vnodes_per_node;
+  fo.seed = options_.seed;
+  fleet_ = std::make_unique<FleetManager>(*nic_, *memnode_, options_.hw, fo);
+  ResilienceOptions ro = options_.resilience;
+  if (ro.seed == 0) ro.seed = options_.seed * 0x9e3779b97f4a7c15ULL + 1;
+  resilience_ = std::make_unique<ResilienceManager>(*fleet_, ro);
+  if (fleet_->num_nodes() > 1) {
+    // A one-server fleet has nothing to rebuild from (see
+    // FleetManager::OnNodeCrash), so it gets no driver.
+    RebuildOptions rbo;
+    rbo.rebuild_gbps = options_.fleet.rebuild_gbps;
+    rebuild_ = std::make_unique<RebuildDriver>(*fleet_, rbo);
   }
   if (options_.tenancy.enabled && !options_.tenancy.tenants.empty()) {
     tenancy_ = std::make_unique<TenancyManager>(options_.tenancy, local_pages, wss,
                                                 options_.kernel.low_watermark,
                                                 options_.kernel.high_watermark);
   }
-  kernel_ = std::make_unique<Kernel>(options_.kernel, *topo_, *tlb_, *nic_, local_pages, wss,
-                                     tenancy_.get());
+  kernel_ = std::make_unique<Kernel>(options_.kernel, *topo_, *tlb_, *resilience_, local_pages,
+                                     wss, tenancy_.get());
 
-  // Deterministic fault injection + resilient data path.
+  // Deterministic fault injection.
   if (const char* env = std::getenv("MAGESIM_FAULT_PLAN")) {
     options_.fault_plan = env;
   }
@@ -138,33 +181,15 @@ FarMemoryMachine::FarMemoryMachine(Options options, Workload& workload)
     }
     // A plan naming a server outside the fleet is a configuration bug: reject
     // it loudly instead of silently never firing the window.
-    int fleet_size = fleet_ != nullptr ? fleet_->num_nodes() : 1;
-    if (plan.max_target_node() >= fleet_size) {
+    if (plan.max_target_node() >= fleet_->num_nodes()) {
       throw std::invalid_argument(
           "fault plan targets node " + std::to_string(plan.max_target_node()) +
-          " but the machine has " + std::to_string(fleet_size) +
+          " but the machine has " + std::to_string(fleet_->num_nodes()) +
           " memory node(s)");
     }
     injector_ = std::make_unique<FaultInjector>(std::move(plan), options_.seed);
-    if (fleet_ != nullptr) {
-      fleet_->SetFaultModelAll(injector_.get());
-    } else {
-      nic_->SetFaultModel(injector_.get());
-    }
+    fleet_->SetFaultModelAll(injector_.get());
     tlb_->SetFaultModel(injector_.get());
-    options_.resilience_enabled = true;
-  }
-  if (options_.resilience_enabled) {
-    ResilienceOptions ro = options_.resilience;
-    if (ro.seed == 0) ro.seed = options_.seed * 0x9e3779b97f4a7c15ULL + 1;
-    resilience_ = std::make_unique<ResilienceManager>(*nic_, ro);
-    if (fleet_ != nullptr) {
-      resilience_->SetFleet(fleet_.get());
-      RebuildOptions rbo;
-      rbo.rebuild_gbps = options_.fleet.rebuild_gbps;
-      rebuild_ = std::make_unique<RebuildDriver>(*fleet_, rbo);
-    }
-    kernel_->SetResilience(resilience_.get());
   }
 
   int threads = workload_->num_threads();
@@ -325,15 +350,11 @@ Task<> TimeLimitTask(Engine& eng, SimTime limit) {
   eng.RequestShutdown();
 }
 
-Task<> WarmupResetTask(Kernel& k, RdmaNic& nic, TlbShootdownManager& tlb, FleetManager* fleet,
-                       SimTime at) {
+Task<> WarmupResetTask(Kernel& k, FleetManager& fleet, TlbShootdownManager& tlb, SimTime at) {
   co_await Delay{at};
   k.ResetMeasurement();
-  nic.ResetStats();
+  for (int i = 0; i < fleet.num_nodes(); ++i) fleet.nic(i).ResetStats();
   tlb.ResetStats();
-  if (fleet != nullptr) {
-    for (int i = 1; i < fleet->num_nodes(); ++i) fleet->nic(i).ResetStats();
-  }
 }
 
 }  // namespace
@@ -352,27 +373,22 @@ RunResult FarMemoryMachine::Run() {
     engine_->Spawn(TimeLimitTask(*engine_, options_.time_limit));
   }
   if (options_.stats_warmup > 0) {
-    engine_->Spawn(
-        WarmupResetTask(*kernel_, *nic_, *tlb_, fleet_.get(), options_.stats_warmup));
+    engine_->Spawn(WarmupResetTask(*kernel_, *fleet_, *tlb_, options_.stats_warmup));
   }
   kernel_->Start(threads);
   if (injector_ != nullptr) {
-    if (fleet_ != nullptr) {
-      // Crash/recover windows flip the targeted server and drive the fleet's
-      // replica table (degraded reads + repair queueing) via the listener.
-      injector_->SetAvailabilityListener([this](int node, bool up) {
-        if (up) {
-          fleet_->OnNodeRecover(node);
-        } else {
-          fleet_->OnNodeCrash(node);
-        }
-      });
-      std::vector<MemoryNode*> nodes;
-      for (int i = 0; i < fleet_->num_nodes(); ++i) nodes.push_back(&fleet_->node(i));
-      injector_->Start(*engine_, std::move(nodes));
-    } else {
-      injector_->Start(*engine_, memnode_.get());
-    }
+    // Crash/recover windows flip the targeted server and drive the fleet's
+    // replica table (degraded reads + repair queueing) via the listener.
+    injector_->SetAvailabilityListener([this](int node, bool up) {
+      if (up) {
+        fleet_->OnNodeRecover(node);
+      } else {
+        fleet_->OnNodeCrash(node);
+      }
+    });
+    std::vector<MemoryNode*> nodes;
+    for (int i = 0; i < fleet_->num_nodes(); ++i) nodes.push_back(&fleet_->node(i));
+    injector_->Start(*engine_, std::move(nodes));
   }
   if (rebuild_ != nullptr) {
     rebuild_->Start(*engine_);
@@ -416,13 +432,11 @@ RunResult FarMemoryMachine::Run() {
   r.fault_latency = ks.fault_latency;
   r.fault_breakdown = ks.fault_breakdown;
   r.sync_evict_latency = ks.sync_evict_latency;
-  uint64_t nic_bytes_read = nic_->bytes_read();
-  uint64_t nic_bytes_written = nic_->bytes_written();
-  if (fleet_ != nullptr) {
-    for (int i = 1; i < fleet_->num_nodes(); ++i) {
-      nic_bytes_read += fleet_->nic(i).bytes_read();
-      nic_bytes_written += fleet_->nic(i).bytes_written();
-    }
+  uint64_t nic_bytes_read = 0;
+  uint64_t nic_bytes_written = 0;
+  for (int i = 0; i < fleet_->num_nodes(); ++i) {
+    nic_bytes_read += fleet_->nic(i).bytes_read();
+    nic_bytes_written += fleet_->nic(i).bytes_written();
   }
   r.nic_read_gbps =
       static_cast<double>(nic_bytes_read) * 8.0 / static_cast<double>(measured_ns);
@@ -450,32 +464,27 @@ RunResult FarMemoryMachine::Run() {
       r.analysis_first_violation = analyzer_->violations().front().message;
     }
   }
-  if (resilience_ != nullptr) {
-    r.rdma_retries = resilience_->retries();
-    r.rdma_timeouts = resilience_->timeouts();
-    r.breaker_opens = resilience_->breaker_opens_total();
-    r.pages_poisoned = resilience_->pages_poisoned();
-    r.writebacks_lost = resilience_->writebacks_lost();
-    r.prefetch_throttles = resilience_->prefetch_throttles();
-    r.aborted = resilience_->run_failed();
-    r.abort_reason = resilience_->failure_reason();
-  }
+  r.rdma_retries = resilience_->retries();
+  r.rdma_timeouts = resilience_->timeouts();
+  r.breaker_opens = resilience_->breaker_opens_total();
+  r.pages_poisoned = resilience_->pages_poisoned();
+  r.writebacks_lost = resilience_->writebacks_lost();
+  r.prefetch_throttles = resilience_->prefetch_throttles();
+  r.aborted = resilience_->run_failed();
+  r.abort_reason = resilience_->failure_reason();
   if (injector_ != nullptr) {
     r.injected_drops = injector_->drops_injected();
     r.injected_errors = injector_->errors_injected();
     r.fault_windows = injector_->windows_opened();
-    r.memnode_crashes =
-        fleet_ != nullptr ? fleet_->crash_episodes() : memnode_->crash_episodes();
+    r.memnode_crashes = fleet_->crash_episodes();
   }
-  if (fleet_ != nullptr) {
-    r.fleet_nodes = static_cast<uint64_t>(fleet_->num_nodes());
-    r.fleet_degraded_reads = fleet_->degraded_reads();
-    r.fleet_slots_lost = fleet_->slots_lost();
-    r.fleet_repairs_queued = fleet_->repairs_queued();
-    r.fleet_slots_rebuilt = fleet_->slots_rebuilt();
-    r.fleet_rebuild_pending = static_cast<uint64_t>(fleet_->rebuild_pending());
-    r.fleet_silent_losses = fleet_->CheckConsistency();
-  }
+  r.fleet_nodes = static_cast<uint64_t>(fleet_->num_nodes());
+  r.fleet_degraded_reads = fleet_->degraded_reads();
+  r.fleet_slots_lost = fleet_->slots_lost();
+  r.fleet_repairs_queued = fleet_->repairs_queued();
+  r.fleet_slots_rebuilt = fleet_->slots_rebuilt();
+  r.fleet_rebuild_pending = static_cast<uint64_t>(fleet_->rebuild_pending());
+  r.fleet_silent_losses = fleet_->CheckConsistency();
   if (tenancy_ != nullptr) {
     for (int t = 0; t < tenancy_->num_tenants(); ++t) {
       const TenantSpec& s = tenancy_->spec(t);
@@ -552,44 +561,40 @@ void FarMemoryMachine::PublishMetrics(const RunResult& r) {
     m.Counter("analysis.order_edges").Set(r.analysis_order_edges);
     m.Counter("analysis.violations").Set(r.analysis_violations);
   }
-  if (resilience_ != nullptr) {
-    m.Counter("resilience.rdma_retries").Set(r.rdma_retries);
-    m.Counter("resilience.rdma_timeouts").Set(r.rdma_timeouts);
-    m.Counter("resilience.breaker_opens").Set(r.breaker_opens);
-    m.Counter("resilience.pages_poisoned").Set(r.pages_poisoned);
-    m.Counter("resilience.writebacks_lost").Set(r.writebacks_lost);
-    m.Counter("resilience.backpressure_waits").Set(resilience_->backpressure_waits());
-    m.Counter("resilience.prefetch_throttles").Set(r.prefetch_throttles);
-    m.Counter("resilience.reads_failed").Set(resilience_->reads_failed());
-    m.Counter("resilience.aborted").Set(r.aborted ? 1 : 0);
-    m.Counter("resilience.read_degraded_ns")
-        .Set(static_cast<uint64_t>(resilience_->read_breaker().time_degraded_ns(end_time_)));
-    m.Counter("resilience.write_degraded_ns")
-        .Set(static_cast<uint64_t>(resilience_->write_breaker().time_degraded_ns(end_time_)));
-    m.Hist("resilience.backoff_ns").histogram().Merge(resilience_->backoff_ns());
-    m.Hist("resilience.attempts_per_op").histogram().Merge(resilience_->attempts_per_op());
+  m.Counter("resilience.rdma_retries").Set(r.rdma_retries);
+  m.Counter("resilience.rdma_timeouts").Set(r.rdma_timeouts);
+  m.Counter("resilience.breaker_opens").Set(r.breaker_opens);
+  m.Counter("resilience.pages_poisoned").Set(r.pages_poisoned);
+  m.Counter("resilience.writebacks_lost").Set(r.writebacks_lost);
+  m.Counter("resilience.backpressure_waits").Set(resilience_->backpressure_waits());
+  m.Counter("resilience.prefetch_throttles").Set(r.prefetch_throttles);
+  m.Counter("resilience.reads_failed").Set(resilience_->reads_failed());
+  m.Counter("resilience.aborted").Set(r.aborted ? 1 : 0);
+  m.Counter("resilience.read_degraded_ns")
+      .Set(static_cast<uint64_t>(resilience_->read_degraded_ns(end_time_)));
+  m.Counter("resilience.write_degraded_ns")
+      .Set(static_cast<uint64_t>(resilience_->write_degraded_ns(end_time_)));
+  m.Hist("resilience.backoff_ns").histogram().Merge(resilience_->backoff_ns());
+  m.Hist("resilience.attempts_per_op").histogram().Merge(resilience_->attempts_per_op());
+  m.Counter("fleet.nodes").Set(r.fleet_nodes);
+  m.Counter("fleet.replication").Set(static_cast<uint64_t>(fleet_->replication()));
+  m.Counter("fleet.node.crash_episodes").Set(fleet_->crash_episodes());
+  m.Counter("fleet.degraded_reads").Set(r.fleet_degraded_reads);
+  m.Counter("fleet.slots_lost").Set(r.fleet_slots_lost);
+  m.Counter("fleet.repairs_queued").Set(r.fleet_repairs_queued);
+  m.Counter("fleet.slots_rebuilt").Set(r.fleet_slots_rebuilt);
+  m.Counter("fleet.rebuild_pending").Set(r.fleet_rebuild_pending);
+  m.Counter("fleet.silent_losses").Set(r.fleet_silent_losses);
+  if (rebuild_ != nullptr) {
+    m.Counter("fleet.rebuild_bursts").Set(rebuild_->bursts());
+    m.Counter("fleet.rebuild_pages").Set(rebuild_->pages_rebuilt());
+    m.Counter("fleet.repair_failures").Set(rebuild_->repair_failures());
   }
-  if (fleet_ != nullptr) {
-    m.Counter("fleet.nodes").Set(r.fleet_nodes);
-    m.Counter("fleet.replication").Set(static_cast<uint64_t>(fleet_->replication()));
-    m.Counter("fleet.node.crash_episodes").Set(fleet_->crash_episodes());
-    m.Counter("fleet.degraded_reads").Set(r.fleet_degraded_reads);
-    m.Counter("fleet.slots_lost").Set(r.fleet_slots_lost);
-    m.Counter("fleet.repairs_queued").Set(r.fleet_repairs_queued);
-    m.Counter("fleet.slots_rebuilt").Set(r.fleet_slots_rebuilt);
-    m.Counter("fleet.rebuild_pending").Set(r.fleet_rebuild_pending);
-    m.Counter("fleet.silent_losses").Set(r.fleet_silent_losses);
-    if (rebuild_ != nullptr) {
-      m.Counter("fleet.rebuild_bursts").Set(rebuild_->bursts());
-      m.Counter("fleet.rebuild_pages").Set(rebuild_->pages_rebuilt());
-      m.Counter("fleet.repair_failures").Set(rebuild_->repair_failures());
-    }
-    for (int i = 0; i < fleet_->num_nodes(); ++i) {
-      std::string p = "fleet.node" + std::to_string(i) + ".";
-      m.Counter(p + "crash_episodes").Set(fleet_->node(i).crash_episodes());
-      m.Counter(p + "bytes_read").Set(fleet_->nic(i).bytes_read());
-      m.Counter(p + "bytes_written").Set(fleet_->nic(i).bytes_written());
-    }
+  for (int i = 0; i < fleet_->num_nodes(); ++i) {
+    std::string p = "fleet.node" + std::to_string(i) + ".";
+    m.Counter(p + "crash_episodes").Set(fleet_->node(i).crash_episodes());
+    m.Counter(p + "bytes_read").Set(fleet_->nic(i).bytes_read());
+    m.Counter(p + "bytes_written").Set(fleet_->nic(i).bytes_written());
   }
   if (injector_ != nullptr) {
     m.Counter("inject.drops").Set(r.injected_drops);
@@ -687,25 +692,23 @@ std::string FarMemoryMachine::BuildRunReportJson(const RunResult& r) const {
   w.KV("virtualized", kc.virtualized);
   w.KV("sample_interval_ns", options_.metrics.sample_interval);
   w.KV("fault_plan", injector_ != nullptr ? injector_->plan().ToSpec() : std::string());
-  w.KV("resilience", resilience_ != nullptr);
+  w.KV("resilience", fleet_->ops_can_fail());
   w.KV("analysis", analyzer_ != nullptr);
   w.KV("spans", spans_ != nullptr);
   w.EndObject();
 
-  if (fleet_ != nullptr) {
-    w.Key("fleet");
-    w.BeginObject();
-    w.KV("nodes", fleet_->num_nodes());
-    w.KV("replication", fleet_->replication());
-    w.KV("placement_fingerprint", fleet_->placement().Fingerprint());
-    w.KV("degraded_reads", r.fleet_degraded_reads);
-    w.KV("slots_lost", r.fleet_slots_lost);
-    w.KV("repairs_queued", r.fleet_repairs_queued);
-    w.KV("slots_rebuilt", r.fleet_slots_rebuilt);
-    w.KV("rebuild_pending", r.fleet_rebuild_pending);
-    w.KV("silent_losses", r.fleet_silent_losses);
-    w.EndObject();
-  }
+  w.Key("fleet");
+  w.BeginObject();
+  w.KV("nodes", fleet_->num_nodes());
+  w.KV("replication", fleet_->replication());
+  w.KV("placement_fingerprint", fleet_->placement().Fingerprint());
+  w.KV("degraded_reads", r.fleet_degraded_reads);
+  w.KV("slots_lost", r.fleet_slots_lost);
+  w.KV("repairs_queued", r.fleet_repairs_queued);
+  w.KV("slots_rebuilt", r.fleet_slots_rebuilt);
+  w.KV("rebuild_pending", r.fleet_rebuild_pending);
+  w.KV("silent_losses", r.fleet_silent_losses);
+  w.EndObject();
 
   w.Key("run");
   w.BeginObject();

@@ -103,7 +103,7 @@ struct RunResult {
   uint64_t analysis_violations = 0;
   std::string analysis_first_violation;  // empty when clean
 
-  // Resilience (zero unless a fault plan / the resilient path was enabled).
+  // Resilience (zero unless a fault plan attached a fault model).
   uint64_t rdma_retries = 0;
   uint64_t rdma_timeouts = 0;
   uint64_t breaker_opens = 0;  // read + write channels combined
@@ -117,8 +117,8 @@ struct RunResult {
   bool aborted = false;          // TerminalPolicy::kFailRun tripped
   std::string abort_reason;
 
-  // Memory-server fleet (zero unless Options::fleet.num_nodes > 1).
-  uint64_t fleet_nodes = 0;           // 0 = no fleet
+  // Memory-server fleet (1 server unless Options::fleet.num_nodes > 1).
+  uint64_t fleet_nodes = 0;
   uint64_t fleet_degraded_reads = 0;  // reads served off the placement primary
   uint64_t fleet_slots_lost = 0;      // slots surfaced with zero live replicas
   uint64_t fleet_repairs_queued = 0;
@@ -129,6 +129,13 @@ struct RunResult {
   // Per-tenant results, in spec order (empty without tenancy).
   std::vector<TenantRunResult> tenants;
 };
+
+// Strict parsers for the fleet's text surfaces (the MAGESIM_FLEET_*
+// environment variables and the CLI's --fleet-* flags): the whole of `text`
+// must be a number > 0 — a count also at most `max`. Anything else throws
+// std::invalid_argument naming `name`.
+int ParseFleetCount(const std::string& name, const std::string& text, int max);
+double ParseFleetRate(const std::string& name, const std::string& text);
 
 class FarMemoryMachine {
  public:
@@ -212,24 +219,22 @@ class FarMemoryMachine {
     // Deterministic fault injection: a FaultPlan spec/JSON string, or
     // "@path" to load one from a file. The MAGESIM_FAULT_PLAN environment
     // variable overrides this. Parse errors throw std::invalid_argument from
-    // the constructor. A non-empty plan also enables the resilient data path.
+    // the constructor. A non-empty plan attaches the injector as every
+    // server NIC's fault model, which puts remote ops under deadlines,
+    // retries and circuit breakers.
     std::string fault_plan;
-    // Attach the resilient data path (deadlines/retries/breakers) even with
-    // no fault plan — e.g. to measure its healthy-path overhead.
-    bool resilience_enabled = false;
     // Retry/breaker/terminal-policy tuning. `resilience.seed == 0` derives a
     // stream from Options::seed.
     ResilienceOptions resilience;
 
     // Memory-server fleet: shard the far side over `num_nodes` servers with
     // `replication`-way replicated slots and a background rebuild driver.
-    // num_nodes > 1 force-enables the resilient data path (fleet routing
-    // lives there); num_nodes == 1 (default) is the classic single-node
-    // machine, byte-identical to builds without the fleet subsystem.
-    // Environment overrides: MAGESIM_FLEET_NODES, MAGESIM_FLEET_REPLICAS,
-    // MAGESIM_FLEET_REBUILD_GBPS.
+    // The default is a fleet of one server (the machine's own NIC and memory
+    // node). Environment overrides: MAGESIM_FLEET_NODES,
+    // MAGESIM_FLEET_REPLICAS, MAGESIM_FLEET_REBUILD_GBPS (each a whole number
+    // > 0; anything else throws std::invalid_argument).
     struct FleetConfig {
-      int num_nodes = 1;       // clamped to [1, 16]
+      int num_nodes = 1;       // [1, kMaxFleetNodes], else the constructor throws
       int replication = 2;     // clamped to [1, min(num_nodes, kMaxReplicas)]
       int vnodes_per_node = 64;
       double rebuild_gbps = 10.0;  // background re-replication pacing
@@ -267,12 +272,13 @@ class FarMemoryMachine {
   InvariantChecker* checker() { return checker_.get(); }
   // Null unless analysis was enabled via Options or MAGESIM_ANALYSIS.
   LockAnalyzer* analyzer() { return analyzer_.get(); }
-  // Null unless a fault plan / resilience_enabled was set.
+  // The far-memory data path and its memory-server fleet (never null).
   ResilienceManager* resilience() { return resilience_.get(); }
+  FleetManager* fleet() { return fleet_.get(); }
+  // Null unless a fault plan was set.
   FaultInjector* injector() { return injector_.get(); }
   MemoryNode& memnode() { return *memnode_; }
-  // Null unless Options::fleet.num_nodes > 1 (or the env overrides said so).
-  FleetManager* fleet() { return fleet_.get(); }
+  // Null unless the fleet has more than one server.
   RebuildDriver* rebuild() { return rebuild_.get(); }
   // Null unless metrics were enabled via Options or MAGESIM_METRICS_*.
   MetricsRegistry* metrics() { return metrics_.get(); }
@@ -300,12 +306,12 @@ class FarMemoryMachine {
   std::unique_ptr<TlbShootdownManager> tlb_;
   std::unique_ptr<RdmaNic> nic_;
   std::unique_ptr<MemoryNode> memnode_;
+  std::unique_ptr<FleetManager> fleet_;  // server 0 is nic_/memnode_
+  std::unique_ptr<ResilienceManager> resilience_;
   std::unique_ptr<TenancyManager> tenancy_;  // destroyed after kernel_
   std::unique_ptr<Kernel> kernel_;
-  std::unique_ptr<FleetManager> fleet_;  // null for single-node machines
   std::unique_ptr<FaultInjector> injector_;
-  std::unique_ptr<ResilienceManager> resilience_;
-  std::unique_ptr<RebuildDriver> rebuild_;  // fleet-mode only
+  std::unique_ptr<RebuildDriver> rebuild_;
   // Recent-event window feeding violation reports; registered with the
   // installed Tracer (if any) for the duration of the run.
   std::unique_ptr<TraceRingBuffer> trace_ring_;

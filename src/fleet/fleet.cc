@@ -28,23 +28,22 @@ void FleetManager::SetFaultModelAll(HwFaultModel* model) {
   for (RdmaNic* nic : nics_) nic->SetFaultModel(model);
 }
 
-void FleetManager::EnsureSlot(uint64_t slot) {
-  if (slot >= copies_.size()) {
-    copies_.resize(slot + 1, 0);
-    lost_.resize(slot + 1, 0);
-    queued_.resize(slot + 1, 0);
+void FleetManager::Prepopulate(uint64_t num_slots) {
+  if (num_nodes() == 1) {
+    copies_.assign(num_slots, 1);  // every slot's replica set is {server 0}
+  } else {
+    copies_.assign(num_slots, 0);
+    for (uint64_t slot = 0; slot < num_slots; ++slot) {
+      copies_[slot] = placement_.ReplicasOf(slot).Mask();
+    }
   }
-}
-
-void FleetManager::PrepopulateSlot(uint64_t slot) {
-  EnsureSlot(slot);
-  copies_[slot] = placement_.ReplicasOf(slot).Mask();
+  lost_.assign(num_slots, 0);
+  queued_.assign(num_slots, 0);
 }
 
 FleetManager::ReadTarget FleetManager::ReadTargetFor(uint64_t slot,
                                                      uint16_t exclude_mask) const {
   ReadTarget t;
-  if (slot >= copies_.size()) return t;
   uint16_t held =
       static_cast<uint16_t>(copies_[slot] & live_mask_ & ~exclude_mask);
   ReplicaSet desired = placement_.ReplicasOf(slot);
@@ -77,7 +76,6 @@ ReplicaSet FleetManager::WriteTargetsFor(uint64_t slot) const {
 }
 
 void FleetManager::CommitWrite(uint64_t slot, uint16_t acked_mask) {
-  EnsureSlot(slot);
   acked_mask &= live_mask_;  // acks from a server that died since don't count
   copies_[slot] = acked_mask;
   if (acked_mask == 0) {
@@ -92,18 +90,6 @@ void FleetManager::CommitWrite(uint64_t slot, uint16_t acked_mask) {
   if (RebuildTargetFor(slot) >= 0) EnqueueRepair(slot);
 }
 
-bool FleetManager::HasLiveCopy(uint64_t slot) const {
-  return slot < copies_.size() && (copies_[slot] & live_mask_) != 0;
-}
-
-bool FleetManager::IsLostReported(uint64_t slot) const {
-  return slot < lost_.size() && lost_[slot] != 0;
-}
-
-uint16_t FleetManager::copies(uint64_t slot) const {
-  return slot < copies_.size() ? copies_[slot] : 0;
-}
-
 void FleetManager::NoteDegradedRead(uint64_t slot, int served_node,
                                     int primary_node) {
   ++degraded_reads_;
@@ -112,7 +98,10 @@ void FleetManager::NoteDegradedRead(uint64_t slot, int served_node,
 }
 
 void FleetManager::OnNodeCrash(int node) {
-  if (node < 0 || node >= num_nodes()) return;
+  // A one-server fleet has no replica to rebuild from, so its crash window
+  // is an outage, not data loss: it acts only through the NIC fault model
+  // (dropped completions, then retries) and the replica table stays as is.
+  if (node < 0 || node >= num_nodes() || num_nodes() == 1) return;
   live_mask_ &= static_cast<uint16_t>(~(1u << node));
   uint16_t bit = static_cast<uint16_t>(1u << node);
   for (uint64_t slot = 0; slot < copies_.size(); ++slot) {
@@ -133,7 +122,7 @@ void FleetManager::OnNodeCrash(int node) {
 }
 
 void FleetManager::OnNodeRecover(int node) {
-  if (node < 0 || node >= num_nodes()) return;
+  if (node < 0 || node >= num_nodes() || num_nodes() == 1) return;
   live_mask_ |= static_cast<uint16_t>(1u << node);
   // The server rejoins empty — re-replicate every slot that wants a copy on
   // it (or anywhere else) back up to its desired set.
@@ -144,7 +133,6 @@ void FleetManager::OnNodeRecover(int node) {
 }
 
 void FleetManager::EnqueueRepair(uint64_t slot) {
-  EnsureSlot(slot);
   if (queued_[slot] != 0) return;
   queued_[slot] = 1;
   ++repairs_queued_;
@@ -162,7 +150,7 @@ bool FleetManager::PopRepair(uint64_t* slot) {
 }
 
 int FleetManager::RebuildTargetFor(uint64_t slot) const {
-  if (slot >= copies_.size() || (copies_[slot] & live_mask_) == 0) return -1;
+  if ((copies_[slot] & live_mask_) == 0) return -1;
   ReplicaSet desired = placement_.ReplicasOf(slot);
   for (int i = 0; i < desired.count; ++i) {
     int n = desired.node[i];
@@ -172,7 +160,6 @@ int FleetManager::RebuildTargetFor(uint64_t slot) const {
 }
 
 int FleetManager::SourceFor(uint64_t slot) const {
-  if (slot >= copies_.size()) return -1;
   ReplicaSet desired = placement_.ReplicasOf(slot);
   for (int i = 0; i < desired.count; ++i) {
     int n = desired.node[i];
@@ -185,7 +172,6 @@ int FleetManager::SourceFor(uint64_t slot) const {
 }
 
 void FleetManager::AddCopy(uint64_t slot, int node) {
-  EnsureSlot(slot);
   copies_[slot] |= static_cast<uint16_t>(1u << node);
   lost_[slot] = 0;
   ++slots_rebuilt_;

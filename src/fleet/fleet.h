@@ -12,9 +12,9 @@
 // server comes back *empty* (crash = data loss), so recovery also queues
 // re-replication toward it.
 //
-// Node 0 is the machine's classic single-node pair (owned by
-// FarMemoryMachine); the fleet owns servers 1..N-1. A machine without a
-// fleet touches none of this — single-node runs stay byte-identical.
+// Every machine has a fleet: node 0 is the machine's own NIC/memnode pair
+// (owned by FarMemoryMachine) and the fleet owns servers 1..N-1, so the
+// default single-server machine is a fleet of one.
 #ifndef MAGESIM_FLEET_FLEET_H_
 #define MAGESIM_FLEET_FLEET_H_
 
@@ -31,10 +31,13 @@
 
 namespace magesim {
 
+// Servers per fleet: a slot's copy set is a uint16_t mask.
+inline constexpr int kMaxFleetNodes = 16;
+
 class FleetManager {
  public:
   struct Options {
-    int num_nodes = 1;
+    int num_nodes = 1;  // [1, kMaxFleetNodes]
     int replication = 2;  // clamped to [1, min(num_nodes, kMaxReplicas)]
     int vnodes_per_node = 64;
     uint64_t seed = 1;
@@ -55,10 +58,21 @@ class FleetManager {
 
   // Wires the per-op fault model into every server's NIC.
   void SetFaultModelAll(HwFaultModel* model);
+  // True when some server's NIC has a fault model attached. RdmaNic fails an
+  // op (drop or error) only on its fault model's say, so without one no
+  // remote op can fail.
+  bool ops_can_fail() const {
+    for (const RdmaNic* nic : nics_) {
+      if (nic->fault_model() != nullptr) return true;
+    }
+    return false;
+  }
 
-  // Marks `slot` as holding its full desired replica set (machine
-  // prepopulation: remote copies exist before the run starts).
-  void PrepopulateSlot(uint64_t slot);
+  // Sizes the replica table to the far pool's `num_slots` slots, each
+  // holding its full desired replica set (machine prepopulation: remote
+  // copies exist before the run starts). Every slot argument below must be
+  // less than `num_slots`.
+  void Prepopulate(uint64_t num_slots);
 
   // --- data-plane resolution ---
   struct ReadTarget {
@@ -75,9 +89,8 @@ class FleetManager {
   // Commits a writeback's acknowledged replica mask. Zero acks surfaces the
   // slot as lost; a partial set queues repair toward the missing replicas.
   void CommitWrite(uint64_t slot, uint16_t acked_mask);
-  bool HasLiveCopy(uint64_t slot) const;
-  bool IsLostReported(uint64_t slot) const;
-  uint16_t copies(uint64_t slot) const;
+  bool HasLiveCopy(uint64_t slot) const { return (copies_[slot] & live_mask_) != 0; }
+  bool IsLostReported(uint64_t slot) const { return lost_[slot] != 0; }
   uint16_t live_mask() const { return live_mask_; }
 
   // Degraded-read bookkeeping (called by the resilient read path once per
@@ -85,6 +98,8 @@ class FleetManager {
   void NoteDegradedRead(uint64_t slot, int served_node, int primary_node);
 
   // --- crash / recover (driven by the FaultInjector's episode listener) ---
+  // With N > 1 servers a crash loses the server's copies and recovery
+  // rebuilds them. A one-server fleet ignores both (see fleet.cc).
   void OnNodeCrash(int node);
   void OnNodeRecover(int node);
 
@@ -113,7 +128,6 @@ class FleetManager {
   uint64_t CheckConsistency() const;
 
  private:
-  void EnsureSlot(uint64_t slot);
   bool NodeLive(int node) const {
     return (live_mask_ & (1u << node)) != 0;
   }
@@ -126,6 +140,7 @@ class FleetManager {
 
   // copies_[slot] bit n set = server n holds the slot's current data.
   // lost_[slot] = the slot's data became unreachable and was surfaced.
+  // All three tables are sized once, by Prepopulate.
   std::vector<uint16_t> copies_;
   std::vector<uint8_t> lost_;
   uint16_t live_mask_ = 0;

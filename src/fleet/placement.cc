@@ -38,6 +38,10 @@ PlacementMap::PlacementMap(uint64_t seed, int num_nodes, int replication,
 
 ReplicaSet PlacementMap::ReplicasOf(uint64_t slot) const {
   ReplicaSet out;
+  if (num_nodes_ == 1) {  // one server has one answer: no ring walk per fault
+    out.count = 1;
+    return out;
+  }
   uint64_t h = Mix64(seed_ ^ Mix64(slot));
   size_t start = static_cast<size_t>(
       std::lower_bound(ring_.begin(), ring_.end(), h,

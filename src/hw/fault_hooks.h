@@ -22,7 +22,7 @@ class HwFaultModel {
   virtual ~HwFaultModel() = default;
 
   // Consulted once per posted RDMA op, at post time. `node` is the memory
-  // node the posting NIC channel belongs to (0 for the single-node machine),
+  // server the posting NIC channel belongs to (0 for the machine's own NIC),
   // so node-targeted fault windows affect only that node's link.
   virtual RdmaOpFate OnRdmaPost(bool is_write, SimTime now, int node) = 0;
 

@@ -15,8 +15,8 @@ namespace magesim {
 
 class MemoryNode {
  public:
-  // `node_id` identifies this server within a memory-server fleet (0 for the
-  // classic single-node machine); availability transitions are traced with it
+  // `node_id` identifies this server within the memory-server fleet (0 for
+  // the machine's own node); availability transitions are traced with it
   // as the actor.
   explicit MemoryNode(uint64_t capacity_bytes, int node_id = 0)
       : capacity_(capacity_bytes), node_id_(node_id) {}

@@ -53,9 +53,9 @@ class RdmaCompletion {
 
 class RdmaNic {
  public:
-  // `node_id` identifies the memory node this NIC's channels reach (0 for
-  // the classic single-node machine; fleet machines run one RdmaNic per
-  // memory server). It is forwarded to the fault model so injection windows
+  // `node_id` identifies the memory server this NIC's channels reach (the
+  // machine's own NIC is server 0; the fleet runs one RdmaNic per server).
+  // It is forwarded to the fault model so injection windows
   // can target individual nodes.
   explicit RdmaNic(const MachineParams& params, int node_id = 0);
 

@@ -2,7 +2,6 @@
 // controller.
 #include "src/analysis/lock_analyzer.h"
 #include "src/paging/kernel.h"
-#include "src/resilience/resilient_rdma.h"
 #include "src/sim/engine.h"
 #include "src/sim/hot_path.h"
 
@@ -35,10 +34,10 @@ MAGESIM_HOT_PATH Task<> Kernel::SequentialEvictorMain(int evictor_id, CoreId cor
       }
       continue;
     }
-    if (resilience_ != nullptr && resilience_->write_degraded()) {
+    if (resilience_.write_degraded()) {
       // Write channel is degraded: pause briefly instead of hammering the
       // open breaker; the next writeback acts as the half-open probe.
-      co_await resilience_->EvictionBackpressure(evictor_id);
+      co_await resilience_.EvictionBackpressure(evictor_id);
     }
     size_t got = co_await EvictBatchSequential(evictor_id, core,
                                                static_cast<size_t>(config_.evict_batch_pages));

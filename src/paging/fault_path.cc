@@ -47,13 +47,9 @@ MAGESIM_HOT_PATH Task<> Kernel::Fault(CoreId core, uint64_t vpn, bool write) {
     TraceEmit(TraceEventType::kFrameAlloc, core, vpn, f->pfn);
     {
       PhaseScope ps(core, SimPhase::kRdmaWait);
-      if (resilience_ != nullptr) {
-        RemoteOpStatus st = co_await resilience_->ReadPage(core, vpn, /*allow_poison=*/true,
-                                                           {}, FleetSlotOf(vpn));
-        if (st == RemoteOpStatus::kPoisoned) ++stats_.pages_poisoned;
-      } else {
-        co_await nic_.Read(kPageSize);
-      }
+      RemoteOpStatus st = co_await resilience_.ReadPage(core, vpn, FleetSlotOf(vpn),
+                                                        /*allow_poison=*/true);
+      if (st == RemoteOpStatus::kPoisoned) ++stats_.pages_poisoned;
     }
     pt_->Map(vpn, f);
     ChargePage(core, vpn, f);
@@ -167,17 +163,11 @@ MAGESIM_HOT_PATH Task<> Kernel::Fault(CoreId core, uint64_t vpn, bool write) {
       auto g = co_await rdma_stack_lock_.Scoped();
       co_await Delay{config_.rdma_stack_cs_ns};
     }
-    if (resilience_ != nullptr) {
-      // The resilience manager emits its own rdma/retry/backoff/breaker
-      // leaves under the fault span.
-      RemoteOpStatus st = co_await resilience_->ReadPage(
-          core, vpn, /*allow_poison=*/true, root, FleetSlotOf(vpn));
-      if (st == RemoteOpStatus::kPoisoned) ++stats_.pages_poisoned;
-    } else {
-      SimTime n0 = eng.now();
-      co_await nic_.Read(kPageSize);
-      SpanLeafUnder(root, SpanKind::kRdmaRead, n0, eng.now(), core, vpn);
-    }
+    // The data path emits its own rdma/retry/backoff/breaker leaves under
+    // the fault span.
+    RemoteOpStatus st = co_await resilience_.ReadPage(core, vpn, FleetSlotOf(vpn),
+                                                      /*allow_poison=*/true, root);
+    if (st == RemoteOpStatus::kPoisoned) ++stats_.pages_poisoned;
   }
   stats_.fault_breakdown.Add(kCatRdma, eng.now() - r0);
 

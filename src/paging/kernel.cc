@@ -33,11 +33,12 @@ constexpr SimTime kTenantBackpressureNs = 2'000;
 }  // namespace
 
 Kernel::Kernel(const KernelConfig& config, Topology& topo, TlbShootdownManager& tlb,
-               RdmaNic& nic, uint64_t local_pages, uint64_t wss_pages, TenancyManager* tenancy)
+               ResilienceManager& resilience, uint64_t local_pages, uint64_t wss_pages,
+               TenancyManager* tenancy)
     : config_(config),
       topo_(topo),
       tlb_(tlb),
-      nic_(nic),
+      resilience_(resilience),
       local_pages_(local_pages),
       wss_pages_(wss_pages),
       direct_map_(0),
@@ -128,6 +129,9 @@ Kernel::Kernel(const KernelConfig& config, Topology& topo, TlbShootdownManager& 
     // Swap device sized like the paper's remote pool: the full working set.
     swap_ = std::make_unique<SwapAllocator>(wss_pages + (wss_pages / 4), topo.num_cores());
   }
+  // Every slot of the far pool starts out holding its page on its full
+  // desired replica set: the warmed-up remote state faults read from.
+  resilience_.fleet().Prepopulate(swap_ != nullptr ? swap_->num_slots() : wss_pages);
 
   if (config.prefetch) {
     prefetcher_ = std::make_unique<Prefetcher>(*this, config.prefetch_window);
@@ -184,15 +188,6 @@ void Kernel::Prepopulate(uint64_t resident_pages) {
       if (pt_->At(vpn).present) continue;
       pt_->At(vpn).swap_slot = vpn;  // setup-time identity assignment
       swap_->MarkUsedForSetup(vpn);
-    }
-  }
-  // With a memory-server fleet those warmed-up remote copies exist on their
-  // full desired replica set (slot = vpn at setup, under both slot-based and
-  // direct mapping).
-  if (resilience_ != nullptr && resilience_->fleet() != nullptr) {
-    FleetManager* fleet = resilience_->fleet();
-    for (uint64_t vpn = 0; vpn < wss_pages_; ++vpn) {
-      fleet->PrepopulateSlot(vpn);
     }
   }
 }
@@ -286,13 +281,12 @@ Task<> Kernel::TenantAdmission(CoreId core, uint64_t vpn, SpanHandle op) {
   // write channel is degraded, their faults are delayed before they compete
   // for frames, leaving headroom for latency/normal tenants.
   if (cg.qos() == QosClass::kBatch &&
-      (free_pages() < low_wm_ ||
-       (resilience_ != nullptr && resilience_->write_degraded()))) {
+      (free_pages() < low_wm_ || resilience_.write_degraded())) {
     cg.NoteBackpressure();
     TraceEmit(TraceEventType::kTenantThrottle, core, vpn, kTraceNoFrame,
               static_cast<uint64_t>(t));
     SimTime b0 = Engine::current().now();
-    bool degraded = resilience_ != nullptr && resilience_->write_degraded();
+    bool degraded = resilience_.write_degraded();
     co_await Delay{kTenantBackpressureNs};
     if (SpanTracer* st = SpanTracer::Get(); st != nullptr) {
       // A throttle taken because the write channel is degraded is causally
@@ -496,22 +490,8 @@ MAGESIM_HOT_PATH Task<size_t> Kernel::PrepareVictims(int evictor_id, CoreId core
   co_return got;
 }
 
-MAGESIM_HOT_PATH size_t Kernel::CountDirtyForWriteback(const std::vector<PageFrame*>& victims) {
-  size_t dirty = 0;
-  for (PageFrame* f : victims) {
-    uint64_t vpn = f->vpn;  // Unmap preserved frame->vpn for writeback routing
-    if (f->dirty || !remote_valid_[vpn]) {
-      ++dirty;
-      remote_valid_[vpn] = true;
-    } else {
-      ++stats_.clean_reclaims;
-    }
-  }
-  return dirty;
-}
-
 MAGESIM_HOT_PATH std::vector<uint64_t> Kernel::CollectWritebackSlots(const std::vector<PageFrame*>& victims) {
-  FleetManager* fleet = resilience_->fleet();
+  const FleetManager& fleet = resilience_.fleet();
   std::vector<uint64_t> slots;
   // magesim-lint: allow(hotpath-alloc): batch-local scratch, one exact-sized
   // reserve per batch; models the evictor's per-batch slot array, whose cost
@@ -519,8 +499,8 @@ MAGESIM_HOT_PATH std::vector<uint64_t> Kernel::CollectWritebackSlots(const std::
   slots.reserve(victims.size());
   for (PageFrame* f : victims) {
     uint64_t vpn = f->vpn;  // Unmap preserved frame->vpn for writeback routing
-    uint64_t slot = swap_ != nullptr ? pt_->At(vpn).swap_slot : vpn;
-    if (f->dirty || !remote_valid_[vpn] || !fleet->HasLiveCopy(slot)) {
+    uint64_t slot = FleetSlotOf(vpn);
+    if (f->dirty || !remote_valid_[vpn] || !fleet.HasLiveCopy(slot)) {
       // magesim-lint: allow(hotpath-alloc): within the capacity reserved above.
       slots.push_back(slot);
       remote_valid_[vpn] = true;
@@ -532,21 +512,9 @@ MAGESIM_HOT_PATH std::vector<uint64_t> Kernel::CollectWritebackSlots(const std::
 }
 
 uint64_t Kernel::FleetSlotOf(uint64_t vpn) const {
-  if (resilience_ == nullptr || resilience_->fleet() == nullptr) {
-    return kNoFleetSlot;
-  }
   if (swap_ == nullptr) return vpn;
   uint64_t slot = pt_->At(vpn).swap_slot;
   return slot == kNoSwapSlot ? vpn : slot;
-}
-
-MAGESIM_HOT_PATH std::shared_ptr<RdmaCompletion> Kernel::PostWriteback(const std::vector<PageFrame*>& victims) {
-  size_t dirty = CountDirtyForWriteback(victims);
-  std::shared_ptr<RdmaCompletion> last;
-  for (size_t i = 0; i < dirty; ++i) {
-    last = nic_.PostWrite(kPageSize);
-  }
-  return last;
 }
 
 // magesim-lint: allow(coroutine-ref-capture): sync_attr points at the
@@ -588,31 +556,13 @@ MAGESIM_HOT_PATH Task<size_t> Kernel::EvictBatchSequential(int evictor_id, CoreI
   SpanLeafUnder(bspan, config_.lazy_tlb ? SpanKind::kLazyTlbWait : SpanKind::kShootdownWait,
                 s0, Engine::current().now(), evictor_id, kTraceNoPage, {}, got);
 
-  // EP4: write back dirty pages. The resilient path awaits every completion
-  // with a deadline and retries failures; pages whose writes are lost for
-  // good are counted and their frames still reclaimed, so eviction always
-  // makes progress.
+  // EP4: write back dirty pages. Pages whose writes are lost for good are
+  // surfaced by the fleet and their frames still reclaimed, so eviction
+  // always makes progress.
   SimTime w0 = Engine::current().now();
   {
     PhaseScope ps(core, SimPhase::kRdmaWait);
-    if (resilience_ != nullptr && resilience_->fleet() != nullptr) {
-      std::vector<uint64_t> slots = CollectWritebackSlots(victims);
-      if (!slots.empty()) {
-        co_await resilience_->WriteSlots(evictor_id, std::move(slots), bspan);
-      }
-    } else if (resilience_ != nullptr) {
-      size_t dirty = CountDirtyForWriteback(victims);
-      if (dirty > 0) {
-        co_await resilience_->WritePages(evictor_id, dirty, bspan);
-      }
-    } else {
-      auto last = PostWriteback(victims);
-      if (last != nullptr) {
-        co_await last->Wait();
-      }
-      SpanLeafUnder(bspan, SpanKind::kRdmaWrite, w0, Engine::current().now(), evictor_id,
-                    kTraceNoPage);
-    }
+    co_await resilience_.WriteBack(evictor_id, CollectWritebackSlots(victims), bspan);
   }
   if (sync_attr != nullptr) {
     sync_attr->Add(kCatOther, Engine::current().now() - w0);

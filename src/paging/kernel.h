@@ -11,22 +11,20 @@
 
 #include "src/accounting/accounting.h"
 #include "src/hw/ipi.h"
-#include "src/hw/rdma.h"
 #include "src/mem/multilayer_allocator.h"
 #include "src/mem/page_table.h"
 #include "src/mem/percpu_cache.h"
 #include "src/mem/swap_allocator.h"
 #include "src/mem/vma.h"
 #include "src/paging/config.h"
+#include "src/resilience/resilient_rdma.h"
 #include "src/sim/stats.h"
 #include "src/spans/spans.h"
 
 namespace magesim {
 
 class Prefetcher;
-class ResilienceManager;
 class TenancyManager;
-struct WritebackTicket;
 
 struct KernelStats {
   uint64_t faults = 0;           // major faults actually serviced
@@ -50,11 +48,14 @@ struct KernelStats {
 
 class Kernel {
  public:
-  // `tenancy` (optional, not owned) attaches the multi-tenant memory control
-  // groups: accounting becomes per-tenant, every Map/Unmap charges/uncharges
-  // the owning cgroup, and victim selection turns QoS-aware.
-  Kernel(const KernelConfig& config, Topology& topo, TlbShootdownManager& tlb, RdmaNic& nic,
-         uint64_t local_pages, uint64_t wss_pages, TenancyManager* tenancy = nullptr);
+  // `resilience` (not owned) is the far-memory data path every remote read
+  // and writeback goes through. `tenancy` (optional, not owned) attaches the
+  // multi-tenant memory control groups: accounting becomes per-tenant, every
+  // Map/Unmap charges/uncharges the owning cgroup, and victim selection turns
+  // QoS-aware.
+  Kernel(const KernelConfig& config, Topology& topo, TlbShootdownManager& tlb,
+         ResilienceManager& resilience, uint64_t local_pages, uint64_t wss_pages,
+         TenancyManager* tenancy = nullptr);
   ~Kernel();
 
   Kernel(const Kernel&) = delete;
@@ -118,17 +119,12 @@ class Kernel {
   BuddyAllocator& buddy() { return *buddy_; }
   FramePool& frame_pool() { return *frames_; }
   bool remote_valid(uint64_t vpn) const { return remote_valid_[vpn]; }
-  RdmaNic& nic() { return nic_; }
   Topology& topology() { return topo_; }
   TlbShootdownManager& tlb() { return tlb_; }
+  ResilienceManager& resilience() { return resilience_; }
 
-  // Attaches the resilient data path (timeouts/retries/breakers). With none
-  // attached every remote op takes the legacy direct-NIC path unchanged.
-  void SetResilience(ResilienceManager* r) { resilience_ = r; }
-  ResilienceManager* resilience() { return resilience_; }
-
-  // The fleet routing slot for a remote read of `vpn` (identity under direct
-  // mapping), or the no-fleet sentinel when no fleet is attached.
+  // The far-pool slot holding `vpn`'s remote copy (identity under direct
+  // mapping, and for a page not yet given a swap slot).
   uint64_t FleetSlotOf(uint64_t vpn) const;
   // Null unless the machine attached memory control groups.
   TenancyManager* tenancy() { return tenancy_; }
@@ -177,14 +173,11 @@ class Kernel {
   // nests under `op` (the faulting operation).
   Task<> SyncEvict(CoreId core, SpanHandle op = {});
 
-  // Batch state for the pipelined evictor. Exactly one of write_completion /
-  // write_ticket is set once writeback is posted (ticket when the resilient
-  // path handles the batch).
+  // Batch state for the pipelined evictor.
   struct EvictionBatch {
     std::vector<PageFrame*> victims;
     std::shared_ptr<ShootdownOp> shootdown;
-    std::shared_ptr<RdmaCompletion> write_completion;
-    std::shared_ptr<WritebackTicket> write_ticket;
+    Writeback writeback;
     // Detached batch span: the batch outlives any single co_await chain, so
     // its span is closed explicitly when the frames are reclaimed (stage 3).
     SpanHandle span;
@@ -203,25 +196,16 @@ class Kernel {
                               std::vector<PageFrame*>* out, Breakdown* sync_attr = nullptr,
                               SpanHandle bspan = {});
 
-  // Marks remote copies valid, counts clean reclaims, and returns how many
-  // victims need an RDMA write.
-  size_t CountDirtyForWriteback(const std::vector<PageFrame*>& victims);
-
-  // Fleet-mode variant: returns the swap slots that need a replicated
-  // writeback. A clean page whose slot has no live replica left (its holders
-  // crashed) is rewritten too — the resident copy is the last one and the
-  // write restores the desired replica set.
+  // Marks remote copies valid, counts clean reclaims, and returns the swap
+  // slots that need a writeback. A clean page whose slot has no live copy
+  // left (its holders crashed, or its last writeback was lost) is rewritten
+  // too — the resident copy is the last one and the write restores it.
   std::vector<uint64_t> CollectWritebackSlots(const std::vector<PageFrame*>& victims);
-
-
-  // Writes back dirty victims (returns the last completion, or nullptr if all
-  // clean) and marks remote copies valid.
-  std::shared_ptr<RdmaCompletion> PostWriteback(const std::vector<PageFrame*>& victims);
 
   KernelConfig config_;
   Topology& topo_;
   TlbShootdownManager& tlb_;
-  RdmaNic& nic_;
+  ResilienceManager& resilience_;  // owned by FarMemoryMachine
   uint64_t local_pages_;
   uint64_t wss_pages_;
   uint64_t low_wm_, high_wm_, min_wm_;
@@ -235,8 +219,7 @@ class Kernel {
   std::unique_ptr<SwapAllocator> swap_;  // null when direct-mapped
   DirectMapping direct_map_;
   std::unique_ptr<Prefetcher> prefetcher_;
-  ResilienceManager* resilience_ = nullptr;  // owned by FarMemoryMachine
-  TenancyManager* tenancy_ = nullptr;        // owned by FarMemoryMachine
+  TenancyManager* tenancy_ = nullptr;  // owned by FarMemoryMachine
 
   // Remote copy validity per vpn (clean reclaim optimization).
   std::vector<bool> remote_valid_;

@@ -12,7 +12,6 @@
 #include "src/analysis/lock_analyzer.h"
 #include "src/metrics/profiler.h"
 #include "src/paging/kernel.h"
-#include "src/resilience/resilient_rdma.h"
 #include "src/sim/engine.h"
 #include "src/sim/hot_path.h"
 #include "src/trace/trace.h"
@@ -40,10 +39,10 @@ MAGESIM_HOT_PATH Task<> Kernel::PipelinedEvictorMain(int evictor_id, CoreId core
       co_await evictor_wake_.Wait();
       continue;
     }
-    if (pressure && resilience_ != nullptr && resilience_->write_degraded()) {
+    if (pressure && resilience_.write_degraded()) {
       // Write channel degraded: pause once instead of piling batches onto an
       // open breaker; the next writeback acts as the half-open probe.
-      co_await resilience_->EvictionBackpressure(evictor_id);
+      co_await resilience_.EvictionBackpressure(evictor_id);
     }
 
     // Stage 1: slice a batch off the accounting lists, unmap, allocate
@@ -96,17 +95,10 @@ MAGESIM_HOT_PATH Task<> Kernel::PipelinedEvictorMain(int evictor_id, CoreId core
     // Stage 3: wait for the oldest batch's RDMA writes, reclaim its frames,
     // then post writes for the middle batch.
     if (prevprev.has_value()) {
-      if (prevprev->write_completion != nullptr) {
+      {
         PhaseScope ps(core, SimPhase::kRdmaWait);
-        SimTime w0 = eng.now();
-        co_await prevprev->write_completion->Wait();
-        SpanLeafUnder(prevprev->span, SpanKind::kRdmaWrite, w0, eng.now(), evictor_id,
-                      kTraceNoPage);
-      } else if (prevprev->write_ticket != nullptr) {
-        // The resilient writeback ticket emits its own rdma/retry/backoff
-        // leaves under this batch's span from its spawned task.
-        PhaseScope ps(core, SimPhase::kRdmaWait);
-        co_await prevprev->write_ticket->done.Wait();
+        co_await resilience_.FinishWriteback(std::move(prevprev->writeback), evictor_id,
+                                             prevprev->span);
       }
       if (Tracer::Get() != nullptr) {
         for (PageFrame* f : prevprev->victims) {
@@ -133,20 +125,8 @@ MAGESIM_HOT_PATH Task<> Kernel::PipelinedEvictorMain(int evictor_id, CoreId core
       prevprev.reset();
     }
     if (prev.has_value()) {
-      if (resilience_ != nullptr && resilience_->fleet() != nullptr) {
-        std::vector<uint64_t> slots = CollectWritebackSlots(prev->victims);
-        if (!slots.empty()) {
-          prev->write_ticket =
-              resilience_->SpawnWriteSlots(evictor_id, std::move(slots), prev->span);
-        }
-      } else if (resilience_ != nullptr) {
-        size_t dirty = CountDirtyForWriteback(prev->victims);
-        if (dirty > 0) {
-          prev->write_ticket = resilience_->SpawnWritePages(evictor_id, dirty, prev->span);
-        }
-      } else {
-        prev->write_completion = PostWriteback(prev->victims);
-      }
+      prev->writeback = resilience_.StartWriteback(
+          evictor_id, CollectWritebackSlots(prev->victims), prev->span);
       prevprev = std::move(prev);
       prev.reset();
     }

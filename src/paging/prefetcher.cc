@@ -49,8 +49,8 @@ Prefetcher::Stream* Prefetcher::MatchStream(CoreHistory& h, uint64_t vpn, bool* 
 void Prefetcher::OnFault(CoreId core, uint64_t vpn) {
   // Auto-throttle: while the read channel is degraded, speculative traffic
   // would only compete with demand faults for a failing link.
-  if (kernel_.resilience() != nullptr && kernel_.resilience()->read_degraded()) {
-    kernel_.resilience()->NotePrefetchThrottle(core, vpn);
+  if (kernel_.resilience().read_degraded()) {
+    kernel_.resilience().NotePrefetchThrottle(core, vpn);
     return;
   }
   // Tenancy QoS gate: latency tenants keep their read-ahead (that is the
@@ -131,28 +131,22 @@ Task<> Prefetcher::PrefetchRange(CoreId core, uint64_t start_vpn, int64_t stride
     // how prefetching backfires for those systems (§6.2).
     PageFrame* frame = co_await k.AllocWithPressure(core, vpn, pspan);
     TraceEmit(TraceEventType::kFrameAlloc, core, vpn, frame->pfn);
-    if (k.resilience() != nullptr) {
-      RemoteOpStatus st = co_await k.resilience()->ReadPage(
-          core, vpn, /*allow_poison=*/false, pspan, k.FleetSlotOf(vpn));
-      if (st == RemoteOpStatus::kAbandoned) {
-        // Speculative read failed for good: unwind instead of poisoning.
-        // Free the frame, release the in-flight fault, and stop reading
-        // ahead on this (evidently unhealthy) channel.
-        ++k.mutable_stats().prefetches_abandoned;
-        TraceEmit(TraceEventType::kFrameFree, core, vpn, frame->pfn);
-        std::vector<PageFrame*> unwound{frame};
-        co_await k.allocator().FreeBatch(core, unwound);
-        k.page_table().EndFault(vpn);
-        if (SpanTracer* tr = SpanTracer::Get(); tr != nullptr && pspan) {
-          if (tr->Sampled(pspan)) tr->ErasePageSpan(vpn);
-          tr->EndDetached(pspan, /*arg=*/2);  // arg 2 marks an abandoned prefetch
-        }
-        co_return;
+    RemoteOpStatus st = co_await k.resilience().ReadPage(core, vpn, k.FleetSlotOf(vpn),
+                                                         /*allow_poison=*/false, pspan);
+    if (st == RemoteOpStatus::kAbandoned) {
+      // Speculative read failed for good: unwind instead of poisoning.
+      // Free the frame, release the in-flight fault, and stop reading
+      // ahead on this (evidently unhealthy) channel.
+      ++k.mutable_stats().prefetches_abandoned;
+      TraceEmit(TraceEventType::kFrameFree, core, vpn, frame->pfn);
+      std::vector<PageFrame*> unwound{frame};
+      co_await k.allocator().FreeBatch(core, unwound);
+      k.page_table().EndFault(vpn);
+      if (SpanTracer* tr = SpanTracer::Get(); tr != nullptr && pspan) {
+        if (tr->Sampled(pspan)) tr->ErasePageSpan(vpn);
+        tr->EndDetached(pspan, /*arg=*/2);  // arg 2 marks an abandoned prefetch
       }
-    } else {
-      SimTime n0 = Engine::current().now();
-      co_await k.nic().Read(kPageSize);
-      SpanLeafUnder(pspan, SpanKind::kRdmaRead, n0, Engine::current().now(), core, vpn);
+      co_return;
     }
     SimTime m0 = Engine::current().now();
     co_await Delay{k.topology().params().pte_update_ns};

@@ -87,10 +87,6 @@ SimTime FaultInjector::ExtraIpiDelayNs(SimTime now) {
   return extra;
 }
 
-void FaultInjector::Start(Engine& eng, MemoryNode* memnode) {
-  Start(eng, std::vector<MemoryNode*>{memnode});
-}
-
 void FaultInjector::Start(Engine& eng, std::vector<MemoryNode*> nodes) {
   if (plan_.empty()) return;
   nodes_ = std::move(nodes);
@@ -125,14 +121,6 @@ Task<> FaultInjector::EpisodeMain() {
     const FaultWindow& w = ws[m.idx];
     if (w.kind == FaultKind::kCrash) {
       size_t target = w.node >= 0 ? static_cast<size_t>(w.node) : 0;
-      if (target >= nodes_.size() || nodes_[target] == nullptr) {
-        if (m.type == 0) {
-          ++windows_opened_;
-          TraceEmit(TraceEventType::kFaultWindow, -1, kTraceNoPage,
-                    kTraceNoFrame, static_cast<uint64_t>(w.kind));
-        }
-        continue;
-      }
       if (m.type == 0) {
         ++windows_opened_;
         TraceEmit(TraceEventType::kFaultWindow, -1, kTraceNoPage, kTraceNoFrame,

@@ -32,9 +32,8 @@ class FaultInjector : public HwFaultModel {
   // opens and flips memory node availability across crash windows (the nodes
   // themselves trace kMemnodeCrash / kMemnodeRecover on the transition). A
   // node-targeted crash flips `nodes[window.node]`; an untargeted crash flips
-  // node 0, matching the classic single-node machine. Call once, before
-  // Engine::Run.
-  void Start(Engine& eng, MemoryNode* memnode);
+  // node 0, so `nodes` must cover every server the plan names. Call once,
+  // before Engine::Run.
   void Start(Engine& eng, std::vector<MemoryNode*> nodes);
 
   // Invoked after every availability flip the episode driver performs, with

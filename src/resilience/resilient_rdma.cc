@@ -7,12 +7,13 @@
 
 namespace magesim {
 
-ResilienceManager::ResilienceManager(RdmaNic& nic, const ResilienceOptions& opt)
-    : nic_(nic),
-      opt_(opt),
-      rng_(opt.seed ^ 0x5e111e7ce2e511e7ULL),
-      read_breaker_(opt.breaker, /*channel_id=*/0),
-      write_breaker_(opt.breaker, /*channel_id=*/1) {}
+ResilienceManager::ResilienceManager(FleetManager& fleet, const ResilienceOptions& opt)
+    : fleet_(fleet), opt_(opt), rng_(opt.seed ^ 0x5e111e7ce2e511e7ULL) {
+  for (int n = 0; n < fleet_.num_nodes(); ++n) {
+    node_read_breakers_.emplace_back(opt_.breaker, /*channel_id=*/2 * n);
+    node_write_breakers_.emplace_back(opt_.breaker, /*channel_id=*/2 * n + 1);
+  }
+}
 
 Task<> ResilienceManager::CompletionWatcher(std::shared_ptr<RdmaCompletion> c,
                                             std::shared_ptr<OpWait> w) {
@@ -95,26 +96,7 @@ Task<bool> ResilienceManager::OneOpOn(RdmaNic& nic, CircuitBreaker& br,
   }
 }
 
-Task<bool> ResilienceManager::OneOp(bool is_write, int actor, uint64_t vpn, int budget,
-                                    SpanHandle op) {
-  CircuitBreaker& br = is_write ? write_breaker_ : read_breaker_;
-  return OneOpOn(nic_, br, /*span_channel=*/is_write ? 1 : 0, is_write, actor, vpn,
-                 budget, op);
-}
-
-void ResilienceManager::SetFleet(FleetManager* fleet) {
-  fleet_ = fleet;
-  node_read_breakers_.clear();
-  node_write_breakers_.clear();
-  if (fleet_ == nullptr) return;
-  for (int n = 0; n < fleet_->num_nodes(); ++n) {
-    node_read_breakers_.emplace_back(opt_.breaker, /*channel_id=*/2 * n);
-    node_write_breakers_.emplace_back(opt_.breaker, /*channel_id=*/2 * n + 1);
-  }
-}
-
 bool ResilienceManager::read_degraded() const {
-  if (fleet_ == nullptr) return read_breaker_.degraded();
   for (const CircuitBreaker& b : node_read_breakers_) {
     if (b.degraded()) return true;
   }
@@ -122,40 +104,57 @@ bool ResilienceManager::read_degraded() const {
 }
 
 bool ResilienceManager::write_degraded() const {
-  if (fleet_ == nullptr) return write_breaker_.degraded();
   for (const CircuitBreaker& b : node_write_breakers_) {
     if (b.degraded()) return true;
   }
   return false;
 }
 
+SimTime ResilienceManager::read_degraded_ns(SimTime now) const {
+  SimTime total = 0;
+  for (const CircuitBreaker& b : node_read_breakers_) total += b.time_degraded_ns(now);
+  return total;
+}
+
+SimTime ResilienceManager::write_degraded_ns(SimTime now) const {
+  SimTime total = 0;
+  for (const CircuitBreaker& b : node_write_breakers_) total += b.time_degraded_ns(now);
+  return total;
+}
+
 uint64_t ResilienceManager::breaker_opens_total() const {
-  uint64_t total = read_breaker_.opens() + write_breaker_.opens();
+  uint64_t total = 0;
   for (const CircuitBreaker& b : node_read_breakers_) total += b.opens();
   for (const CircuitBreaker& b : node_write_breakers_) total += b.opens();
   return total;
 }
 
-Task<RemoteOpStatus> ResilienceManager::FleetReadPage(int core, uint64_t vpn,
-                                                      uint64_t slot,
-                                                      bool allow_poison,
-                                                      SpanHandle op) {
+Task<RemoteOpStatus> ResilienceManager::ReadPage(int core, uint64_t vpn, uint64_t slot,
+                                                 bool allow_poison, SpanHandle op) {
+  FleetManager::ReadTarget t = fleet_.ReadTargetFor(slot);
+  if (!fleet_.ops_can_fail() && t.node >= 0) {
+    // Nothing can fail (and with no fault plan nothing crashes): a plain read
+    // from the placement primary, exactly as a bare NIC read.
+    SimTime p0 = Engine::current().now();
+    auto c = fleet_.nic(t.node).PostRead(kPageSize);
+    co_await c->Wait();
+    SpanLeafUnder(op, SpanKind::kRdmaRead, p0, Engine::current().now(), core, vpn);
+    co_return RemoteOpStatus::kOk;
+  }
   // Split the retry budget across replicas so total attempts stay bounded by
-  // the single-node policy; a replica that exhausts its share is excluded
+  // the single-server policy; a replica that exhausts its share is excluded
   // and the read fails over to the next survivor.
   const int per_replica_budget =
-      std::max(1, opt_.retry.max_retries / std::max(1, fleet_->replication()));
+      std::max(1, opt_.retry.max_retries / std::max(1, fleet_.replication()));
   uint16_t excluded = 0;
-  for (;;) {
-    FleetManager::ReadTarget t = fleet_->ReadTargetFor(slot, excluded);
-    if (t.node < 0) break;  // nothing live left to ask
+  for (; t.node >= 0; t = fleet_.ReadTargetFor(slot, excluded)) {
     SimTime a0 = Engine::current().now();
-    bool ok = co_await OneOpOn(fleet_->nic(t.node), NodeBreaker(t.node, false),
+    bool ok = co_await OneOpOn(fleet_.nic(t.node), NodeBreaker(t.node, false),
                                /*span_channel=*/0, /*is_write=*/false, core, vpn,
                                per_replica_budget, op);
     if (ok) {
       if (t.degraded) {
-        fleet_->NoteDegradedRead(slot, t.node, fleet_->placement().PrimaryOf(slot));
+        fleet_.NoteDegradedRead(slot, t.node, fleet_.placement().PrimaryOf(slot));
         SpanLeafUnder(op, SpanKind::kDegradedRead, a0, Engine::current().now(),
                       t.node, vpn, {}, slot);
       }
@@ -168,24 +167,6 @@ Task<RemoteOpStatus> ResilienceManager::FleetReadPage(int core, uint64_t vpn,
   if (opt_.terminal == TerminalPolicy::kFailRun) {
     FailRun("no live replica for demand read");
   }
-  ++pages_poisoned_;
-  TraceEmit(TraceEventType::kPagePoisoned, core, vpn);
-  co_return RemoteOpStatus::kPoisoned;
-}
-
-Task<RemoteOpStatus> ResilienceManager::ReadPage(int core, uint64_t vpn,
-                                                 bool allow_poison, SpanHandle op,
-                                                 uint64_t slot) {
-  if (fleet_ != nullptr && slot != kNoFleetSlot) {
-    co_return co_await FleetReadPage(core, vpn, slot, allow_poison, op);
-  }
-  bool ok = co_await OneOp(/*is_write=*/false, core, vpn, opt_.retry.max_retries, op);
-  if (ok) co_return RemoteOpStatus::kOk;
-  ++reads_failed_;
-  if (!allow_poison) co_return RemoteOpStatus::kAbandoned;
-  if (opt_.terminal == TerminalPolicy::kFailRun) {
-    FailRun("demand read retries exhausted");
-  }
   // Even under kFailRun the page is poisoned so the in-flight fault unwinds
   // cleanly while the engine drains.
   ++pages_poisoned_;
@@ -193,61 +174,66 @@ Task<RemoteOpStatus> ResilienceManager::ReadPage(int core, uint64_t vpn,
   co_return RemoteOpStatus::kPoisoned;
 }
 
-Task<size_t> ResilienceManager::WritePages(int evictor_id, size_t n, SpanHandle op) {
-  if (n == 0) co_return 0;
-  SimTime g0 = Engine::current().now();
-  co_await write_breaker_.Admit();
-  if (SpanTracer* st = SpanTracer::Get(); st != nullptr) {
-    st->LeafUnder(op, SpanKind::kBreakerWait, g0, Engine::current().now(), evictor_id,
-                  kTraceNoPage, st->breaker_open(1));
-  }
-  // Post the whole batch back-to-back (matching the legacy path's channel
-  // utilization), then await in FIFO order; only failures pay retry latency.
-  std::vector<std::shared_ptr<RdmaCompletion>> ops;
-  ops.reserve(n);
-  for (size_t i = 0; i < n; ++i) ops.push_back(nic_.PostWrite(kPageSize));
-  size_t lost = 0;
-  for (auto& c : ops) {
-    SimTime w0 = Engine::current().now();
-    OpOutcome out = co_await AwaitWithDeadline(c, evictor_id, kTraceNoPage);
-    // FIFO waits behind already-completed ops are zero-duration and skipped.
-    SpanLeafUnder(op, SpanKind::kRdmaWrite, w0, Engine::current().now(), evictor_id,
-                  kTraceNoPage, {}, 1);
-    if (out == OpOutcome::kOk) {
-      write_breaker_.OnSuccess();
-      continue;
+std::shared_ptr<RdmaCompletion> ResilienceManager::PostWrites(
+    const std::vector<uint64_t>& slots) {
+  std::shared_ptr<RdmaCompletion> last;
+  for (uint64_t slot : slots) {
+    ReplicaSet targets = fleet_.WriteTargetsFor(slot);
+    for (int j = 0; j < targets.count; ++j) {
+      auto c = fleet_.nic(targets.node[j]).PostWrite(kPageSize);
+      if (last == nullptr || c->completes_at() >= last->completes_at()) last = std::move(c);
     }
-    bool was_degraded = write_breaker_.degraded();
-    write_breaker_.OnFailure();
-    if (SpanTracer* st = SpanTracer::Get();
-        st != nullptr && !was_degraded && write_breaker_.degraded()) {
-      st->NoteBreakerOpen(1, op);
-    }
-    ++retries_;
-    TraceEmit(TraceEventType::kRdmaRetry, evictor_id, kTraceNoPage, kTraceNoFrame, 1);
-    if (!co_await OneOp(/*is_write=*/true, evictor_id, kTraceNoPage,
-                        std::max(0, opt_.retry.max_retries - 1), op)) {
-      ++lost;
-    }
+    fleet_.CommitWrite(slot, targets.Mask());
   }
-  if (lost > 0) {
-    writebacks_lost_ += lost;
-    TraceEmit(TraceEventType::kWritebackLost, evictor_id, kTraceNoPage, kTraceNoFrame,
-              static_cast<uint64_t>(lost));
-    if (opt_.terminal == TerminalPolicy::kFailRun) FailRun("writeback retries exhausted");
-  }
-  co_return lost;
+  return last;
 }
 
-Task<size_t> ResilienceManager::WriteSlots(int evictor_id,
-                                           std::vector<uint64_t> slots,
-                                           SpanHandle op) {
-  if (fleet_ == nullptr || slots.empty()) co_return 0;
-  // Gate once per server this batch will touch (ascending, deterministic) —
-  // the fleet analogue of WritePages' single upfront Admit.
+Task<> ResilienceManager::WriteBack(int evictor_id, std::vector<uint64_t> slots,
+                                    SpanHandle op) {
+  if (fleet_.ops_can_fail()) {
+    co_await WriteSlots(evictor_id, std::move(slots), op);
+    co_return;
+  }
+  SimTime w0 = Engine::current().now();
+  if (auto last = PostWrites(slots); last != nullptr) co_await last->Wait();
+  SpanLeafUnder(op, SpanKind::kRdmaWrite, w0, Engine::current().now(), evictor_id,
+                kTraceNoPage);
+}
+
+Writeback ResilienceManager::StartWriteback(int evictor_id, std::vector<uint64_t> slots,
+                                            SpanHandle batch_span) {
+  Writeback wb;
+  if (slots.empty()) return wb;
+  if (!fleet_.ops_can_fail()) {
+    wb.last_ = PostWrites(slots);
+    return wb;
+  }
+  wb.done_ = std::make_shared<SimEvent>("writeback-done");
+  Engine::current().Spawn(WriteSlotsMain(evictor_id, std::move(slots), wb.done_, batch_span));
+  return wb;
+}
+
+Task<> ResilienceManager::FinishWriteback(Writeback wb, int evictor_id,
+                                          SpanHandle batch_span) {
+  if (wb.last_ != nullptr) {
+    SimTime w0 = Engine::current().now();
+    co_await wb.last_->Wait();
+    SpanLeafUnder(batch_span, SpanKind::kRdmaWrite, w0, Engine::current().now(),
+                  evictor_id, kTraceNoPage);
+  } else if (wb.done_ != nullptr) {
+    // The retrying writer emits its own rdma/retry/backoff leaves under the
+    // batch span from its spawned task.
+    co_await wb.done_->Wait();
+  }
+}
+
+Task<> ResilienceManager::WriteSlots(int evictor_id, std::vector<uint64_t> slots,
+                                     SpanHandle op) {
+  if (slots.empty()) co_return;
+  // Gate once per server this batch will touch (ascending, deterministic).
   uint16_t touch_mask = 0;
-  for (uint64_t slot : slots) touch_mask |= fleet_->WriteTargetsFor(slot).Mask();
-  for (int n = 0; n < fleet_->num_nodes(); ++n) {
+  for (uint64_t slot : slots) touch_mask |= fleet_.WriteTargetsFor(slot).Mask();
+  for (int n = 0; n < fleet_.num_nodes(); ++n) {
     if ((touch_mask & (1u << n)) == 0) continue;
     SimTime g0 = Engine::current().now();
     co_await NodeBreaker(n, /*is_write=*/true).Admit();
@@ -266,12 +252,12 @@ Task<size_t> ResilienceManager::WriteSlots(int evictor_id,
   };
   std::vector<PendingOp> ops;
   std::vector<uint16_t> acked(slots.size(), 0);
-  ops.reserve(slots.size() * static_cast<size_t>(fleet_->replication()));
+  ops.reserve(slots.size() * static_cast<size_t>(fleet_.replication()));
   for (size_t i = 0; i < slots.size(); ++i) {
-    ReplicaSet targets = fleet_->WriteTargetsFor(slots[i]);
+    ReplicaSet targets = fleet_.WriteTargetsFor(slots[i]);
     for (int j = 0; j < targets.count; ++j) {
       ops.push_back(
-          {i, targets.node[j], fleet_->nic(targets.node[j]).PostWrite(kPageSize)});
+          {i, targets.node[j], fleet_.nic(targets.node[j]).PostWrite(kPageSize)});
     }
   }
   for (PendingOp& p : ops) {
@@ -293,7 +279,7 @@ Task<size_t> ResilienceManager::WriteSlots(int evictor_id,
     }
     ++retries_;
     TraceEmit(TraceEventType::kRdmaRetry, evictor_id, slots[p.idx], kTraceNoFrame, 1);
-    if (co_await OneOpOn(fleet_->nic(p.node), br, /*span_channel=*/1,
+    if (co_await OneOpOn(fleet_.nic(p.node), br, /*span_channel=*/1,
                          /*is_write=*/true, evictor_id, slots[p.idx],
                          std::max(0, opt_.retry.max_retries - 1), op)) {
       acked[p.idx] |= static_cast<uint16_t>(1u << p.node);
@@ -301,8 +287,8 @@ Task<size_t> ResilienceManager::WriteSlots(int evictor_id,
   }
   size_t lost = 0;
   for (size_t i = 0; i < slots.size(); ++i) {
-    fleet_->CommitWrite(slots[i], acked[i]);
-    if (!fleet_->HasLiveCopy(slots[i])) ++lost;
+    fleet_.CommitWrite(slots[i], acked[i]);
+    if (!fleet_.HasLiveCopy(slots[i])) ++lost;
   }
   if (lost > 0) {
     writebacks_lost_ += lost;
@@ -312,59 +298,27 @@ Task<size_t> ResilienceManager::WriteSlots(int evictor_id,
       FailRun("writeback lost every replica");
     }
   }
-  co_return lost;
 }
 
-Task<> ResilienceManager::TicketMain(int evictor_id, size_t n,
-                                     std::shared_ptr<WritebackTicket> t,
-                                     SpanHandle batch_span) {
-  // The owning batch's span rides the call so WritePages' leaves parent
+Task<> ResilienceManager::WriteSlotsMain(int evictor_id, std::vector<uint64_t> slots,
+                                         std::shared_ptr<SimEvent> done,
+                                         SpanHandle batch_span) {
+  // The owning batch's span rides the call so WriteSlots' leaves parent
   // correctly. The batch closes only after `done` fires, so the handle
   // outlives every leaf emitted here.
-  t->lost = co_await WritePages(evictor_id, n, batch_span);
-  t->done.Set();
-}
-
-std::shared_ptr<WritebackTicket> ResilienceManager::SpawnWritePages(int evictor_id,
-                                                                    size_t n,
-                                                                    SpanHandle batch_span) {
-  auto t = std::make_shared<WritebackTicket>();
-  t->pages = n;
-  Engine::current().Spawn(TicketMain(evictor_id, n, t, batch_span));
-  return t;
-}
-
-Task<> ResilienceManager::TicketMainSlots(int evictor_id,
-                                          std::vector<uint64_t> slots,
-                                          std::shared_ptr<WritebackTicket> t,
-                                          SpanHandle batch_span) {
-  t->lost = co_await WriteSlots(evictor_id, std::move(slots), batch_span);
-  t->done.Set();
-}
-
-std::shared_ptr<WritebackTicket> ResilienceManager::SpawnWriteSlots(
-    int evictor_id, std::vector<uint64_t> slots, SpanHandle batch_span) {
-  auto t = std::make_shared<WritebackTicket>();
-  t->pages = slots.size();
-  Engine::current().Spawn(
-      TicketMainSlots(evictor_id, std::move(slots), t, batch_span));
-  return t;
+  co_await WriteSlots(evictor_id, std::move(slots), batch_span);
+  done->Set();
 }
 
 Task<> ResilienceManager::EvictionBackpressure(int evictor_id) {
-  const CircuitBreaker* gate = &write_breaker_;
-  if (fleet_ != nullptr) {
-    // Per-server breakers: pause against the worst open write channel.
-    gate = nullptr;
-    for (const CircuitBreaker& b : node_write_breakers_) {
-      if (b.degraded() && (gate == nullptr || b.open_until() > gate->open_until())) {
-        gate = &b;
-      }
+  // Pause against the worst open write channel.
+  const CircuitBreaker* gate = nullptr;
+  for (const CircuitBreaker& b : node_write_breakers_) {
+    if (b.degraded() && (gate == nullptr || b.open_until() > gate->open_until())) {
+      gate = &b;
     }
-    if (gate == nullptr) co_return;
-  } else if (!write_breaker_.degraded()) {
-    co_return;
   }
+  if (gate == nullptr) co_return;
   SimTime now = Engine::current().now();
   SimTime wait = gate->open_until() - now;
   if (wait < 10 * kMicrosecond) wait = 10 * kMicrosecond;

@@ -1,9 +1,16 @@
-// The resilient far-memory data path: per-op deadlines, bounded retries with
-// exponential backoff, a circuit breaker per RDMA channel, and graceful
-// degradation hooks for the paging kernel (eviction backpressure, prefetch
-// throttling, poison-or-fail terminal policy). The kernel routes its remote
-// reads/writebacks through a ResilienceManager when one is attached; with
-// none attached the legacy direct-NIC path is byte-identical.
+// The far-memory data path. Every remote page read and writeback batch of
+// the paging kernel goes through the ResilienceManager, over the machine's
+// memory-server fleet (one server by default): reads resolve their swap slot
+// to a live replica, writebacks fan out to every live desired replica.
+//
+// There is one selection inside, on a fact the hardware model exposes: an
+// RdmaNic fails an op (drop or error) only on its attached fault model's say.
+// Without a fault model on any server NIC no op can fail, so ops are awaited
+// directly and schedule the same engine events as bare NIC reads and writes.
+// With one, every op runs under a deadline with bounded retries, exponential
+// backoff and a circuit breaker per server channel, and the kernel gets
+// graceful-degradation hooks (eviction backpressure, prefetch throttling,
+// poison-or-fail terminal policy).
 #ifndef MAGESIM_RESILIENCE_RESILIENT_RDMA_H_
 #define MAGESIM_RESILIENCE_RESILIENT_RDMA_H_
 
@@ -46,65 +53,56 @@ enum class RemoteOpStatus : uint8_t {
   kAbandoned,  // retries exhausted on a speculative op; caller must unwind
 };
 
-// Completion handle for a writeback batch running in the background (the
-// pipelined evictor overlaps it with the next batch's shootdown).
-struct WritebackTicket {
-  SimEvent done;
-  size_t pages = 0;
-  size_t lost = 0;  // valid once `done` fires
+// A writeback batch in flight: what an evictor awaits (FinishWriteback)
+// before it reclaims the batch's frames. Empty when nothing needed writing.
+class Writeback {
+  friend class ResilienceManager;
+  // No fault model: the batch's write that completes last. Otherwise the
+  // spawned retrying writer's completion event.
+  std::shared_ptr<RdmaCompletion> last_;
+  std::shared_ptr<SimEvent> done_;
 };
-
-// Sentinel for ReadPage's slot argument: no fleet routing (single-node path).
-inline constexpr uint64_t kNoFleetSlot = ~0ULL;
 
 class ResilienceManager {
  public:
-  ResilienceManager(RdmaNic& nic, const ResilienceOptions& opt);
+  // Per-server breaker pairs carry channel ids 2n (read) / 2n+1 (write).
+  ResilienceManager(FleetManager& fleet, const ResilienceOptions& opt);
 
-  // Routes the data path through a memory-server fleet: reads resolve their
-  // swap slot to the nearest live replica (failing over, degraded, to any
-  // survivor), writebacks fan out to every live desired replica, and the
-  // circuit-breaker state becomes per-server (channel ids 2n / 2n+1). With
-  // no fleet attached every path below is byte-identical to before.
-  void SetFleet(FleetManager* fleet);
-  FleetManager* fleet() const { return fleet_; }
+  FleetManager& fleet() { return fleet_; }
 
-  // One remote page read on the fault path. Retries under the read breaker;
-  // on exhaustion applies the terminal policy (`allow_poison` = demand fault)
-  // or reports kAbandoned (speculative prefetch: caller unwinds the frame).
-  // `op` is the requesting operation's span; the per-attempt rdma/retry/
-  // backoff/breaker leaves attach to it. With a fleet attached, `slot`
-  // (the page's swap slot) selects the serving replica; kNoFleetSlot keeps
-  // the legacy single-NIC path.
-  Task<RemoteOpStatus> ReadPage(int core, uint64_t vpn, bool allow_poison,
-                                SpanHandle op = {}, uint64_t slot = kNoFleetSlot);
+  // One remote read of `vpn`, whose copy lives in swap slot `slot`, on the
+  // fault path. With a fault model attached the read retries and fails over
+  // across replicas under the per-server read breakers; a slot with no live
+  // copy is not read at all. On exhaustion it applies the terminal policy
+  // (`allow_poison` = demand fault) or reports kAbandoned (speculative
+  // prefetch: caller unwinds the frame). `op` is the requesting operation's
+  // span; the rdma/retry/backoff/breaker leaves attach to it.
+  Task<RemoteOpStatus> ReadPage(int core, uint64_t vpn, uint64_t slot,
+                                bool allow_poison, SpanHandle op = {});
 
-  // `n` dirty-page writebacks posted back-to-back (keeping the channel as
-  // full as the legacy path), then awaited in FIFO order with per-op
-  // deadlines; failed ops are retried individually. Returns pages lost for
-  // good — their frames are still freed, so eviction never deadlocks.
-  // `op` is the owning batch's span.
-  Task<size_t> WritePages(int evictor_id, size_t n, SpanHandle op = {});
+  // Writes `slots` back to each live desired replica and returns once every
+  // copy is acknowledged or lost for good. Ops are posted back-to-back; with
+  // a fault model they are then awaited in FIFO order under deadlines and
+  // failures retried per replica. The acknowledged replica set is committed
+  // to the fleet table; a slot left with no live copy is surfaced as lost
+  // (never silent) and its frame is still freed, so eviction never
+  // deadlocks. `op` is the owning batch's span.
+  Task<> WriteBack(int evictor_id, std::vector<uint64_t> slots, SpanHandle op = {});
 
-  // Fleet writeback: every slot is written to each live desired replica
-  // (posted back-to-back, awaited FIFO, failures retried per-replica) and
-  // the acknowledged replica set committed to the fleet table. Returns the
-  // number of slots that ended with zero live copies (each surfaced as
-  // lost by the fleet — never silent).
-  Task<size_t> WriteSlots(int evictor_id, std::vector<uint64_t> slots,
-                          SpanHandle op = {});
-
-  // Background variant for the pipelined evictor. `batch_span` (may be
-  // null) is passed through to WritePages in the spawned task, so the
-  // per-op rdma/retry/backoff leaves land under the owning eviction batch.
-  std::shared_ptr<WritebackTicket> SpawnWritePages(int evictor_id, size_t n,
-                                                   SpanHandle batch_span = {});
-  std::shared_ptr<WritebackTicket> SpawnWriteSlots(int evictor_id,
-                                                   std::vector<uint64_t> slots,
-                                                   SpanHandle batch_span = {});
+  // WriteBack split for the pipelined evictor, which overlaps a batch's
+  // writes with the next batch's shootdown: StartWriteback posts the batch
+  // (spawning the retrying writer when a fault model is attached) and
+  // returns at once; FinishWriteback waits for it. `batch_span` is the
+  // owning batch's span.
+  Writeback StartWriteback(int evictor_id, std::vector<uint64_t> slots,
+                           SpanHandle batch_span = {});
+  Task<> FinishWriteback(Writeback wb, int evictor_id, SpanHandle batch_span = {});
 
   bool read_degraded() const;
   bool write_degraded() const;
+  // Breaker-degraded time up to `now`, summed over the servers' channels.
+  SimTime read_degraded_ns(SimTime now) const;
+  SimTime write_degraded_ns(SimTime now) const;
 
   // Bounded pause for an evictor while the write channel is degraded: wait
   // out (most of) the breaker cool-down once, then proceed — the next
@@ -127,16 +125,8 @@ class ResilienceManager {
   uint64_t prefetch_throttles() const { return prefetch_throttles_; }
   const Histogram& backoff_ns() const { return backoff_ns_; }
   const Histogram& attempts_per_op() const { return attempts_per_op_; }
-  const CircuitBreaker& read_breaker() const { return read_breaker_; }
-  const CircuitBreaker& write_breaker() const { return write_breaker_; }
-  // Breaker opens across every channel (legacy pair + per-server pairs).
+  // Breaker opens across every server channel.
   uint64_t breaker_opens_total() const;
-  const CircuitBreaker& node_read_breaker(int node) const {
-    return node_read_breakers_[static_cast<size_t>(node)];
-  }
-  const CircuitBreaker& node_write_breaker(int node) const {
-    return node_write_breakers_[static_cast<size_t>(node)];
-  }
 
  private:
   enum class OpOutcome : uint8_t { kOk, kError, kTimeout };
@@ -161,26 +151,24 @@ class ResilienceManager {
   Task<bool> OneOpOn(RdmaNic& nic, CircuitBreaker& br, int span_channel,
                      bool is_write, int actor, uint64_t vpn, int budget,
                      SpanHandle op);
-  Task<bool> OneOp(bool is_write, int actor, uint64_t vpn, int budget, SpanHandle op);
-  Task<RemoteOpStatus> FleetReadPage(int core, uint64_t vpn, uint64_t slot,
-                                     bool allow_poison, SpanHandle op);
-  Task<> TicketMain(int evictor_id, size_t n, std::shared_ptr<WritebackTicket> t,
-                    SpanHandle batch_span);
-  Task<> TicketMainSlots(int evictor_id, std::vector<uint64_t> slots,
-                         std::shared_ptr<WritebackTicket> t, SpanHandle batch_span);
+  // No fault model: posts every (slot, replica) write, commits the replica
+  // sets (the ops cannot fail) and returns the write that completes last
+  // (null when `slots` is empty).
+  std::shared_ptr<RdmaCompletion> PostWrites(const std::vector<uint64_t>& slots);
+  // The deadline/retry writeback.
+  Task<> WriteSlots(int evictor_id, std::vector<uint64_t> slots, SpanHandle op);
+  Task<> WriteSlotsMain(int evictor_id, std::vector<uint64_t> slots,
+                        std::shared_ptr<SimEvent> done, SpanHandle batch_span);
   void FailRun(const char* why);
   CircuitBreaker& NodeBreaker(int node, bool is_write) {
     auto& v = is_write ? node_write_breakers_ : node_read_breakers_;
     return v[static_cast<size_t>(node)];
   }
 
-  RdmaNic& nic_;
+  FleetManager& fleet_;
   ResilienceOptions opt_;
   Rng rng_;
-  CircuitBreaker read_breaker_;
-  CircuitBreaker write_breaker_;
-  FleetManager* fleet_ = nullptr;
-  // Per-server breaker pairs (fleet mode only; deque — breakers don't move).
+  // One breaker pair per server (deque — breakers don't move).
   std::deque<CircuitBreaker> node_read_breakers_;
   std::deque<CircuitBreaker> node_write_breakers_;
 

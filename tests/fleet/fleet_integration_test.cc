@@ -5,9 +5,14 @@
 // the fleet are rejected at machine construction.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <ostream>
 #include <stdexcept>
+#include <string>
 
 #include "src/core/farmem.h"
+#include "src/metrics/metrics.h"
+#include "src/trace/trace.h"
 #include "src/workloads/gups.h"
 
 namespace magesim {
@@ -74,18 +79,113 @@ TEST(FleetIntegrationTest, KillOneOfFourDegradedReadsThenRebuildConverges) {
   EXPECT_GT(r.total_ops, 0u);
 }
 
-TEST(FleetIntegrationTest, FleetRunIsDeterministicPerSeed) {
-  auto run = [] {
+// One fleet run configuration: the kernel, prefetch and lazy TLB on top, the
+// fleet shape and a node crash mid-run.
+struct FleetRunCase {
+  const char* name;
+  KernelConfig (*kernel)();
+  bool prefetch_and_lazy_tlb;
+  int nodes;
+  int replicas;
+  const char* plan;
+};
+
+void PrintTo(const FleetRunCase& c, std::ostream* os) { *os << c.name; }
+
+class FleetRunTest : public ::testing::TestWithParam<FleetRunCase> {};
+
+// A fleet run with a node crash is byte-identical per seed (same trace hash)
+// and keeps every invariant green under a short-interval checker.
+TEST_P(FleetRunTest, FleetRunIsDeterministicPerSeed) {
+  const FleetRunCase& c = GetParam();
+  auto run = [&c] {
     GupsWorkload wl(SmallGups());
-    FarMemoryMachine::Options opt = FleetOptions(9, 4, 2);
-    opt.fault_plan = "crash@2ms-3ms:node=2";
+    FarMemoryMachine::Options opt = FleetOptions(9, c.nodes, c.replicas);
+    opt.kernel = c.kernel();
+    opt.kernel.prefetch = c.prefetch_and_lazy_tlb;
+    opt.kernel.lazy_tlb = c.prefetch_and_lazy_tlb;
+    opt.fault_plan = c.plan;
     opt.metrics.enabled = true;
+    opt.check_interval = 200 * kMicrosecond;
+    Tracer tracer;
+    TraceHashSink hash;
+    tracer.AddSink(&hash);
+    tracer.Install();
     FarMemoryMachine m(opt, wl);
     RunResult r = m.Run();
-    return std::tuple<uint64_t, uint64_t, uint64_t, uint64_t>(
-        r.total_ops, r.fleet_degraded_reads, r.fleet_slots_rebuilt, r.faults);
+    tracer.Uninstall();
+    EXPECT_EQ(r.memnode_crashes, 1u);
+    EXPECT_GT(r.invariant_checks, 10u);
+    EXPECT_EQ(r.invariant_violations, 0u) << r.first_violation;
+    EXPECT_EQ(r.fleet_silent_losses, 0u);
+    EXPECT_FALSE(r.aborted);
+    return std::tuple<uint64_t, uint64_t, uint64_t, uint64_t, uint64_t>(
+        r.total_ops, r.fleet_degraded_reads, r.fleet_slots_rebuilt, r.faults, hash.hash());
   };
   EXPECT_EQ(run(), run());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Compositions, FleetRunTest,
+    ::testing::Values(
+        FleetRunCase{"magelib_4x2", MageLibConfig, false, 4, 2, "crash@2ms-3ms:node=2"},
+        FleetRunCase{"magelib_3x2_prefetch_lazytlb", MageLibConfig, true, 3, 2,
+                     "crash@3ms-5ms:node=1"},
+        FleetRunCase{"hermit_3x2_prefetch_lazytlb", HermitConfig, true, 3, 2,
+                     "crash@3ms-5ms:node=1"}));
+
+// The breaker-degraded time in the run report sums every server's breakers:
+// a 2-server fleet whose second server fails every op for 3 ms trips them.
+TEST(FleetIntegrationTest, DegradedTimeCoversPerServerBreakers) {
+  GupsWorkload wl(SmallGups());
+  FarMemoryMachine::Options opt = FleetOptions(7, 2, 2);
+  opt.fault_plan = "error@1ms-4ms:p=1,node=1";
+  opt.metrics.enabled = true;
+  FarMemoryMachine m(opt, wl);
+  RunResult r = m.Run();
+  EXPECT_GT(r.breaker_opens, 0u);
+  MetricsRegistry& reg = *m.metrics();
+  EXPECT_GT(reg.Counter("resilience.read_degraded_ns").value() +
+                reg.Counter("resilience.write_degraded_ns").value(),
+            0u);
+  EXPECT_EQ(r.invariant_violations, 0u);
+}
+
+// Every fleet surface rejects a server count above the 16-server limit, and
+// the text surfaces reject anything but a whole number > 0.
+TEST(FleetIntegrationTest, OptionsRejectServerCountOutsideLimit) {
+  for (int nodes : {0, -1, kMaxFleetNodes + 1}) {
+    GupsWorkload wl(SmallGups());
+    FarMemoryMachine::Options opt = FleetOptions(1, nodes, 2);
+    EXPECT_THROW({ FarMemoryMachine m(opt, wl); }, std::invalid_argument) << nodes;
+  }
+}
+
+TEST(FleetIntegrationTest, EnvironmentRejectsBadFleetSettings) {
+  const std::pair<const char*, const char*> bad[] = {
+      {"MAGESIM_FLEET_NODES", "abc"},       {"MAGESIM_FLEET_NODES", "0"},
+      {"MAGESIM_FLEET_NODES", "17"},        {"MAGESIM_FLEET_NODES", "2x"},
+      {"MAGESIM_FLEET_REPLICAS", "two"},    {"MAGESIM_FLEET_REPLICAS", "-1"},
+      {"MAGESIM_FLEET_REBUILD_GBPS", ""},   {"MAGESIM_FLEET_REBUILD_GBPS", "0"},
+      {"MAGESIM_FLEET_REBUILD_GBPS", "fast"},
+  };
+  for (const auto& [var, value] : bad) {
+    setenv(var, value, 1);
+    GupsWorkload wl(SmallGups());
+    try {
+      FarMemoryMachine m(FleetOptions(1, 1, 1), wl);
+      ADD_FAILURE() << var << "=" << value << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(var), std::string::npos) << e.what();
+    }
+    unsetenv(var);
+  }
+  // The documented replication clamp still holds: 9 replicas on 1 server.
+  setenv("MAGESIM_FLEET_REPLICAS", "9", 1);
+  GupsWorkload wl(SmallGups());
+  FarMemoryMachine m(FleetOptions(1, 1, 1), wl);
+  unsetenv("MAGESIM_FLEET_REPLICAS");
+  EXPECT_EQ(m.fleet()->replication(), 1);
 }
 
 TEST(FleetIntegrationTest, PlanTargetingNodeOutsideFleetIsRejected) {

@@ -27,7 +27,7 @@ struct FleetFixture {
                                     .replication = replicas,
                                     .seed = seed}) {
     node0.RegisterSetup();
-    for (uint64_t s = 0; s < kSlots; ++s) fleet.PrepopulateSlot(s);
+    fleet.Prepopulate(kSlots);
   }
 };
 

@@ -35,7 +35,7 @@ struct ChaosRig {
                                     .seed = seed}),
         rebuild(fleet, RebuildOptions{.rebuild_gbps = 100.0}) {
     node0.RegisterSetup();
-    for (uint64_t s = 0; s < kSlots; ++s) fleet.PrepopulateSlot(s);
+    fleet.Prepopulate(kSlots);
   }
 };
 

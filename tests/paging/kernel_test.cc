@@ -14,7 +14,10 @@ struct Rig {
         topo(params),
         tlb(topo),
         nic(params),
-        kernel(cfg, topo, tlb, nic, local, wss) {
+        memnode(wss * kPageSize),
+        fleet(nic, memnode, params, FleetManager::Options{}),
+        resilience(fleet, ResilienceOptions{}),
+        kernel(cfg, topo, tlb, resilience, local, wss) {
     std::vector<CoreId> cores;
     for (int i = 0; i < 8; ++i) cores.push_back(i);
     tlb.SetTargetCores(cores);
@@ -24,6 +27,9 @@ struct Rig {
   Topology topo;
   TlbShootdownManager tlb;
   RdmaNic nic;
+  MemoryNode memnode;
+  FleetManager fleet;
+  ResilienceManager resilience;
   Kernel kernel;
 };
 

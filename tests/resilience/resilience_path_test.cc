@@ -79,10 +79,37 @@ TEST(ResiliencePathTest, SurvivesMemoryNodeCrashAndRecovery) {
   EXPECT_EQ(r.memnode_crashes, 1u);
   EXPECT_GT(r.rdma_retries, 0u);
   EXPECT_GT(r.breaker_opens, 0u);  // a 1 ms outage must trip the breakers
+  // One server has no replica to rebuild from: its crash is an outage that
+  // acts through dropped completions, not a loss of its copies.
+  EXPECT_EQ(r.fleet_nodes, 1u);
+  EXPECT_EQ(r.fleet_slots_lost, 0u);
+  EXPECT_EQ(r.fleet_repairs_queued, 0u);
+  EXPECT_EQ(m.rebuild(), nullptr);
   EXPECT_FALSE(r.aborted);
   EXPECT_EQ(r.invariant_violations, 0u);
   EXPECT_GT(r.total_ops, 0u);
   EXPECT_FALSE(m.memnode().available() == false);  // recovered by plan end
+}
+
+TEST(ResiliencePathTest, LostWritebackIsSurfacedOnOneServer) {
+  // Every write is dropped for 19 ms, then the link is healthy. A writeback
+  // lost for good leaves its slot with no copy: the fleet of one surfaces it
+  // as lost, and a later demand read of it is poisoned, not served as good.
+  GupsWorkload::Options o = SmallGups();
+  o.run_for = 30 * kMillisecond;
+  GupsWorkload wl(o);
+  FarMemoryMachine::Options opt = ChaosOptions(13);
+  opt.fault_plan = "drop@1ms-20ms:p=1,ch=write";
+  opt.check_interval = 500 * kMicrosecond;
+  FarMemoryMachine m(opt, wl);
+  RunResult r = m.Run();
+  EXPECT_GT(r.writebacks_lost, 0u);
+  EXPECT_GT(r.fleet_slots_lost, 0u);
+  EXPECT_LE(r.fleet_slots_lost, r.writebacks_lost);
+  EXPECT_GT(r.pages_poisoned, 0u);
+  EXPECT_EQ(r.fleet_silent_losses, 0u);
+  EXPECT_EQ(r.invariant_violations, 0u) << r.first_violation;
+  EXPECT_FALSE(r.aborted);
 }
 
 TEST(ResiliencePathTest, FailRunPolicyAbortsUnderUnsurvivableCrash) {
@@ -127,12 +154,11 @@ TEST(ResiliencePathTest, PrefetcherThrottlesWhileReadChannelDegraded) {
 }
 
 TEST(ResiliencePathTest, ResilientPathIdlesCleanlyWithoutFaultPlan) {
-  // resilience_enabled with no plan: the data path takes the resilient route
-  // (deadlines, breakers) but nothing ever fails, so every resilience counter
-  // stays zero and the run completes normally.
+  // No plan: every remote op goes through the resilience layer, but with no
+  // fault model nothing can fail, so every resilience counter stays zero and
+  // the run completes normally.
   GupsWorkload wl(SmallGups());
   FarMemoryMachine::Options opt = ChaosOptions(31);
-  opt.resilience_enabled = true;
   FarMemoryMachine m(opt, wl);
   RunResult r = m.Run();
   EXPECT_EQ(r.rdma_retries, 0u);
