@@ -10,10 +10,7 @@ int main() {
   using namespace magesim;
   PrintBanner("Ablation: page-accounting policies on MAGE-Lib (GapBS, 48 threads)");
 
-  auto make = [] {
-    return std::make_unique<PageRankWorkload>(
-        PageRankWorkload::Options{.scale = 17, .iterations = 3, .threads = 48});
-  };
+  WorkloadFactory make = PageRankFactory({.scale = 17, .iterations = 3, .threads = 48});
 
   auto with_policy = [](AccountingPolicy p, const char* name) {
     KernelConfig cfg = MageLibConfig();

@@ -36,10 +36,7 @@ int main() {
   using namespace magesim;
   PrintBanner("Extension: swap backends (GapBS, 48 threads, 30% far memory)");
 
-  auto make = [] {
-    return std::make_unique<PageRankWorkload>(
-        PageRankWorkload::Options{.scale = 17, .iterations = 3, .threads = 48});
-  };
+  WorkloadFactory make = PageRankFactory({.scale = 17, .iterations = 3, .threads = 48});
 
   struct Backend {
     const char* name;

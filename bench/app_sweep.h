@@ -9,6 +9,7 @@
 #include <memory>
 
 #include "bench/bench_common.h"
+#include "src/workloads/pagerank.h"
 #include "src/workloads/workload.h"
 
 namespace magesim {
@@ -24,6 +25,13 @@ struct SweepPoint {
 };
 
 using WorkloadFactory = std::function<std::unique_ptr<Workload>()>;
+
+// PageRank sweep points over one graph: generated here, once, and shared
+// read-only by every workload the factory makes (each with its own ranks).
+inline WorkloadFactory PageRankFactory(const PageRankWorkload::Options& opt) {
+  std::shared_ptr<const CsrGraph> graph = PageRankWorkload::BuildGraph(opt);
+  return [opt, graph] { return std::make_unique<PageRankWorkload>(opt, graph); };
+}
 
 // Runs `cfg` at each offload percent; point 0 defines the baseline.
 inline std::vector<SweepPoint> SweepSystem(const KernelConfig& cfg, const WorkloadFactory& make,

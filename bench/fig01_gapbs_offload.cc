@@ -10,10 +10,7 @@ int main() {
   PrintBanner("Figure 1: GapBS PageRank throughput vs %% far memory, 48 threads");
 
   int scale = 17 + static_cast<int>(BenchScale() > 1.5) - static_cast<int>(BenchScale() < 0.75);
-  auto make = [scale]() {
-    return std::make_unique<PageRankWorkload>(
-        PageRankWorkload::Options{.scale = scale, .iterations = 4, .threads = 48});
-  };
+  WorkloadFactory make = PageRankFactory({.scale = scale, .iterations = 4, .threads = 48});
 
   std::vector<int> fars = {0, 10, 20, 30, 40, 50, 60, 70, 80, 90};
   std::vector<KernelConfig> systems = {IdealConfig(), MageLibConfig(), MageLnxConfig(),

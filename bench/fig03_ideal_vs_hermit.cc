@@ -27,10 +27,7 @@ int main() {
     t.Print();
   };
 
-  run_pair("(a) GapBS PageRank", [] {
-    return std::make_unique<PageRankWorkload>(
-        PageRankWorkload::Options{.scale = 17, .iterations = 3, .threads = 48});
-  });
+  run_pair("(a) GapBS PageRank", PageRankFactory({.scale = 17, .iterations = 3, .threads = 48}));
   run_pair("(b) XSBench", [] {
     return std::make_unique<XsBenchWorkload>(
         XsBenchWorkload::Options{.gridpoints = Scaled(1 << 19),

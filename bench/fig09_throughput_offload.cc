@@ -35,10 +35,7 @@ int main() {
     }
   };
 
-  run_app("(a) GapBS PageRank", [] {
-    return std::make_unique<PageRankWorkload>(
-        PageRankWorkload::Options{.scale = 17, .iterations = 3, .threads = 48});
-  });
+  run_app("(a) GapBS PageRank", PageRankFactory({.scale = 17, .iterations = 3, .threads = 48}));
   run_app("(b) XSBench", [] {
     return std::make_unique<XsBenchWorkload>(
         XsBenchWorkload::Options{.gridpoints = Scaled(1 << 19),

@@ -13,7 +13,7 @@ struct McResult {
 };
 
 McResult RunMc(const KernelConfig& cfg, double local_ratio, double load_ops) {
-  MemcachedWorkload wl({.num_keys = Scaled(1) << 19,
+  MemcachedWorkload wl({.num_keys = Scaled(1 << 19),
                         .load_ops_per_sec = load_ops,
                         .duration = 1 * kSecond});
   FarMemoryMachine::Options opt;

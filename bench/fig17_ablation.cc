@@ -65,10 +65,8 @@ int main() {
     }
   };
 
-  run_app("(a) GapBS PageRank, 48 threads", [] {
-    return std::make_unique<PageRankWorkload>(
-        PageRankWorkload::Options{.scale = 17, .iterations = 3, .threads = 48});
-  });
+  run_app("(a) GapBS PageRank, 48 threads",
+          PageRankFactory({.scale = 17, .iterations = 3, .threads = 48}));
   run_app("(b) XSBench, 48 threads", [] {
     return std::make_unique<XsBenchWorkload>(
         XsBenchWorkload::Options{.gridpoints = Scaled(1 << 19),

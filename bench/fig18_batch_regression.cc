@@ -8,10 +8,7 @@ int main() {
 
   // Scale 18 keeps the pipeline's in-flight pages a small fraction of the
   // residency, as at the paper's pool sizes.
-  auto make48 = [] {
-    return std::make_unique<PageRankWorkload>(
-        PageRankWorkload::Options{.scale = 18, .iterations = 3, .threads = 48});
-  };
+  WorkloadFactory make48 = PageRankFactory({.scale = 18, .iterations = 3, .threads = 48});
 
   PrintBanner("Figure 18a: eviction batch size, pipelined vs sequential (GapBS, 30% far)");
   {
@@ -34,10 +31,7 @@ int main() {
 
   PrintBanner("Figure 18b: regression at 4 threads (low fault-in demand)");
   {
-    auto make4 = [] {
-      return std::make_unique<PageRankWorkload>(
-          PageRankWorkload::Options{.scale = 17, .iterations = 3, .threads = 4});
-    };
+    WorkloadFactory make4 = PageRankFactory({.scale = 17, .iterations = 3, .threads = 4});
     std::vector<int> fars = {0, 10, 20, 30, 40, 50, 60, 70, 80};
     std::map<std::string, std::vector<SweepPoint>> res;
     for (const auto& cfg : {MageLibConfig(), DilosConfig(), HermitConfig()}) {

@@ -3,10 +3,9 @@
 // bare-metal and wins slightly; the VM-based systems regress a few percent.
 #include <functional>
 
-#include "bench/bench_common.h"
+#include "bench/app_sweep.h"
 #include "src/workloads/gups.h"
 #include "src/workloads/metis.h"
-#include "src/workloads/pagerank.h"
 #include "src/workloads/seqscan.h"
 #include "src/workloads/xsbench.h"
 
@@ -36,11 +35,7 @@ int main() {
     std::function<std::unique_ptr<Workload>()> make;
   };
   std::vector<AppRow> apps = {
-      {"gapbs",
-       [] {
-         return std::make_unique<PageRankWorkload>(
-             PageRankWorkload::Options{.scale = 17, .iterations = 3, .threads = 48});
-       }},
+      {"gapbs", PageRankFactory({.scale = 17, .iterations = 3, .threads = 48})},
       {"xsbench",
        [] {
          return std::make_unique<XsBenchWorkload>(

@@ -46,6 +46,7 @@
 // Unknown --flags are rejected (no silent typo-ignoring).
 // Exit status is nonzero if any invariant violation was detected.
 #include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <map>
@@ -177,8 +178,20 @@ int main(int argc, char** argv) {
 
   std::string wname = Get(args, "workload", "");
   std::string sname = Get(args, "system", "magelib");
-  int far = std::atoi(Get(args, "far", "30").c_str());
-  int threads = std::atoi(Get(args, "threads", "24").c_str());
+  int far = 0, threads = 0;
+  uint64_t seed = 0;
+  int64_t check_us = 0;
+  try {
+    far = static_cast<int>(ParseWholeNumber("--far", Get(args, "far", "30"), 0, 100));
+    threads =
+        static_cast<int>(ParseWholeNumber("--threads", Get(args, "threads", "24"), 1, INT_MAX));
+    seed = static_cast<uint64_t>(ParseWholeNumber("--seed", Get(args, "seed", "1"), 0, INT64_MAX));
+    check_us = ParseWholeNumber("--check-interval", Get(args, "check-interval", "0"), 0,
+                                INT64_MAX / kMicrosecond);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 2;
+  }
   std::vector<std::string> tenant_specs = CollectTenantSpecs(argc, argv);
   if (wname.empty() && tenant_specs.empty()) return Usage();
 
@@ -235,7 +248,7 @@ int main(int argc, char** argv) {
   opt.tenancy.enabled = !opt.tenancy.tenants.empty();
   opt.local_mem_ratio = 1.0 - static_cast<double>(far) / 100.0;
   opt.time_limit = 5 * kSecond;  // safety stop for open-ended workloads
-  opt.seed = static_cast<uint64_t>(std::atoll(Get(args, "seed", "1").c_str()));
+  opt.seed = seed;
   opt.fault_plan = Get(args, "fault-plan", "");
   std::string terminal = Get(args, "terminal", "poison");
   if (terminal == "fail") {
@@ -259,7 +272,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", e.what());
     return 2;
   }
-  long check_us = std::atol(Get(args, "check-interval", "0").c_str());
   if (check_us > 0) opt.check_interval = check_us * kMicrosecond;
   if (args.count("check") != 0) opt.check_final = true;
   if (args.count("analysis") != 0) opt.analysis.enabled = true;

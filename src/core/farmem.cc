@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cctype>
 #include <cstdio>
 #include <cstdlib>
 #include <ctime>
@@ -43,21 +44,25 @@ std::string LoadFaultPlanText(const std::string& opt) {
 }
 }  // namespace
 
-int ParseFleetCount(const std::string& name, const std::string& text, int max) {
+int64_t ParseWholeNumber(const std::string& name, const std::string& text, int64_t lo,
+                         int64_t hi) {
   size_t used = 0;
-  long v = 0;
+  long long v = 0;
   try {
-    v = std::stol(text, &used);
+    v = std::stoll(text, &used);
   } catch (const std::exception&) {
     used = 0;
   }
-  if (used == 0 || used != text.size() || v <= 0) {
-    throw std::invalid_argument(name + "='" + text + "': expected a whole number > 0");
+  if (used == 0 || used != text.size() || !std::isdigit(static_cast<unsigned char>(text[0])) ||
+      v < lo || v > hi) {
+    throw std::invalid_argument(name + "='" + text + "': expected a whole number in [" +
+                                std::to_string(lo) + ", " + std::to_string(hi) + "]");
   }
-  if (v > max) {
-    throw std::invalid_argument(name + "=" + text + ": at most " + std::to_string(max));
-  }
-  return static_cast<int>(v);
+  return v;
+}
+
+int ParseFleetCount(const std::string& name, const std::string& text, int max) {
+  return static_cast<int>(ParseWholeNumber(name, text, 1, max));
 }
 
 double ParseFleetRate(const std::string& name, const std::string& text) {

@@ -130,6 +130,13 @@ struct RunResult {
   std::vector<TenantRunResult> tenants;
 };
 
+// Strict parser for a whole-number text surface (an environment variable or
+// a CLI flag): the whole of `text` must be digits spelling a number in
+// [lo, hi]. Anything else (a sign, trailing junk, empty text) throws
+// std::invalid_argument naming `name`.
+int64_t ParseWholeNumber(const std::string& name, const std::string& text, int64_t lo,
+                         int64_t hi);
+
 // Strict parsers for the fleet's text surfaces (the MAGESIM_FLEET_*
 // environment variables and the CLI's --fleet-* flags): the whole of `text`
 // must be a number > 0 — a count also at most `max`. Anything else throws

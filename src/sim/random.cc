@@ -14,8 +14,6 @@ uint64_t SplitMix64(uint64_t& x) {
   return z ^ (z >> 31);
 }
 
-inline uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
-
 }  // namespace
 
 void Rng::Seed(uint64_t seed) {
@@ -25,31 +23,9 @@ void Rng::Seed(uint64_t seed) {
   }
 }
 
-uint64_t Rng::Next() {
-  const uint64_t result = Rotl(s_[1] * 5, 7) * 9;
-  const uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = Rotl(s_[3], 45);
-  return result;
-}
-
-uint64_t Rng::NextU64(uint64_t n) {
-  assert(n > 0);
-  // Lemire's multiply-shift rejection-free mapping is fine for simulation use.
-  return static_cast<uint64_t>((static_cast<__uint128_t>(Next()) * n) >> 64);
-}
-
 int64_t Rng::NextRange(int64_t lo, int64_t hi) {
   assert(hi > lo);
   return lo + static_cast<int64_t>(NextU64(static_cast<uint64_t>(hi - lo)));
-}
-
-double Rng::NextDouble() {
-  return static_cast<double>(Next() >> 11) * 0x1.0p-53;
 }
 
 double Rng::NextExponential(double mean) {
@@ -89,17 +65,6 @@ uint64_t ZipfGenerator::Next(Rng& rng) {
                                      std::pow(eta_ * u - eta_ + 1.0, alpha_));
   if (v >= n_) v = n_ - 1;
   return v;
-}
-
-uint64_t ScrambleIndex(uint64_t index, uint64_t n) {
-  // FNV-1a style scramble, then reduce. Collisions are acceptable: this is a
-  // hotness-scattering function, not a permutation-sensitive index.
-  uint64_t h = index ^ 0xcbf29ce484222325ULL;
-  h *= 0x100000001b3ULL;
-  h ^= h >> 33;
-  h *= 0xff51afd7ed558ccdULL;
-  h ^= h >> 33;
-  return h % n;
 }
 
 }  // namespace magesim

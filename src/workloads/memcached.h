@@ -27,6 +27,8 @@ class MemcachedWorkload : public Workload {
     size_t queue_capacity = 4096;       // accept queue bound
   };
 
+  // Throws std::invalid_argument when num_keys is 0 (every key hash is
+  // reduced modulo it).
   explicit MemcachedWorkload(Options opt);
 
   std::string name() const override { return "memcached"; }

@@ -1,5 +1,8 @@
 #include "src/workloads/pagerank.h"
 
+#include <stdexcept>
+#include <string>
+
 namespace magesim {
 
 namespace {
@@ -8,16 +11,39 @@ constexpr uint64_t kNeighborsPerPage = kPageSize / sizeof(uint32_t);
 constexpr uint64_t kOffsetsPerPage = kPageSize / sizeof(uint64_t);
 constexpr uint64_t kRanksPerPage = kPageSize / sizeof(double);
 constexpr uint64_t kContribPerPage = kPageSize / sizeof(float);
+
+const PageRankWorkload::Options& Validated(const PageRankWorkload::Options& opt) {
+  ValidateKroneckerShape(opt.scale, opt.edge_factor);
+  if (opt.threads < 1) {
+    throw std::invalid_argument("pagerank: threads=" + std::to_string(opt.threads) +
+                                " must be at least 1");
+  }
+  return opt;
+}
 }  // namespace
 
-PageRankWorkload::PageRankWorkload(Options opt)
-    : opt_(opt),
-      graph_(GenerateKronecker(opt.scale, opt.edge_factor, opt.seed)),
-      barrier_(opt.threads) {
-  uint64_t neighbor_pages = (graph_.num_edges + kNeighborsPerPage - 1) / kNeighborsPerPage;
-  uint64_t offset_pages = (graph_.num_vertices + kOffsetsPerPage) / kOffsetsPerPage + 1;
-  uint64_t rank_pages = (graph_.num_vertices + kRanksPerPage - 1) / kRanksPerPage;
-  uint64_t contrib_pages = (graph_.num_vertices + kContribPerPage - 1) / kContribPerPage;
+std::shared_ptr<const CsrGraph> PageRankWorkload::BuildGraph(const Options& opt) {
+  Validated(opt);
+  return std::make_shared<const CsrGraph>(
+      GenerateKronecker(opt.scale, opt.edge_factor, opt.seed));
+}
+
+PageRankWorkload::PageRankWorkload(Options opt) : PageRankWorkload(opt, BuildGraph(opt)) {}
+
+PageRankWorkload::PageRankWorkload(Options opt, std::shared_ptr<const CsrGraph> graph)
+    : opt_(Validated(opt)), graph_(std::move(graph)), barrier_(opt.threads) {
+  const uint64_t want_vertices = 1ULL << opt_.scale;
+  if (graph_ == nullptr || graph_->num_vertices != want_vertices ||
+      graph_->num_edges != want_vertices * static_cast<uint64_t>(opt_.edge_factor)) {
+    throw std::invalid_argument("pagerank: graph does not have the shape of scale=" +
+                                std::to_string(opt_.scale) +
+                                ", edge_factor=" + std::to_string(opt_.edge_factor));
+  }
+  const CsrGraph& g = *graph_;
+  uint64_t neighbor_pages = (g.num_edges + kNeighborsPerPage - 1) / kNeighborsPerPage;
+  uint64_t offset_pages = (g.num_vertices + kOffsetsPerPage) / kOffsetsPerPage + 1;
+  uint64_t rank_pages = (g.num_vertices + kRanksPerPage - 1) / kRanksPerPage;
+  uint64_t contrib_pages = (g.num_vertices + kContribPerPage - 1) / kContribPerPage;
   neighbors_base_ = 0;
   offsets_base_ = neighbors_base_ + neighbor_pages;
   rank_src_base_ = offsets_base_ + offset_pages;
@@ -25,10 +51,10 @@ PageRankWorkload::PageRankWorkload(Options opt)
   contrib_base_ = rank_dst_base_ + rank_pages;
   wss_pages_ = contrib_base_ + contrib_pages;
 
-  double init = 1.0 / static_cast<double>(graph_.num_vertices);
-  rank_src_.assign(graph_.num_vertices, init);
-  rank_dst_.assign(graph_.num_vertices, 0.0);
-  out_contrib_.assign(graph_.num_vertices, 0.0);
+  double init = 1.0 / static_cast<double>(g.num_vertices);
+  rank_src_.assign(g.num_vertices, init);
+  rank_dst_.assign(g.num_vertices, 0.0);
+  out_contrib_.assign(g.num_vertices, 0.0);
 }
 
 uint64_t PageRankWorkload::NeighborsVpn(uint64_t edge_index) const {
@@ -52,7 +78,8 @@ Task<> PageRankWorkload::ThreadBody(AppThread& t, int tid) {
   //    pressure);
   //  * rank arrays are read/written sequentially per shard.
   Engine& eng = Engine::current();
-  uint64_t n = graph_.num_vertices;
+  const CsrGraph& g = *graph_;
+  uint64_t n = g.num_vertices;
   uint64_t chunk = (n + static_cast<uint64_t>(opt_.threads) - 1) /
                    static_cast<uint64_t>(opt_.threads);
   uint64_t begin = chunk * static_cast<uint64_t>(tid);
@@ -74,7 +101,7 @@ Task<> PageRankWorkload::ThreadBody(AppThread& t, int tid) {
         co_await t.AccessPage(cvpn, true);
         last_contrib_vpn = cvpn;
       }
-      uint64_t deg = graph_.OutDegree(v);
+      uint64_t deg = g.OutDegree(v);
       out_contrib_[v] =
           deg == 0 ? 0.0 : static_cast<float>(rank_src_[v] / static_cast<double>(deg));
       t.Compute(opt_.compute_per_vertex_ns);
@@ -92,15 +119,15 @@ Task<> PageRankWorkload::ThreadBody(AppThread& t, int tid) {
         last_off_vpn = ovpn;
       }
       double sum = 0.0;
-      uint64_t e_begin = graph_.offsets[v];
-      uint64_t e_end = graph_.offsets[v + 1];
+      uint64_t e_begin = g.offsets[v];
+      uint64_t e_end = g.offsets[v + 1];
       for (uint64_t e = e_begin; e < e_end; ++e) {
         uint64_t evpn = NeighborsVpn(e);
         if (evpn != last_edge_vpn) {  // page-granular stream touch
           co_await t.AccessPage(evpn, false);
           last_edge_vpn = evpn;
         }
-        uint32_t u = graph_.neighbors[e];
+        uint32_t u = g.neighbors[e];
         co_await t.AccessPage(ContribVpn(u), false);  // random far access
         sum += out_contrib_[u];
         t.Compute(opt_.compute_per_edge_ns);
@@ -123,7 +150,5 @@ Task<> PageRankWorkload::ThreadBody(AppThread& t, int tid) {
     co_await barrier_.Arrive();
   }
 }
-
-Task<> PageRankWorkload::IterationBarrier(int tid) { co_await barrier_.Arrive(); }
 
 }  // namespace magesim

@@ -5,9 +5,15 @@
 // address space at page granularity. The neighbor-contribution reads are the
 // random far-memory pattern the paper highlights; the CSR edge stream is
 // sequential.
+//
+// The graph is immutable once built and held by shared_ptr: copies of a
+// workload, and every workload built over one BuildGraph() result, read the
+// same CSR. Each instance owns its rank and contribution arrays, so copies
+// run independently.
 #ifndef MAGESIM_WORKLOADS_PAGERANK_H_
 #define MAGESIM_WORKLOADS_PAGERANK_H_
 
+#include <memory>
 #include <vector>
 
 #include "src/workloads/kronecker.h"
@@ -27,7 +33,19 @@ class PageRankWorkload : public Workload {
     SimTime compute_per_vertex_ns = 20;
   };
 
+  // Generates the graph for `opt` (a fresh GenerateKronecker call every
+  // time). Throws std::invalid_argument on a shape ValidateKroneckerShape
+  // refuses or threads < 1.
   explicit PageRankWorkload(Options opt);
+  // Runs over an already-built graph, shared with its other holders. The
+  // graph must have opt's shape (2^scale vertices, edge_factor edges each);
+  // opt.seed is not checked.
+  PageRankWorkload(Options opt, std::shared_ptr<const CsrGraph> graph);
+
+  // The graph PageRankWorkload(opt) would generate, for sweeps that build
+  // it once and pass it to every point. Validates `opt` as the constructor
+  // does.
+  static std::shared_ptr<const CsrGraph> BuildGraph(const Options& opt);
 
   std::string name() const override { return "gapbs-pagerank"; }
   uint64_t wss_pages() const override { return wss_pages_; }
@@ -38,7 +56,7 @@ class PageRankWorkload : public Workload {
 
   // Final ranks (validated by tests: sums to ~1, converges deterministically).
   const std::vector<double>& ranks() const { return rank_src_; }
-  const CsrGraph& graph() const { return graph_; }
+  const CsrGraph& graph() const { return *graph_; }
 
   // --- Simulated address-space layout (page numbers) ---
   uint64_t NeighborsVpn(uint64_t edge_index) const;
@@ -47,10 +65,8 @@ class PageRankWorkload : public Workload {
   uint64_t ContribVpn(uint64_t vertex) const;
 
  private:
-  Task<> IterationBarrier(int tid);
-
   Options opt_;
-  CsrGraph graph_;
+  std::shared_ptr<const CsrGraph> graph_;
   uint64_t neighbors_base_ = 0;  // vpn of neighbors[] region
   uint64_t offsets_base_;
   uint64_t rank_src_base_;
@@ -62,7 +78,6 @@ class PageRankWorkload : public Workload {
   std::vector<double> rank_dst_;
   std::vector<float> out_contrib_;
   SimBarrier barrier_;
-  int iteration_done_count_ = 0;
 };
 
 }  // namespace magesim

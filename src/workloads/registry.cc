@@ -1,9 +1,14 @@
 #include "src/workloads/registry.h"
 
 #include <algorithm>
+#include <cctype>
+#include <cerrno>
+#include <climits>
+#include <cstdint>
 #include <cstdlib>
 #include <functional>
 #include <set>
+#include <stdexcept>
 
 #include "src/workloads/dataframe.h"
 #include "src/workloads/gups.h"
@@ -25,16 +30,11 @@ class OptReader {
   OptReader(const std::map<std::string, std::string>& opts, std::string* error)
       : opts_(opts), error_(error) {}
 
-  uint64_t U64(const std::string& key, uint64_t def) {
-    const std::string* v = Find(key);
-    if (v == nullptr) return def;
-    char* end = nullptr;
-    uint64_t out = std::strtoull(v->c_str(), &end, 10);
-    if (end == v->c_str() || *end != '\0') Fail(key, *v);
-    return out;
-  }
+  uint64_t U64(const std::string& key, uint64_t def) { return Whole(key, def, UINT64_MAX); }
 
-  int Int(const std::string& key, int def) { return static_cast<int>(U64(key, static_cast<uint64_t>(def))); }
+  int Int(const std::string& key, int def) {
+    return static_cast<int>(Whole(key, static_cast<uint64_t>(def), INT_MAX));
+  }
 
   double Dbl(const std::string& key, double def) {
     const std::string* v = Find(key);
@@ -62,6 +62,23 @@ class OptReader {
   }
 
  private:
+  // A whole number in [0, max], digits only: strtoull alone would accept a
+  // sign or leading space, and wraps "-1" to 2^64 - 1. A bad value records
+  // the error and yields `def`, so the factory never sees it.
+  uint64_t Whole(const std::string& key, uint64_t def, uint64_t max) {
+    const std::string* v = Find(key);
+    if (v == nullptr) return def;
+    char* end = nullptr;
+    errno = 0;
+    uint64_t out = std::strtoull(v->c_str(), &end, 10);
+    if (v->empty() || !std::isdigit(static_cast<unsigned char>(v->front())) || *end != '\0' ||
+        errno == ERANGE || out > max) {
+      Fail(key, *v);
+      return def;
+    }
+    return out;
+  }
+
   const std::string* Find(const std::string& key) {
     seen_.insert(key);
     auto it = opts_.find(key);
@@ -191,7 +208,13 @@ std::unique_ptr<Workload> MakeWorkload(const std::string& name, const WorkloadPa
   for (const Entry& e : Registry()) {
     if (e.info.name != name) continue;
     OptReader reader(params.opts, error);
-    std::unique_ptr<Workload> w = e.make(params, reader);
+    std::unique_ptr<Workload> w;
+    try {
+      w = e.make(params, reader);
+    } catch (const std::invalid_argument& ex) {
+      // A constructor refusing its options (e.g. pagerank scale=40).
+      if (error->empty()) *error = ex.what();
+    }
     if (w == nullptr && error->empty()) {
       *error = "workload '" + name + "' could not be constructed (missing/bad input?)";
     }

@@ -65,6 +65,37 @@ TEST(WorkloadRegistryTest, RejectsUnknownNamesKeysAndValues) {
   EXPECT_NE(err.find("many"), std::string::npos) << err;
 }
 
+TEST(WorkloadRegistryTest, RejectsSignedOrOversizedNumbers) {
+  WorkloadParams params;
+  std::string err;
+  // strtoull alone would wrap "-1" to 2^64 - 1, and an int option would
+  // truncate anything above INT_MAX.
+  params.opts = {{"scale", "-1"}};
+  EXPECT_EQ(MakeWorkload("pagerank", params, &err), nullptr);
+  EXPECT_NE(err.find("option 'scale'"), std::string::npos) << err;
+
+  params.opts = {{"scale", "4294967306"}};
+  EXPECT_EQ(MakeWorkload("pagerank", params, &err), nullptr);
+  EXPECT_NE(err.find("option 'scale'"), std::string::npos) << err;
+
+  params.opts = {{"pages", "+5"}};
+  EXPECT_EQ(MakeWorkload("seqscan", params, &err), nullptr);
+  EXPECT_NE(err.find("option 'pages'"), std::string::npos) << err;
+}
+
+TEST(WorkloadRegistryTest, ConstructorRejectionsBecomeErrors) {
+  WorkloadParams params;
+  params.threads = 2;
+  std::string err;
+  params.opts = {{"scale", "40"}};
+  EXPECT_EQ(MakeWorkload("pagerank", params, &err), nullptr);
+  EXPECT_NE(err.find("scale=40"), std::string::npos) << err;
+
+  params.opts = {{"keys", "0"}};
+  EXPECT_EQ(MakeWorkload("memcached", params, &err), nullptr);
+  EXPECT_NE(err.find("num_keys=0"), std::string::npos) << err;
+}
+
 TEST(WorkloadRegistryTest, TraceRequiresAFile) {
   WorkloadParams params;
   std::string err;

@@ -2,7 +2,9 @@
 // (results independent of memory placement) and access-pattern properties.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <numeric>
+#include <stdexcept>
 
 #include "src/core/farmem.h"
 #include "src/workloads/gups.h"
@@ -45,6 +47,61 @@ TEST(KroneckerTest, DeterministicPerSeedSkewedDegrees) {
   EXPECT_GT(max_deg, 40u);
 }
 
+uint64_t Fnv1a(const void* data, size_t n) {
+  uint64_t h = 0xcbf29ce484222325ULL;
+  const auto* p = static_cast<const unsigned char*>(data);
+  for (size_t i = 0; i < n; ++i) {
+    h ^= p[i];
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+// Digests of the CSR arrays as produced by the original branchy generator
+// (an if/else chain over NextDouble() per level, ScrambleIndex labels, CSR
+// built after generation). The branch-free generator must match it byte for
+// byte: every PageRank figure and golden depends on this graph.
+TEST(KroneckerTest, GoldenDigest) {
+  struct Golden {
+    int scale, edge_factor;
+    uint64_t seed;
+    uint64_t offsets, neighbors;
+  };
+  for (const Golden& want : {
+           Golden{10, 8, 42, 0xea8dce59a61418d7ULL, 0x81a51f2b46170c20ULL},
+           Golden{15, 16, 1, 0xa4ac67b5ca2ffacbULL, 0x41375a64cbdd1087ULL},
+           Golden{15, 16, 2, 0xb39ef4edf074b0d0ULL, 0x23f0c9699f5d93ffULL},
+           Golden{1, 1, 7, 0xe1d8dd551087bf45ULL, 0x89cd31291d2aefa4ULL},
+       }) {
+    CsrGraph g = GenerateKronecker(want.scale, want.edge_factor, want.seed);
+    SCOPED_TRACE(::testing::Message() << "(" << want.scale << ", " << want.edge_factor << ", "
+                                      << want.seed << ")");
+    EXPECT_EQ(g.num_edges, (uint64_t{1} << want.scale) * static_cast<uint64_t>(want.edge_factor));
+    EXPECT_EQ(Fnv1a(g.offsets.data(), g.offsets.size() * sizeof(uint64_t)), want.offsets);
+    EXPECT_EQ(Fnv1a(g.neighbors.data(), g.neighbors.size() * sizeof(uint32_t)), want.neighbors);
+  }
+}
+
+// The generator compares the 53-bit draw x = Next() >> 11 against integer
+// thresholds; at each threshold's edges that must agree with the original
+// NextDouble() < t compare.
+TEST(KroneckerTest, IntegerThresholdsMatchDoubleCompares) {
+  for (double t : {kKroneckerA, kKroneckerA + kKroneckerB, kKroneckerA + kKroneckerB + kKroneckerC}) {
+    const uint64_t threshold = KroneckerThreshold(t);
+    for (uint64_t x : {threshold - 1, threshold}) {
+      const double r = static_cast<double>(x) * 0x1.0p-53;
+      EXPECT_EQ(r < t, x < threshold) << "t=" << t << " x=" << x;
+    }
+  }
+}
+
+TEST(KroneckerTest, RejectsShapesOutsideTheIdRange) {
+  EXPECT_THROW(GenerateKronecker(0, 8, 1), std::invalid_argument);
+  EXPECT_THROW(GenerateKronecker(-1, 8, 1), std::invalid_argument);
+  EXPECT_THROW(GenerateKronecker(kMaxKroneckerScale + 1, 8, 1), std::invalid_argument);
+  EXPECT_THROW(GenerateKronecker(10, 0, 1), std::invalid_argument);
+}
+
 RunResult RunWorkload(Workload& wl, const KernelConfig& cfg, double ratio,
                       SimTime limit = 0) {
   FarMemoryMachine::Options opt;
@@ -69,6 +126,45 @@ TEST(PageRankTest, RankMassConservedAndPlacementIndependent) {
   for (size_t i = 0; i < 100; ++i) {
     EXPECT_DOUBLE_EQ(local.ranks()[i], far.ranks()[i]);
   }
+}
+
+TEST(PageRankTest, CopySharesGraph) {
+  PageRankWorkload::Options o{.scale = 12, .iterations = 3, .threads = 4};
+  PageRankWorkload a(o);
+  PageRankWorkload b(a);
+  EXPECT_EQ(&a.graph(), &b.graph());
+  const std::vector<double> fresh = a.ranks();
+
+  RunWorkload(b, MageLibConfig(), 1.0);
+  EXPECT_EQ(a.ranks(), fresh);  // running the copy leaves the original alone
+  EXPECT_NE(b.ranks(), fresh);
+
+  PageRankWorkload c(a);
+  RunWorkload(c, HermitConfig(), 0.5);
+  ASSERT_EQ(b.ranks().size(), c.ranks().size());
+  EXPECT_EQ(std::memcmp(b.ranks().data(), c.ranks().data(), b.ranks().size() * sizeof(double)), 0);
+
+  // A workload built over a prebuilt graph shares it too.
+  std::shared_ptr<const CsrGraph> graph = PageRankWorkload::BuildGraph(o);
+  PageRankWorkload d(o, graph);
+  EXPECT_EQ(&d.graph(), graph.get());
+  EXPECT_EQ(d.graph().neighbors, a.graph().neighbors);
+}
+
+TEST(PageRankTest, RejectsBadOptionsAndMismatchedGraphs) {
+  EXPECT_THROW(PageRankWorkload({.scale = 0}), std::invalid_argument);
+  EXPECT_THROW(PageRankWorkload({.scale = 40}), std::invalid_argument);
+  EXPECT_THROW(PageRankWorkload({.scale = 10, .edge_factor = 0}), std::invalid_argument);
+  EXPECT_THROW(PageRankWorkload({.scale = 10, .threads = 0}), std::invalid_argument);
+  EXPECT_THROW(PageRankWorkload::BuildGraph({.scale = -1}), std::invalid_argument);
+
+  PageRankWorkload::Options o{.scale = 10, .edge_factor = 4, .threads = 2};
+  std::shared_ptr<const CsrGraph> graph = PageRankWorkload::BuildGraph(o);
+  EXPECT_THROW(PageRankWorkload(o, nullptr), std::invalid_argument);
+  EXPECT_THROW(PageRankWorkload({.scale = 11, .edge_factor = 4, .threads = 2}, graph),
+               std::invalid_argument);
+  EXPECT_THROW(PageRankWorkload({.scale = 10, .edge_factor = 8, .threads = 2}, graph),
+               std::invalid_argument);
 }
 
 TEST(PageRankTest, OffloadingCausesStreamFaults) {
@@ -118,6 +214,11 @@ TEST(MetisTest, PhasesCompleteAndResultStable) {
   EXPECT_GT(a.reduce_done_at(), a.map_done_at());
   EXPECT_EQ(a.result(), b.result());
   EXPECT_NE(a.result(), 0u);
+}
+
+TEST(MemcachedTest, RejectsZeroKeys) {
+  // Every key hash is reduced modulo num_keys.
+  EXPECT_THROW(MemcachedWorkload({.num_keys = 0}), std::invalid_argument);
 }
 
 TEST(MemcachedTest, ServesLoadAndRecordsLatency) {
