@@ -258,15 +258,16 @@ int main(int argc, char** argv) {
   }
   try {
     if (args.count("fleet-nodes") != 0) {
-      opt.fleet.num_nodes =
-          ParseFleetCount("--fleet-nodes", args.at("fleet-nodes"), kMaxFleetNodes);
+      opt.fleet.num_nodes = static_cast<int>(
+          ParseWholeNumber("--fleet-nodes", args.at("fleet-nodes"), 1, kMaxFleetNodes));
     }
     if (args.count("fleet-replicas") != 0) {
-      opt.fleet.replication =
-          ParseFleetCount("--fleet-replicas", args.at("fleet-replicas"), INT_MAX);
+      opt.fleet.replication = static_cast<int>(
+          ParseWholeNumber("--fleet-replicas", args.at("fleet-replicas"), 1, INT_MAX));
     }
     if (args.count("fleet-rebuild-gbps") != 0) {
-      opt.fleet.rebuild_gbps = ParseFleetRate("--fleet-rebuild-gbps", args.at("fleet-rebuild-gbps"));
+      opt.fleet.rebuild_gbps =
+          ParsePositiveNumber("--fleet-rebuild-gbps", args.at("fleet-rebuild-gbps"));
     }
   } catch (const std::invalid_argument& e) {
     std::fprintf(stderr, "%s\n", e.what());
@@ -279,7 +280,22 @@ int main(int argc, char** argv) {
   opt.metrics.report_path = Get(args, "metrics-out", "");
   opt.metrics.csv_path = Get(args, "metrics-csv", "");
   opt.metrics.prom_path = Get(args, "metrics-prom", "");
-  long sample_us = std::atol(Get(args, "sample-interval-us", "0").c_str());
+  int64_t sample_us = 0;
+  try {
+    sample_us = ParseWholeNumber("--sample-interval-us", Get(args, "sample-interval-us", "0"),
+                                 0, INT64_MAX / kMicrosecond);
+    if (args.count("spans-top-k") != 0) {
+      opt.spans.top_k =
+          static_cast<int>(ParseWholeNumber("--spans-top-k", args.at("spans-top-k"), 0, INT_MAX));
+    }
+    if (args.count("spans-sample") != 0) {
+      opt.spans.sample_every =
+          static_cast<int>(ParseWholeNumber("--spans-sample", args.at("spans-sample"), 1, INT_MAX));
+    }
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 2;
+  }
   if (sample_us > 0) opt.metrics.sample_interval = sample_us * kMicrosecond;
   opt.metrics.progress = args.count("progress") != 0;
   opt.metrics.enabled = !opt.metrics.report_path.empty() || !opt.metrics.csv_path.empty() ||
@@ -287,12 +303,8 @@ int main(int argc, char** argv) {
                         opt.metrics.progress;
 
   opt.spans.out_path = Get(args, "spans-out", "");
-  long spans_top_k = std::atol(Get(args, "spans-top-k", "-1").c_str());
-  if (spans_top_k >= 0) opt.spans.top_k = static_cast<int>(spans_top_k);
-  long spans_sample = std::atol(Get(args, "spans-sample", "0").c_str());
-  if (spans_sample >= 1) opt.spans.sample_every = static_cast<int>(spans_sample);
   opt.spans.enabled = args.count("spans") != 0 || !opt.spans.out_path.empty() ||
-                      spans_top_k >= 0 || spans_sample >= 1;
+                      args.count("spans-top-k") != 0 || args.count("spans-sample") != 0;
 
   // Install the tracer (if requested) before building the machine so the
   // checker's recent-event ring registers with it.

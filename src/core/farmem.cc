@@ -2,11 +2,10 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cctype>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <ctime>
-#include <limits>
 #include <stdexcept>
 
 #include "src/metrics/run_report.h"
@@ -43,41 +42,6 @@ std::string LoadFaultPlanText(const std::string& opt) {
   return text;
 }
 }  // namespace
-
-int64_t ParseWholeNumber(const std::string& name, const std::string& text, int64_t lo,
-                         int64_t hi) {
-  size_t used = 0;
-  long long v = 0;
-  try {
-    v = std::stoll(text, &used);
-  } catch (const std::exception&) {
-    used = 0;
-  }
-  if (used == 0 || used != text.size() || !std::isdigit(static_cast<unsigned char>(text[0])) ||
-      v < lo || v > hi) {
-    throw std::invalid_argument(name + "='" + text + "': expected a whole number in [" +
-                                std::to_string(lo) + ", " + std::to_string(hi) + "]");
-  }
-  return v;
-}
-
-int ParseFleetCount(const std::string& name, const std::string& text, int max) {
-  return static_cast<int>(ParseWholeNumber(name, text, 1, max));
-}
-
-double ParseFleetRate(const std::string& name, const std::string& text) {
-  size_t used = 0;
-  double v = 0;
-  try {
-    v = std::stod(text, &used);
-  } catch (const std::exception&) {
-    used = 0;
-  }
-  if (used == 0 || used != text.size() || !(v > 0)) {
-    throw std::invalid_argument(name + "='" + text + "': expected a number > 0");
-  }
-  return v;
-}
 
 FarMemoryMachine::FarMemoryMachine(Options options, Workload& workload)
     : options_(std::move(options)), workload_(&workload) {
@@ -135,15 +99,16 @@ FarMemoryMachine::FarMemoryMachine(Options options, Workload& workload)
   // Memory-server fleet: env overrides, then construction. Server 0 is the
   // machine's own NIC/memnode pair; the fleet owns servers 1..N-1.
   if (const char* env = std::getenv("MAGESIM_FLEET_NODES")) {
-    options_.fleet.num_nodes = ParseFleetCount("MAGESIM_FLEET_NODES", env, kMaxFleetNodes);
+    options_.fleet.num_nodes =
+        static_cast<int>(ParseWholeNumber("MAGESIM_FLEET_NODES", env, 1, kMaxFleetNodes));
   }
   if (const char* env = std::getenv("MAGESIM_FLEET_REPLICAS")) {
     // Large values fall to the documented clamp, like Options::fleet.
     options_.fleet.replication =
-        ParseFleetCount("MAGESIM_FLEET_REPLICAS", env, std::numeric_limits<int>::max());
+        static_cast<int>(ParseWholeNumber("MAGESIM_FLEET_REPLICAS", env, 1, INT_MAX));
   }
   if (const char* env = std::getenv("MAGESIM_FLEET_REBUILD_GBPS")) {
-    options_.fleet.rebuild_gbps = ParseFleetRate("MAGESIM_FLEET_REBUILD_GBPS", env);
+    options_.fleet.rebuild_gbps = ParsePositiveNumber("MAGESIM_FLEET_REBUILD_GBPS", env);
   }
   if (options_.fleet.num_nodes < 1 || options_.fleet.num_nodes > kMaxFleetNodes) {
     throw std::invalid_argument("fleet.num_nodes=" + std::to_string(options_.fleet.num_nodes) +
@@ -221,8 +186,8 @@ FarMemoryMachine::FarMemoryMachine(Options options, Workload& workload)
 
   // Env override lets any existing harness run checked without code changes.
   if (const char* env = std::getenv("MAGESIM_CHECK_INTERVAL_US")) {
-    long us = std::atol(env);
-    if (us > 0) options_.check_interval = static_cast<SimTime>(us) * kMicrosecond;
+    int64_t us = ParseWholeNumber("MAGESIM_CHECK_INTERVAL_US", env, 0, INT64_MAX / kMicrosecond);
+    if (us > 0) options_.check_interval = us * kMicrosecond;
     options_.check_final = true;
   }
   if (options_.check_interval > 0 || options_.check_final) {
@@ -261,8 +226,9 @@ FarMemoryMachine::FarMemoryMachine(Options options, Workload& workload)
     mo.enabled = true;
   }
   if (const char* env = std::getenv("MAGESIM_METRICS_SAMPLE_INTERVAL_US")) {
-    long us = std::atol(env);
-    if (us > 0) mo.sample_interval = static_cast<SimTime>(us) * kMicrosecond;
+    int64_t us =
+        ParseWholeNumber("MAGESIM_METRICS_SAMPLE_INTERVAL_US", env, 0, INT64_MAX / kMicrosecond);
+    if (us > 0) mo.sample_interval = us * kMicrosecond;
     mo.enabled = true;
   }
   if (const char* env = std::getenv("MAGESIM_METRICS_PROGRESS")) {
@@ -279,13 +245,11 @@ FarMemoryMachine::FarMemoryMachine(Options options, Workload& workload)
     so.enabled = true;
   }
   if (const char* env = std::getenv("MAGESIM_SPANS_TOP_K")) {
-    long k = std::atol(env);
-    if (k >= 0) so.top_k = static_cast<int>(k);
+    so.top_k = static_cast<int>(ParseWholeNumber("MAGESIM_SPANS_TOP_K", env, 0, INT_MAX));
     so.enabled = true;
   }
   if (const char* env = std::getenv("MAGESIM_SPANS_SAMPLE")) {
-    long n = std::atol(env);
-    if (n >= 1) so.sample_every = static_cast<int>(n);
+    so.sample_every = static_cast<int>(ParseWholeNumber("MAGESIM_SPANS_SAMPLE", env, 1, INT_MAX));
     so.enabled = true;
   }
   if (so.enabled) {

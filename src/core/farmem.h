@@ -27,6 +27,7 @@
 #include "src/paging/kernels.h"
 #include "src/resilience/fault_injector.h"
 #include "src/resilience/rebuild.h"
+#include "src/sim/parse.h"
 #include "src/resilience/resilient_rdma.h"
 #include "src/spans/spans.h"
 #include "src/tenancy/memcg.h"
@@ -129,20 +130,6 @@ struct RunResult {
   // Per-tenant results, in spec order (empty without tenancy).
   std::vector<TenantRunResult> tenants;
 };
-
-// Strict parser for a whole-number text surface (an environment variable or
-// a CLI flag): the whole of `text` must be digits spelling a number in
-// [lo, hi]. Anything else (a sign, trailing junk, empty text) throws
-// std::invalid_argument naming `name`.
-int64_t ParseWholeNumber(const std::string& name, const std::string& text, int64_t lo,
-                         int64_t hi);
-
-// Strict parsers for the fleet's text surfaces (the MAGESIM_FLEET_*
-// environment variables and the CLI's --fleet-* flags): the whole of `text`
-// must be a number > 0 — a count also at most `max`. Anything else throws
-// std::invalid_argument naming `name`.
-int ParseFleetCount(const std::string& name, const std::string& text, int max);
-double ParseFleetRate(const std::string& name, const std::string& text);
 
 class FarMemoryMachine {
  public:

@@ -1,7 +1,8 @@
 // Sim-time profiler: attributes each simulated core's time to phases.
 //
-// The paging layers wrap their leaf intervals (no nesting, so segments never
-// double-count) in `PhaseScope`s; application threads report flushed compute
+// The paging layers record each leaf interval (no nesting, so segments never
+// double-count) through their stage scope (src/metrics/stage.h), which adds it
+// here with the stage's phase; application threads report flushed compute
 // quanta and absorbed IPI-handler ("stolen") time. Whatever is not covered by
 // a scope is idle time, derived per core as `end_time - attributed`, so the
 // per-phase attribution always sums to total simulated core-time exactly —
@@ -28,7 +29,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "src/sim/engine.h"
 #include "src/sim/time.h"
 
 namespace magesim {
@@ -106,28 +106,6 @@ class SimProfiler {
   std::unordered_map<const SimMutex*, SimTime*> lock_slot_cache_;
 
   static SimProfiler* current_;
-};
-
-// RAII leaf-interval attribution. Costs one pointer test when no profiler is
-// installed. Scopes must not nest (each simulated nanosecond belongs to
-// exactly one phase); instrument leaf intervals only.
-class PhaseScope {
- public:
-  PhaseScope(int core, SimPhase phase)
-      : prof_(SimProfiler::Get()), core_(core), phase_(phase) {
-    if (prof_ != nullptr) t0_ = Engine::current().now();
-  }
-  PhaseScope(const PhaseScope&) = delete;
-  PhaseScope& operator=(const PhaseScope&) = delete;
-  ~PhaseScope() {
-    if (prof_ != nullptr) prof_->AddPhase(core_, phase_, Engine::current().now() - t0_);
-  }
-
- private:
-  SimProfiler* prof_;
-  int core_;
-  SimPhase phase_;
-  SimTime t0_ = 0;
 };
 
 }  // namespace magesim

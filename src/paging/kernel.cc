@@ -8,7 +8,6 @@
 #include "src/accounting/partitioned_fifo.h"
 #include "src/accounting/s3fifo.h"
 #include "src/analysis/lock_analyzer.h"
-#include "src/metrics/profiler.h"
 #include "src/paging/prefetcher.h"
 #include "src/resilience/resilient_rdma.h"
 #include "src/sim/engine.h"
@@ -22,11 +21,6 @@
 namespace magesim {
 
 namespace {
-// Interned breakdown categories for the sync-eviction attribution path.
-const int kCatAccounting = Breakdown::InternCategory("accounting");
-const int kCatTlb = Breakdown::InternCategory("tlb");
-const int kCatOther = Breakdown::InternCategory("other");
-
 // Tenancy controller cadence and the fixed batch-QoS admission backoff.
 constexpr SimTime kTenantControllerPeriodNs = 100'000;
 constexpr SimTime kTenantBackpressureNs = 2'000;
@@ -271,9 +265,8 @@ bool Kernel::TenancyHardWaiters() const {
   return tenancy_ != nullptr && tenancy_->HasHardWaiters();
 }
 
-Task<> Kernel::TenantAdmission(CoreId core, uint64_t vpn, SpanHandle op) {
-  if (tenancy_ == nullptr) co_return;
-  int t = tenancy_->TenantOf(vpn);
+Task<> Kernel::TenantAdmission(StageOp op) {
+  int t = tenancy_->TenantOf(op.page);
   MemCgroup& cg = tenancy_->cgroup(t);
   cg.NoteFault();
 
@@ -283,17 +276,16 @@ Task<> Kernel::TenantAdmission(CoreId core, uint64_t vpn, SpanHandle op) {
   if (cg.qos() == QosClass::kBatch &&
       (free_pages() < low_wm_ || resilience_.write_degraded())) {
     cg.NoteBackpressure();
-    TraceEmit(TraceEventType::kTenantThrottle, core, vpn, kTraceNoFrame,
+    TraceEmit(TraceEventType::kTenantThrottle, op.core, op.page, kTraceNoFrame,
               static_cast<uint64_t>(t));
-    SimTime b0 = Engine::current().now();
     bool degraded = resilience_.write_degraded();
+    StageScope s(Stage::kTenantThrottle, op);
+    s.arg = static_cast<uint64_t>(t);
     co_await Delay{kTenantBackpressureNs};
-    if (SpanTracer* st = SpanTracer::Get(); st != nullptr) {
+    if (SpanTracer* st = SpanTracer::Get(); st != nullptr && degraded) {
       // A throttle taken because the write channel is degraded is causally
       // the open breaker's fault; link to the op that opened it.
-      st->LeafUnder(op, SpanKind::kTenantThrottle, b0, Engine::current().now(), core,
-                    vpn, degraded ? st->breaker_open(1) : SpanCausalPoint{},
-                    static_cast<uint64_t>(t));
+      s.link = st->breaker_open(1);
     }
   }
 
@@ -302,6 +294,8 @@ Task<> Kernel::TenantAdmission(CoreId core, uint64_t vpn, SpanHandle op) {
   // what reclaims pages from this tenant (it is over its soft limit too, by
   // construction: soft <= hard).
   if (cg.OverHard()) {
+    StageScope s(Stage::kTenantPark, op);
+    s.arg = static_cast<uint64_t>(t);
     SimTime w0 = Engine::current().now();
     while (cg.OverHard()) {
       tenancy_->NoteHardWaiter(t, +1);
@@ -311,13 +305,12 @@ Task<> Kernel::TenantAdmission(CoreId core, uint64_t vpn, SpanHandle op) {
     }
     SimTime waited = Engine::current().now() - w0;
     cg.NoteHardWait(waited);
-    TraceEmit(TraceEventType::kTenantHardWait, core, vpn, kTraceNoFrame,
+    TraceEmit(TraceEventType::kTenantHardWait, op.core, op.page, kTraceNoFrame,
               static_cast<uint64_t>(waited));
     if (SpanTracer* st = SpanTracer::Get(); st != nullptr) {
       // Read the release point after waking: the uncharge that freed the
       // headroom registered its batch span just before the event fired.
-      st->LeafUnder(op, SpanKind::kTenantPark, w0, Engine::current().now(), core, vpn,
-                    st->tenant_release(t), static_cast<uint64_t>(t));
+      s.link = st->tenant_release(t);
     }
   }
 }
@@ -375,7 +368,7 @@ Task<> Kernel::TenantBalanceControllerMain() {
   }
 }
 
-MAGESIM_HOT_PATH Task<PageFrame*> Kernel::AllocWithPressure(CoreId core, uint64_t vpn, SpanHandle op) {
+MAGESIM_HOT_PATH Task<PageFrame*> Kernel::AllocWithPressure(StageOp op) {
   if (config_.variant == Variant::kIdeal) {
     // The ideal variant has no allocator locks by construction.
     AnalysisExemptScope exempt;
@@ -386,18 +379,16 @@ MAGESIM_HOT_PATH Task<PageFrame*> Kernel::AllocWithPressure(CoreId core, uint64_
     }
     co_return f;
   }
-  for (int attempt = 0;; ++attempt) {
+  for (;;) {
     // Trigger sync eviction below the min watermark (Hermit/DiLOS eager
     // behavior) or on outright allocation failure.
     if (config_.allow_sync_eviction && free_pages() <= min_wm_) {
-      co_await SyncEvict(core, op);
+      co_await SyncEvict(op);
     }
     PageFrame* f;
     {
-      PhaseScope ps(core, SimPhase::kFaultAlloc);
-      SimTime a0 = Engine::current().now();
-      f = co_await allocator_->Alloc(core);
-      SpanLeafUnder(op, SpanKind::kAlloc, a0, Engine::current().now(), core, vpn);
+      StageScope s(Stage::kAlloc, op);
+      f = co_await allocator_->Alloc(op.core);
     }
     if (f != nullptr) {
       MaybeWakeEvictors();
@@ -405,7 +396,7 @@ MAGESIM_HOT_PATH Task<PageFrame*> Kernel::AllocWithPressure(CoreId core, uint64_
     }
     MaybeWakeEvictors();
     if (config_.allow_sync_eviction) {
-      co_await SyncEvict(core, op);
+      co_await SyncEvict(op);
       continue;
     }
     // MAGE P1: the fault path never evicts; wait for the EP to free pages.
@@ -416,64 +407,59 @@ MAGESIM_HOT_PATH Task<PageFrame*> Kernel::AllocWithPressure(CoreId core, uint64_
       continue;
     }
     ++stats_.free_page_waits;
+    TraceEmit(TraceEventType::kFreeWaitStart, op.core, op.page);
+    StageScope s(Stage::kFreeWait, op);
     SimTime w0 = Engine::current().now();
-    TraceEmit(TraceEventType::kFreeWaitStart, core, vpn);
-    {
-      PhaseScope ps(core, SimPhase::kFreeWait);
-      free_pages_available_.Reset();
-      co_await free_pages_available_.Wait();
-    }
+    free_pages_available_.Reset();
+    co_await free_pages_available_.Wait();
     SimTime waited = Engine::current().now() - w0;
     stats_.free_wait_time_total += waited;
-    TraceEmit(TraceEventType::kFreeWaitEnd, core, vpn, kTraceNoFrame,
+    TraceEmit(TraceEventType::kFreeWaitEnd, op.core, op.page, kTraceNoFrame,
               static_cast<uint64_t>(waited));
     if (SpanTracer* st = SpanTracer::Get(); st != nullptr) {
       // Link to the eviction batch that published the headroom we woke on.
-      st->LeafUnder(op, SpanKind::kFreeWait, w0, Engine::current().now(), core, vpn,
-                    st->headroom_publisher(), static_cast<uint64_t>(waited));
+      s.link = st->headroom_publisher();
     }
+    s.arg = static_cast<uint64_t>(waited);
   }
 }
 
-MAGESIM_HOT_PATH Task<> Kernel::SyncEvict(CoreId core, SpanHandle op) {
+MAGESIM_HOT_PATH Task<> Kernel::SyncEvict(StageOp op) {
   SimTime t0 = Engine::current().now();
   ++stats_.sync_evictions;
-  TraceEmit(TraceEventType::kSyncEvictStart, core);
-  co_await EvictBatchSequential(/*evictor_id=*/core % std::max(config_.num_evictors, 1), core,
-                                static_cast<size_t>(config_.sync_evict_batch),
-                                &stats_.fault_breakdown, op);
+  TraceEmit(TraceEventType::kSyncEvictStart, op.core);
+  co_await EvictBatchSequential(/*evictor_id=*/op.core % std::max(config_.num_evictors, 1),
+                                op.core, static_cast<size_t>(config_.sync_evict_batch), op);
   SimTime elapsed = Engine::current().now() - t0;
   stats_.sync_evict_latency.Record(elapsed);
-  TraceEmit(TraceEventType::kSyncEvictEnd, core, kTraceNoPage, kTraceNoFrame,
+  TraceEmit(TraceEventType::kSyncEvictEnd, op.core, kTraceNoPage, kTraceNoFrame,
             static_cast<uint64_t>(elapsed));
 }
 
-// magesim-lint: allow(coroutine-ref-capture): out/sync_attr point at the
-// caller's frame and every caller co_awaits this task inline (never detached).
-MAGESIM_HOT_PATH Task<size_t> Kernel::PrepareVictims(int evictor_id, CoreId core, size_t batch,
-                                    std::vector<PageFrame*>* out, Breakdown* sync_attr,
-                                    SpanHandle bspan) {
-  SimTime i0 = Engine::current().now();
+// magesim-lint: allow(coroutine-ref-capture): out points at the caller's
+// frame and every caller co_awaits this task inline (never detached).
+MAGESIM_HOT_PATH Task<size_t> Kernel::PrepareVictims(StageOp batch_op, size_t batch,
+                                                     std::vector<PageFrame*>* out) {
+  const int evictor_id = batch_op.actor;
+  const CoreId core = batch_op.core;
   size_t got;
   {
-    PhaseScope ps(core, SimPhase::kAccounting);
+    StageOp isolate_op = batch_op;
+    isolate_op.actor = core;  // the isolation leaf has always named the core
+    StageScope s(Stage::kIsolate, isolate_op);
     got = co_await accounting_->IsolateBatch(evictor_id, core, batch, out);
+    s.arg = got;
   }
-  if (sync_attr != nullptr) {
-    sync_attr->Add(kCatAccounting, Engine::current().now() - i0);
-  }
-  SpanLeafUnder(bspan, SpanKind::kAccounting, i0, Engine::current().now(), core,
-                kTraceNoPage, {}, got);
   if (got == 0) co_return 0;
   const MachineParams& hw = topo_.params();
-  SimTime u0 = Engine::current().now();
-  PhaseScope ps(core, SimPhase::kEviction);
+  StageScope s(Stage::kUnmapVictims, batch_op);
+  s.arg = got;
   for (PageFrame* f : *out) {
     assert(f->vpn != kInvalidVpn);
     uint64_t vpn = f->vpn;
     co_await Delay{hw.pte_update_ns + config_.evict_page_cost_ns};
     pt_->Unmap(vpn);  // transfers the dirty bit onto the frame
-    UnchargePage(evictor_id, vpn, f, bspan);
+    UnchargePage(evictor_id, vpn, f, batch_op.span);
     TraceEmit(TraceEventType::kPageUnmap, evictor_id, vpn, f->pfn);
     if (swap_ != nullptr) {
       // EP3: allocate remote swap space under the global swap lock.
@@ -485,8 +471,6 @@ MAGESIM_HOT_PATH Task<size_t> Kernel::PrepareVictims(int evictor_id, CoreId core
     }
     // Direct mapping needs no allocation: remote_addr = local_addr (§4.2.3).
   }
-  SpanLeafUnder(bspan, SpanKind::kUnmapVictims, u0, Engine::current().now(), evictor_id,
-                kTraceNoPage, {}, got);
   co_return got;
 }
 
@@ -517,55 +501,47 @@ uint64_t Kernel::FleetSlotOf(uint64_t vpn) const {
   return slot == kNoSwapSlot ? vpn : slot;
 }
 
-// magesim-lint: allow(coroutine-ref-capture): sync_attr points at the
-// caller's frame (or kernel-lifetime stats) and callers co_await inline.
-MAGESIM_HOT_PATH Task<size_t> Kernel::EvictBatchSequential(int evictor_id, CoreId core, size_t batch,
-                                          Breakdown* sync_attr, SpanHandle parent) {
+MAGESIM_HOT_PATH Task<size_t> Kernel::EvictBatchSequential(int evictor_id, CoreId core,
+                                                           size_t batch, StageOp runner) {
   std::vector<PageFrame*> victims;
   // magesim-lint: allow(hotpath-alloc): batch-local scratch, one exact-sized
   // reserve per batch (IsolateBatch fills it in place, never grows it).
   victims.reserve(batch);
   // Open before victim prep so the unmap/uncharge leaves (and the tenant
-  // headroom releases inside them) land under this batch span. When called
-  // from SyncEvict the span nests as a child of the faulting op.
-  SpanHandle bspan{};
+  // headroom releases inside them) land under this batch span. Run inline by
+  // a fault or prefetch, the span nests as a child of that op's.
+  StageOp op{.core = core,
+             .actor = evictor_id,
+             .breakdown = runner.breakdown,
+             .beside_app = runner.beside_app};
   if (SpanTracer* st = SpanTracer::Get(); st != nullptr) {
-    bspan = st->BeginChild(parent, SpanKind::kEvictBatch, evictor_id, kTraceNoPage);
+    op.span = st->BeginChild(runner.span, SpanKind::kEvictBatch, evictor_id, kTraceNoPage);
   }
-  size_t got = co_await PrepareVictims(evictor_id, core, batch, &victims, sync_attr, bspan);
+  size_t got = co_await PrepareVictims(op, batch, &victims);
   if (got == 0) {
-    SpanEndDetached(bspan, 0);
+    SpanEndDetached(op.span, 0);
     co_return 0;
   }
   TraceEmit(TraceEventType::kEvictBatchStart, evictor_id, kTraceNoPage, kTraceNoFrame, got);
 
   // EP2: invalidate victim translations everywhere — or, in lazy-TLB mode,
   // wait for the next reconciliation tick instead of sending IPIs.
-  SimTime s0 = Engine::current().now();
   {
-    PhaseScope ps(core, SimPhase::kTlbWait);
+    StageScope s(config_.lazy_tlb ? Stage::kLazyTlbWait : Stage::kShootdownWait, op);
+    s.arg = got;
     if (config_.lazy_tlb) {
       co_await lazy_epoch_.Wait();
     } else {
-      co_await tlb_.Shootdown(core, static_cast<int>(got), bspan);
+      co_await tlb_.Shootdown(core, static_cast<int>(got), op.span);
     }
   }
-  if (sync_attr != nullptr) {
-    sync_attr->Add(kCatTlb, Engine::current().now() - s0);
-  }
-  SpanLeafUnder(bspan, config_.lazy_tlb ? SpanKind::kLazyTlbWait : SpanKind::kShootdownWait,
-                s0, Engine::current().now(), evictor_id, kTraceNoPage, {}, got);
 
   // EP4: write back dirty pages. Pages whose writes are lost for good are
   // surfaced by the fleet and their frames still reclaimed, so eviction
   // always makes progress.
-  SimTime w0 = Engine::current().now();
   {
-    PhaseScope ps(core, SimPhase::kRdmaWait);
-    co_await resilience_.WriteBack(evictor_id, CollectWritebackSlots(victims), bspan);
-  }
-  if (sync_attr != nullptr) {
-    sync_attr->Add(kCatOther, Engine::current().now() - w0);
+    StageScope s(Stage::kWriteback, op);
+    co_await resilience_.WriteBack(evictor_id, CollectWritebackSlots(victims), op.span);
   }
 
   // Reclaim frames into the allocator and release waiting fault paths.
@@ -575,20 +551,18 @@ MAGESIM_HOT_PATH Task<size_t> Kernel::EvictBatchSequential(int evictor_id, CoreI
     }
   }
   {
-    PhaseScope ps(core, SimPhase::kEviction);
-    SimTime f0 = Engine::current().now();
+    StageScope s(Stage::kReclaim, op);
+    s.arg = got;
     co_await allocator_->FreeBatch(core, victims);
-    SpanLeafUnder(bspan, SpanKind::kReclaim, f0, Engine::current().now(), evictor_id,
-                  kTraceNoPage, {}, got);
   }
   stats_.evicted_pages += got;
   ++stats_.eviction_batches;
   if (SpanTracer* st = SpanTracer::Get(); st != nullptr) {
-    st->NoteHeadroomPublisher(bspan);
+    st->NoteHeadroomPublisher(op.span);
   }
   free_pages_available_.Set();
   TraceEmit(TraceEventType::kEvictBatchEnd, evictor_id, kTraceNoPage, kTraceNoFrame, got);
-  SpanEndDetached(bspan, got);
+  SpanEndDetached(op.span, got);
   co_return got;
 }
 

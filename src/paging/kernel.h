@@ -16,6 +16,7 @@
 #include "src/mem/percpu_cache.h"
 #include "src/mem/swap_allocator.h"
 #include "src/mem/vma.h"
+#include "src/metrics/stage.h"
 #include "src/paging/config.h"
 #include "src/resilience/resilient_rdma.h"
 #include "src/sim/stats.h"
@@ -42,7 +43,7 @@ struct KernelStats {
 
   Histogram fault_latency;       // end-to-end major-fault latency
   Histogram sync_evict_latency;
-  Breakdown fault_breakdown;     // per-phase attribution (Figs. 6/16)
+  Breakdown fault_breakdown;     // partition of fault_latency by stage (Figs. 6/16)
   SimTime free_wait_time_total = 0;
 };
 
@@ -89,12 +90,11 @@ class Kernel {
   // --- Eviction machinery (shared by evictor threads and sync eviction) ---
   // Runs one sequential eviction batch: isolate victims, unmap, allocate
   // remote space, shootdown, write dirty pages, reclaim. Returns pages freed.
-  // `parent` is the span of the operation running the batch inline (sync
-  // eviction nests its batch span under the faulting op); default = a
-  // detached batch root.
+  // `runner` is the fault or prefetch running the batch inline (sync
+  // eviction): the batch span nests under its span and a fault's breakdown
+  // takes the batch's stages. Default = an evictor's detached batch root.
   Task<size_t> EvictBatchSequential(int evictor_id, CoreId core, size_t batch,
-                                    Breakdown* sync_attr = nullptr,
-                                    SpanHandle parent = {});
+                                    StageOp runner = {});
 
   // Evictor main loops (implemented in evictor.cc / pipelined_evictor.cc).
   Task<> SequentialEvictorMain(int evictor_id, CoreId core);
@@ -148,11 +148,9 @@ class Kernel {
  private:
   friend class Prefetcher;
 
-  // Allocates one frame, applying the variant's pressure policy (sync
-  // eviction vs. waiting for the EP). Attributes wait time to the breakdown.
-  // `op` is the requesting operation's span (alloc/free-wait leaves attach
-  // to it; spans are hot-path handle-explicit, never context-stack lookups).
-  Task<PageFrame*> AllocWithPressure(CoreId core, uint64_t vpn, SpanHandle op = {});
+  // Allocates one frame for `op` (a fault or a prefetch), applying the
+  // variant's pressure policy (sync eviction vs. waiting for the EP).
+  Task<PageFrame*> AllocWithPressure(StageOp op);
 
   // --- Tenancy hooks (all no-ops with no TenancyManager attached) ---
   // Charge/uncharge accompany every Map/Unmap so the per-tenant charge set
@@ -162,16 +160,18 @@ class Kernel {
   // headroom publisher.
   void UnchargePage(int actor, uint64_t vpn, PageFrame* f, SpanHandle span = {});
   // Hard-limit admission + batch-QoS backpressure, run by the fault path
-  // after fault dedup and before allocation. `op` is the fault's span.
-  Task<> TenantAdmission(CoreId core, uint64_t vpn, SpanHandle op = {});
+  // (tenancy attached) after fault dedup and before allocation.
+  Task<> TenantAdmission(StageOp op);
   // True while any tenant has blocked faulters or is inside its watermark
   // band: keeps evictors running above the global high watermark.
   bool TenancyEvictionPressure() const;
   bool TenancyHardWaiters() const;
 
-  // One inline (synchronous) eviction from the fault path; the batch span
-  // nests under `op` (the faulting operation).
-  Task<> SyncEvict(CoreId core, SpanHandle op = {});
+  // One inline (synchronous) eviction run by `op`, a fault or a prefetch.
+  Task<> SyncEvict(StageOp op);
+
+  // Records a completed demand fault's latency and, with it, its stage tally.
+  void CompleteFault(SimTime t0, const Breakdown& stages);
 
   // Batch state for the pipelined evictor.
   struct EvictionBatch {
@@ -191,10 +191,8 @@ class Kernel {
   void IdealReclaimOne();
 
   // Unmaps victims, assigns remote slots. Returns unmapped frames via `out`.
-  // `bspan` is the owning batch's span (accounting/unmap leaves attach to it).
-  Task<size_t> PrepareVictims(int evictor_id, CoreId core, size_t batch,
-                              std::vector<PageFrame*>* out, Breakdown* sync_attr = nullptr,
-                              SpanHandle bspan = {});
+  // `batch_op` is the owning batch (actor = evictor id, span = batch span).
+  Task<size_t> PrepareVictims(StageOp batch_op, size_t batch, std::vector<PageFrame*>* out);
 
   // Marks remote copies valid, counts clean reclaims, and returns the swap
   // slots that need a writeback. A clean page whose slot has no live copy

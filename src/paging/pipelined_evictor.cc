@@ -10,7 +10,6 @@
 #include <optional>
 
 #include "src/analysis/lock_analyzer.h"
-#include "src/metrics/profiler.h"
 #include "src/paging/kernel.h"
 #include "src/sim/engine.h"
 #include "src/sim/hot_path.h"
@@ -55,8 +54,8 @@ MAGESIM_HOT_PATH Task<> Kernel::PipelinedEvictorMain(int evictor_id, CoreId core
         // passed explicitly to every stage that emits leaves.
         cur.span = st->BeginDetached(SpanKind::kEvictBatch, evictor_id, kTraceNoPage);
       }
-      co_await PrepareVictims(evictor_id, core, static_cast<size_t>(config_.evict_batch_pages),
-                              &cur.victims, nullptr, cur.span);
+      co_await PrepareVictims(StageOp{.core = core, .actor = evictor_id, .span = cur.span},
+                              static_cast<size_t>(config_.evict_batch_pages), &cur.victims);
       pending_reclaims_ += cur.victims.size();
       if (!cur.victims.empty()) {
         TraceEmit(TraceEventType::kEvictBatchStart, evictor_id, kTraceNoPage, kTraceNoFrame,
@@ -71,21 +70,18 @@ MAGESIM_HOT_PATH Task<> Kernel::PipelinedEvictorMain(int evictor_id, CoreId core
     // complete thanks to the overlap), then kick off this batch's shootdown.
     // Lazy-TLB mode replaces both with a wait for the reconciliation tick.
     if (prev.has_value()) {
-      PhaseScope ps(core, SimPhase::kTlbWait);
-      SimTime s0 = eng.now();
+      StageOp op{.core = core, .actor = evictor_id, .span = prev->span};
+      StageScope s(config_.lazy_tlb ? Stage::kLazyTlbWait : Stage::kShootdownWait, op);
       if (config_.lazy_tlb) {
         co_await lazy_epoch_.Wait();
-        SpanLeafUnder(prev->span, SpanKind::kLazyTlbWait, s0, eng.now(), evictor_id,
-                      kTraceNoPage);
       } else {
         co_await tlb_.Finish(prev->shootdown);
-        SpanLeafUnder(prev->span, SpanKind::kShootdownWait, s0, eng.now(), evictor_id,
-                      kTraceNoPage);
         prev->shootdown = nullptr;
       }
     }
     if (!cur.victims.empty() && !config_.lazy_tlb) {
-      PhaseScope ps(core, SimPhase::kTlbWait);
+      StageOp op{.core = core, .actor = evictor_id, .span = cur.span};
+      StageScope s(Stage::kShootdownPost, op);
       // Begin() carries the batch span into the ShootdownOp so the per-IPI
       // delivery leaves land under this batch.
       cur.shootdown =
@@ -95,8 +91,9 @@ MAGESIM_HOT_PATH Task<> Kernel::PipelinedEvictorMain(int evictor_id, CoreId core
     // Stage 3: wait for the oldest batch's RDMA writes, reclaim its frames,
     // then post writes for the middle batch.
     if (prevprev.has_value()) {
+      StageOp op{.core = core, .actor = evictor_id, .span = prevprev->span};
       {
-        PhaseScope ps(core, SimPhase::kRdmaWait);
+        StageScope s(Stage::kWriteback, op);
         co_await resilience_.FinishWriteback(std::move(prevprev->writeback), evictor_id,
                                              prevprev->span);
       }
@@ -106,11 +103,9 @@ MAGESIM_HOT_PATH Task<> Kernel::PipelinedEvictorMain(int evictor_id, CoreId core
         }
       }
       {
-        PhaseScope ps(core, SimPhase::kEviction);
-        SimTime f0 = eng.now();
+        StageScope s(Stage::kReclaim, op);
+        s.arg = prevprev->victims.size();
         co_await allocator_->FreeBatch(core, prevprev->victims);
-        SpanLeafUnder(prevprev->span, SpanKind::kReclaim, f0, eng.now(), evictor_id,
-                      kTraceNoPage, {}, prevprev->victims.size());
       }
       pending_reclaims_ -= prevprev->victims.size();
       stats_.evicted_pages += prevprev->victims.size();

@@ -121,18 +121,18 @@ Task<> Prefetcher::PrefetchRange(CoreId core, uint64_t start_vpn, int64_t stride
     if (pte.present || !k.page_table().TryBeginFault(vpn)) continue;
     ++issued_;
     TraceEmit(TraceEventType::kPrefetchIssue, core, vpn);
-    SpanHandle pspan{};
+    StageOp op{.core = core, .actor = core, .page = vpn, .beside_app = true};
     if (SpanTracer* st = SpanTracer::Get(); st != nullptr) {
-      pspan = st->BeginDetached(SpanKind::kPrefetch, core, vpn, owner);
-      st->NotePageSpan(vpn, pspan);  // demand faults that dedup onto this read
+      op.span = st->BeginDetached(SpanKind::kPrefetch, core, vpn, owner);
+      st->NotePageSpan(vpn, op.span);  // demand faults that dedup onto this read
     }
     // Prefetch shares the fault path's allocation policy: under Hermit-style
     // configs it can therefore trigger synchronous eviction, which is exactly
     // how prefetching backfires for those systems (§6.2).
-    PageFrame* frame = co_await k.AllocWithPressure(core, vpn, pspan);
+    PageFrame* frame = co_await k.AllocWithPressure(op);
     TraceEmit(TraceEventType::kFrameAlloc, core, vpn, frame->pfn);
     RemoteOpStatus st = co_await k.resilience().ReadPage(core, vpn, k.FleetSlotOf(vpn),
-                                                         /*allow_poison=*/false, pspan);
+                                                         /*allow_poison=*/false, op.span);
     if (st == RemoteOpStatus::kAbandoned) {
       // Speculative read failed for good: unwind instead of poisoning.
       // Free the frame, release the in-flight fault, and stop reading
@@ -142,29 +142,31 @@ Task<> Prefetcher::PrefetchRange(CoreId core, uint64_t start_vpn, int64_t stride
       std::vector<PageFrame*> unwound{frame};
       co_await k.allocator().FreeBatch(core, unwound);
       k.page_table().EndFault(vpn);
-      if (SpanTracer* tr = SpanTracer::Get(); tr != nullptr && pspan) {
-        if (tr->Sampled(pspan)) tr->ErasePageSpan(vpn);
-        tr->EndDetached(pspan, /*arg=*/2);  // arg 2 marks an abandoned prefetch
+      if (SpanTracer* tr = SpanTracer::Get(); tr != nullptr && op.span) {
+        if (tr->Sampled(op.span)) tr->ErasePageSpan(vpn);
+        tr->EndDetached(op.span, /*arg=*/2);  // arg 2 marks an abandoned prefetch
       }
       co_return;
     }
-    SimTime m0 = Engine::current().now();
-    co_await Delay{k.topology().params().pte_update_ns};
-    k.page_table().Map(vpn, frame);
-    k.ChargePage(core, vpn, frame);
-    TraceEmit(TraceEventType::kPageMap, core, vpn, frame->pfn);
-    SpanLeafUnder(pspan, SpanKind::kMapInstall, m0, Engine::current().now(), core, vpn);
+    {
+      StageScope s(Stage::kMapInstall, op);
+      co_await Delay{k.topology().params().pte_update_ns};
+      k.page_table().Map(vpn, frame);
+      k.ChargePage(core, vpn, frame);
+      TraceEmit(TraceEventType::kPageMap, core, vpn, frame->pfn);
+    }
     // Speculative: not a real reference yet.
     k.page_table().At(vpn).accessed = false;
     k.prefetched_[vpn] = true;
     ++k.mutable_stats().prefetched_pages;
-    SimTime acc0 = Engine::current().now();
-    co_await k.accounting().Insert(core, frame);
-    SpanLeafUnder(pspan, SpanKind::kAccounting, acc0, Engine::current().now(), core, vpn);
+    {
+      StageScope s(Stage::kAccountingInsert, op);
+      co_await k.accounting().Insert(core, frame);
+    }
     k.page_table().EndFault(vpn);
-    if (SpanTracer* st = SpanTracer::Get(); st != nullptr && pspan) {
-      if (st->Sampled(pspan)) st->ErasePageSpan(vpn);
-      st->EndDetached(pspan);
+    if (SpanTracer* tr = SpanTracer::Get(); tr != nullptr && op.span) {
+      if (tr->Sampled(op.span)) tr->ErasePageSpan(vpn);
+      tr->EndDetached(op.span);
     }
   }
 }

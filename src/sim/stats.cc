@@ -137,56 +137,26 @@ std::string Histogram::Summary() const {
   return buf;
 }
 
-namespace {
-// Process-wide category table shared by every Breakdown (single-threaded).
-struct CategoryTable {
-  std::vector<std::string> names;
-  std::map<std::string, int, std::less<>> ids;
-};
-CategoryTable& Categories() {
-  static CategoryTable t;
-  return t;
-}
-}  // namespace
-
-int Breakdown::InternCategory(std::string_view category) {
-  CategoryTable& t = Categories();
-  auto it = t.ids.find(category);
-  if (it != t.ids.end()) return it->second;
-  int id = static_cast<int>(t.names.size());
-  t.names.emplace_back(category);
-  t.ids.emplace(std::string(category), id);
-  return id;
-}
-
-const std::string& Breakdown::CategoryName(int id) {
-  static const std::string kUnknown = "?";
-  CategoryTable& t = Categories();
-  if (id < 0 || id >= static_cast<int>(t.names.size())) return kUnknown;
-  return t.names[static_cast<size_t>(id)];
-}
-
-double Breakdown::MeanPer(int category_id, uint64_t per_count) const {
-  if (per_count == 0 || category_id < 0 ||
-      category_id >= static_cast<int>(by_id_.size())) {
-    return 0.0;
+void Breakdown::Merge(const Breakdown& other) {
+  for (size_t i = 0; i < by_category_.size(); ++i) {
+    by_category_[i].total_ns += other.by_category_[i].total_ns;
+    by_category_[i].count += other.by_category_[i].count;
   }
-  return static_cast<double>(by_id_[static_cast<size_t>(category_id)].total_ns) /
-         static_cast<double>(per_count);
 }
 
-double Breakdown::MeanPer(const std::string& category, uint64_t per_count) const {
-  auto it = Categories().ids.find(category);
-  if (it == Categories().ids.end()) return 0.0;
-  return MeanPer(it->second, per_count);
+double Breakdown::MeanPer(FaultCategory c, uint64_t per_count) const {
+  if (per_count == 0) return 0.0;
+  return static_cast<double>(at(c).total_ns) / static_cast<double>(per_count);
 }
 
 std::map<std::string, Breakdown::Entry> Breakdown::entries() const {
+  static constexpr const char* kNames[kNumFaultCategories] = {
+      "entry", "dedup", "tenant", "alloc", "rdma", "accounting", "tlb", "other"};
   std::map<std::string, Entry> out;
-  for (size_t i = 0; i < by_id_.size(); ++i) {
-    const Entry& e = by_id_[i];
+  for (size_t i = 0; i < by_category_.size(); ++i) {
+    const Entry& e = by_category_[i];
     if (e.count == 0 && e.total_ns == 0) continue;
-    out.emplace(CategoryName(static_cast<int>(i)), e);
+    out.emplace(kNames[i], e);
   }
   return out;
 }

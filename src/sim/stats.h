@@ -7,10 +7,8 @@
 #include <cstdint>
 #include <map>
 #include <string>
-#include <string_view>
 #include <vector>
 
-#include "src/sim/prof_counters.h"
 #include "src/sim/time.h"
 
 namespace magesim {
@@ -61,13 +59,24 @@ class Histogram {
   std::array<std::array<uint64_t, kSubBuckets>, 64> buckets_{};
 };
 
-// Named duration accumulators for latency breakdowns (Figs. 6 and 16):
-// each fault phase adds its duration under a fixed category.
-//
-// Category names are interned process-wide into small integer ids; hot
-// callers intern once (e.g. a function-local static) and use the id overload
-// of Add, which is a plain vector index — no per-call string map lookup. The
-// string overloads remain as convenience wrappers for tests and cold paths.
+// Categories of the fault-latency breakdown (Figs. 6 and 16). Every stage of
+// a demand fault maps to exactly one (the Stage table, src/metrics/stage.h),
+// so a fault's categories partition its latency.
+enum class FaultCategory : uint8_t {
+  kEntry,       // trap entry, page-table walk, VMA resolution
+  kDedup,       // waiting on an in-flight fault for the same page
+  kTenant,      // tenant admission: batch-QoS throttle, hard-limit park
+  kAlloc,       // getting a frame: allocator, free-page waits, sync-evict unmap/reclaim
+  kRdma,        // RDMA: the page read, the rdma-stack section, sync-evict writeback
+  kAccounting,  // page-accounting insert and sync-evict isolation
+  kTlb,         // sync-evict shootdowns
+  kOther,       // mm-lock section, swap-slot free, PTE install
+  kNumCategories,
+};
+
+inline constexpr int kNumFaultCategories = static_cast<int>(FaultCategory::kNumCategories);
+
+// Duration accumulators indexed by FaultCategory: Add is a plain array index.
 class Breakdown {
  public:
   struct Entry {
@@ -76,38 +85,23 @@ class Breakdown {
     bool operator==(const Entry&) const = default;
   };
 
-  // Interns (or looks up) a category name. Ids are dense, stable for the
-  // process lifetime, and shared by all Breakdown instances. Single-threaded,
-  // like the rest of the simulator.
-  static int InternCategory(std::string_view category);
-  static const std::string& CategoryName(int id);
-
-  // Hot path: indexed accumulate.
-  void Add(int category_id, SimTime ns) {
-    MAGESIM_PROF_SCOPE(breakdown_add);
-    if (category_id >= static_cast<int>(by_id_.size())) {
-      by_id_.resize(static_cast<size_t>(category_id) + 1);
-    }
-    Entry& e = by_id_[static_cast<size_t>(category_id)];
+  void Add(FaultCategory c, SimTime ns) {
+    Entry& e = by_category_[static_cast<size_t>(c)];
     e.total_ns += ns;
     ++e.count;
   }
-
-  // String-keyed convenience wrapper (interns on every call).
-  void Add(const std::string& category, SimTime ns) { Add(InternCategory(category), ns); }
+  void Merge(const Breakdown& other);
+  const Entry& at(FaultCategory c) const { return by_category_[static_cast<size_t>(c)]; }
 
   // Mean ns per `per_count` events (e.g. per fault).
-  double MeanPer(int category_id, uint64_t per_count) const;
-  double MeanPer(const std::string& category, uint64_t per_count) const;
+  double MeanPer(FaultCategory c, uint64_t per_count) const;
 
-  // Name-keyed view, materialized for reporting; categories this breakdown
-  // never touched are omitted.
+  // View keyed by the categories' snake_case names ("entry", "rdma", ...),
+  // materialized for reporting; categories never touched are omitted.
   std::map<std::string, Entry> entries() const;
 
-  void Reset() { by_id_.clear(); }
-
  private:
-  std::vector<Entry> by_id_;  // indexed by interned category id
+  std::array<Entry, kNumFaultCategories> by_category_{};
 };
 
 // Fixed-width time-bucketed series (for throughput timelines, Fig. 11).

@@ -51,7 +51,7 @@ const char* const kSpanKindNames[kNumSpanKinds] = {
     "rdma_retry",     "retry_backoff", "breaker_wait", "map_install",
     "accounting",     "unmap_victims", "shootdown_wait", "lazy_tlb_wait",
     "ipi_deliver",    "reclaim",      "backpressure",  "degraded_read",
-    "rebuild",
+    "rebuild",        "rdma_stack",
 };
 }  // namespace
 

@@ -4,10 +4,10 @@
 // eviction batch, prefetched page, evictor backpressure pause) and nests a
 // child span under it for every stage the operation actually waited on:
 // trap entry, fault dedup, tenant admission (QoS throttle / hard-limit
-// park), mm locks, frame allocation, free-page waits, each RDMA attempt
-// with its backoff, circuit-breaker admission, map install, accounting
-// insert, victim unmap, TLB shootdown with per-IPI fan-out, and frame
-// reclaim. Where one operation blocks on another, the waiting span carries
+// park), mm locks, frame allocation, free-page waits, the RDMA-stack
+// section, each RDMA attempt with its backoff, circuit-breaker admission,
+// map install, accounting insert, victim unmap, TLB shootdown with per-IPI
+// fan-out, and frame reclaim. Where one operation blocks on another, the waiting span carries
 // a *causal link* to the span that unblocked it (a fault's free-page wait
 // links to the eviction batch that published headroom; backpressure and
 // batch-QoS throttles link to the RDMA op that opened the breaker; a
@@ -91,6 +91,7 @@ enum class SpanKind : uint8_t {
   kBackpressure,   // evictor pause while the write breaker is open
   kDegradedRead,   // fleet read served from a non-primary surviving replica
   kRebuild,        // fleet re-replication batch (also a detached root op)
+  kRdmaStack,      // serialized RDMA-stack section before a fault's read
   kNumKinds,
 };
 
@@ -454,24 +455,8 @@ class SpanTracer {
 
 // --- Inline no-op-when-disabled wrappers for the instrumented layers ---
 
-inline SpanHandle SpanBegin(SpanKind k, int32_t actor, uint64_t page,
-                            int tenant = -1, SimTime t0 = -1) {
-  SpanTracer* st = SpanTracer::Get();
-  return st != nullptr ? st->Begin(k, actor, page, tenant, t0) : SpanHandle{};
-}
-
-inline void SpanEnd(SpanHandle h, uint64_t arg = 0) {
-  if (SpanTracer* st = SpanTracer::Get(); st != nullptr) st->End(h, arg);
-}
-
 inline void SpanEndDetached(SpanHandle h, uint64_t arg = 0) {
   if (SpanTracer* st = SpanTracer::Get(); st != nullptr) st->EndDetached(h, arg);
-}
-
-inline uint64_t SpanLeaf(SpanKind k, SimTime t0, int32_t actor, uint64_t page,
-                         SpanCausalPoint link = {}, uint64_t arg = 0) {
-  SpanTracer* st = SpanTracer::Get();
-  return st != nullptr ? st->Leaf(k, t0, actor, page, link, arg) : 0;
 }
 
 inline uint64_t SpanLeafUnder(SpanHandle parent, SpanKind k, SimTime t0, SimTime t1,
@@ -479,18 +464,6 @@ inline uint64_t SpanLeafUnder(SpanHandle parent, SpanKind k, SimTime t0, SimTime
                               uint64_t arg = 0) {
   SpanTracer* st = SpanTracer::Get();
   return st != nullptr ? st->LeafUnder(parent, k, t0, t1, actor, page, link, arg) : 0;
-}
-
-inline void SpanPushContext(SpanHandle h) {
-  if (SpanTracer* st = SpanTracer::Get(); st != nullptr && h.rec != nullptr) {
-    st->PushContext(h);
-  }
-}
-
-inline void SpanPopContext(SpanHandle h) {
-  if (SpanTracer* st = SpanTracer::Get(); st != nullptr && h.rec != nullptr) {
-    st->PopContext();
-  }
 }
 
 }  // namespace magesim

@@ -1,7 +1,11 @@
 #include "src/tenancy/tenant_spec.h"
 
+#include <climits>
 #include <cstdlib>
 #include <set>
+#include <stdexcept>
+
+#include "src/sim/parse.h"
 
 namespace magesim {
 
@@ -79,12 +83,13 @@ bool ParseTenantSpec(const std::string& s, TenantSpec* out, std::string* err) {
     *err = "tenant spec '" + s + "' has an empty name";
     return false;
   }
-  long w = std::atol(head[1].c_str());
-  if (w <= 0) {
-    *err = "tenant '" + t.name + "': weight '" + head[1] + "' must be a positive integer";
+  try {
+    t.weight = static_cast<uint32_t>(
+        ParseWholeNumber("tenant '" + t.name + "' weight", head[1], 1, UINT32_MAX));
+  } catch (const std::invalid_argument& e) {
+    *err = e.what();
     return false;
   }
-  t.weight = static_cast<uint32_t>(w);
   if (!ParseFrac(head[2], &t.hard_frac, err)) return false;
   size_t qos_at = 3;
   if (head.size() == 5) {
@@ -102,12 +107,13 @@ bool ParseTenantSpec(const std::string& s, TenantSpec* out, std::string* err) {
   std::string wname = wparts[0];
   size_t slash = wname.find('/');
   if (slash != std::string::npos) {
-    int th = std::atoi(wname.c_str() + slash + 1);
-    if (th <= 0) {
-      *err = "tenant '" + t.name + "': bad thread count in '" + wname + "'";
+    try {
+      t.threads = static_cast<int>(ParseWholeNumber("tenant '" + t.name + "' threads",
+                                                    wname.substr(slash + 1), 1, INT_MAX));
+    } catch (const std::invalid_argument& e) {
+      *err = e.what();
       return false;
     }
-    t.threads = th;
     wname = wname.substr(0, slash);
   }
   if (wname.empty()) {

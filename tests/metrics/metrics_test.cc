@@ -10,6 +10,7 @@
 
 #include "src/metrics/profiler.h"
 #include "src/metrics/sampler.h"
+#include "src/metrics/stage.h"
 #include "src/sim/engine.h"
 #include "src/sim/sync.h"
 #include "src/sim/task.h"
@@ -77,21 +78,25 @@ TEST(MetricsRegistryTest, SortedEntriesWalkByName) {
 
 // --- Profiler --------------------------------------------------------------
 
+// Stage scopes (src/metrics/stage.h) feed the profiler with their stage's
+// phase, on the op's core.
 TEST(SimProfilerTest, PhaseScopesAttributeElapsedSimTime) {
   Engine e;
   SimProfiler prof(2);
   prof.Install();
   auto body = [](SimProfiler& p) -> Task<> {
+    StageOp core0{.core = 0};
+    StageOp core1{.core = 1};
     {
-      PhaseScope ps(0, SimPhase::kRdmaWait);
+      StageScope s(Stage::kRead, core0);  // rdma_wait
       co_await Delay{3900};
     }
     {
-      PhaseScope ps(0, SimPhase::kFaultMap);
+      StageScope s(Stage::kMapInstall, core0);  // fault_map
       co_await Delay{600};
     }
     {
-      PhaseScope ps(1, SimPhase::kEviction);
+      StageScope s(Stage::kReclaim, core1);  // eviction
       co_await Delay{1000};
     }
     p.AddPhase(1, SimPhase::kAppCompute, 250);
@@ -123,7 +128,8 @@ TEST(SimProfilerTest, ScopesAreFreeWhenNoProfilerInstalled) {
   ASSERT_EQ(SimProfiler::Get(), nullptr);
   Engine e;
   auto body = []() -> Task<> {
-    PhaseScope ps(0, SimPhase::kRdmaWait);
+    StageOp op{.core = 0};
+    StageScope s(Stage::kRead, op);
     co_await Delay{100};
   };
   e.Spawn(body());

@@ -51,7 +51,7 @@ TEST(EvictorTest, PipelinedEvictorKeepsFaultPathFreeOfTlbWork) {
   RunResult r = RunScan(MageLibConfig(), 0.5);
   // No sync eviction => no shootdown time attributed inside fault handling.
   EXPECT_EQ(r.sync_evictions, 0u);
-  EXPECT_EQ(r.fault_breakdown.MeanPer("tlb", r.faults), 0.0);
+  EXPECT_EQ(r.fault_breakdown.MeanPer(FaultCategory::kTlb, r.faults), 0.0);
   // Shootdowns happened, just on the eviction path.
   EXPECT_GT(r.tlb_shootdown_latency.count(), 0u);
 }
@@ -60,7 +60,7 @@ TEST(EvictorTest, SequentialBaselineFallsBackToSyncEviction) {
   KernelConfig cfg = HermitConfig();
   RunResult r = RunScan(cfg, 0.3, 32, 32768, 3, 100);
   EXPECT_GT(r.sync_evictions, 0u);
-  EXPECT_GT(r.fault_breakdown.MeanPer("tlb", r.faults), 0.0);
+  EXPECT_GT(r.fault_breakdown.MeanPer(FaultCategory::kTlb, r.faults), 0.0);
 }
 
 TEST(EvictorTest, EvictionKeepsUpNoFreePageStarvation) {

@@ -222,41 +222,21 @@ TEST(HistogramPropertyTest, InterpolatedPercentileNearSortedExact) {
 
 TEST(BreakdownTest, AccumulatesPerCategory) {
   Breakdown b;
-  b.Add("rdma", 3900);
-  b.Add("rdma", 4100);
-  b.Add("tlb", 500);
+  b.Add(FaultCategory::kRdma, 3900);
+  b.Add(FaultCategory::kRdma, 4100);
+  b.Add(FaultCategory::kTlb, 500);
   EXPECT_EQ(b.entries().at("rdma").total_ns, 8000);
   EXPECT_EQ(b.entries().at("rdma").count, 2u);
-  EXPECT_DOUBLE_EQ(b.MeanPer("rdma", 2), 4000.0);
-  EXPECT_DOUBLE_EQ(b.MeanPer("tlb", 2), 250.0);
-  EXPECT_DOUBLE_EQ(b.MeanPer("absent", 2), 0.0);
-}
-
-TEST(BreakdownTest, InternedIdsMatchStringPath) {
-  int rdma = Breakdown::InternCategory("rdma");
-  int tlb = Breakdown::InternCategory("tlb");
-  // Interning is idempotent and ids round-trip through CategoryName.
-  EXPECT_EQ(Breakdown::InternCategory("rdma"), rdma);
-  EXPECT_NE(rdma, tlb);
-  EXPECT_EQ(Breakdown::CategoryName(rdma), "rdma");
-  EXPECT_EQ(Breakdown::CategoryName(tlb), "tlb");
-
-  Breakdown by_id, by_name;
-  by_id.Add(rdma, 3900);
-  by_id.Add(rdma, 4100);
-  by_id.Add(tlb, 500);
-  by_name.Add("rdma", 3900);
-  by_name.Add("rdma", 4100);
-  by_name.Add("tlb", 500);
-  EXPECT_EQ(by_id.entries(), by_name.entries());
-  EXPECT_DOUBLE_EQ(by_id.MeanPer(rdma, 2), by_name.MeanPer("rdma", 2));
-  // Untouched categories (even interned ones) are omitted from the view.
-  Breakdown::InternCategory("never-added");
-  EXPECT_EQ(by_id.entries().count("never-added"), 0u);
-
-  by_id.Reset();
-  EXPECT_TRUE(by_id.entries().empty());
-  EXPECT_DOUBLE_EQ(by_id.MeanPer(rdma, 2), 0.0);
+  EXPECT_DOUBLE_EQ(b.MeanPer(FaultCategory::kRdma, 2), 4000.0);
+  EXPECT_DOUBLE_EQ(b.MeanPer(FaultCategory::kTlb, 2), 250.0);
+  EXPECT_DOUBLE_EQ(b.MeanPer(FaultCategory::kAlloc, 2), 0.0);
+  // Untouched categories are omitted from the view; Merge adds entrywise.
+  EXPECT_EQ(b.entries().count("alloc"), 0u);
+  Breakdown sum;
+  sum.Merge(b);
+  sum.Merge(b);
+  EXPECT_EQ(sum.entries().at("rdma"), (Breakdown::Entry{16000, 4}));
+  EXPECT_EQ(sum.entries().size(), 2u);
 }
 
 TEST(TimeSeriesTest, BucketsByTime) {

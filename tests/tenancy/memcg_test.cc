@@ -47,6 +47,13 @@ TEST(TenantSpecTest, RejectsMalformedSpecs) {
   EXPECT_FALSE(ParseTenantSpec("x:0:0.5:normal=gups", &s, &err));     // zero weight
   EXPECT_FALSE(ParseTenantSpec("x:1:0.5:fancy=gups", &s, &err));      // bad qos
   EXPECT_FALSE(ParseTenantSpec("x:1:nope:normal=gups", &s, &err));    // bad limit
+  // Weight and thread count are whole numbers, refused by name otherwise.
+  for (const char* bad : {"x:3x:0.5:normal=gups", "x:-2:0.5:normal=gups",
+                          "x:4294967296:0.5:normal=gups", "x:1:0.5:normal=gups/2x",
+                          "x:1:0.5:normal=gups/0", "x:1:0.5:normal=gups/"}) {
+    EXPECT_FALSE(ParseTenantSpec(bad, &s, &err)) << bad;
+    EXPECT_NE(err.find("tenant 'x'"), std::string::npos) << err;
+  }
 }
 
 TEST(TenantSpecTest, ListParsingValidatesUniqueNames) {
