@@ -36,6 +36,16 @@ inline uint64_t WallNowNs() {
                                    .count());
 }
 
+// Fastest of the measured reps (0 when there are none): the least-noisy
+// estimator of a rep's wall time.
+inline uint64_t BestRepNs(const std::vector<uint64_t>& rep_ns) {
+  uint64_t best = 0;
+  for (uint64_t ns : rep_ns) {
+    if (best == 0 || ns < best) best = ns;
+  }
+  return best;
+}
+
 // Accumulates one harness's results and renders BENCH_<name>.json with a
 // stable key order (insertion order), so same-seed runs produce
 // byte-identical files modulo the "wall" group.
@@ -50,15 +60,23 @@ class PerfReport {
   void Wall(const std::string& key, uint64_t v) { wall_.emplace_back(key, FmtU64(v)); }
   void WallF(const std::string& key, double v) { wall_.emplace_back(key, FmtF(v)); }
 
+  // Wall ns per `unit` over the best rep, as "ns_per_<unit>" (skipped when
+  // there is no rep or no unit).
+  void WallNsPer(const std::vector<uint64_t>& rep_ns, uint64_t units_per_rep,
+                 const std::string& unit) {
+    const uint64_t best = BestRepNs(rep_ns);
+    if (best > 0 && units_per_rep > 0) {
+      WallF("ns_per_" + unit, static_cast<double>(best) / static_cast<double>(units_per_rep));
+    }
+  }
+
   // Convenience: record best/mean wall time over the measure reps plus a
   // throughput pair derived from the best rep (the least-noisy estimator).
   void WallTimes(const std::vector<uint64_t>& rep_ns, uint64_t units_per_rep,
                  const std::string& unit) {
-    uint64_t best = 0, sum = 0;
-    for (uint64_t ns : rep_ns) {
-      if (best == 0 || ns < best) best = ns;
-      sum += ns;
-    }
+    const uint64_t best = BestRepNs(rep_ns);
+    uint64_t sum = 0;
+    for (uint64_t ns : rep_ns) sum += ns;
     Wall("best_rep_ns", best);
     Wall("mean_rep_ns", rep_ns.empty() ? 0 : sum / rep_ns.size());
     if (best > 0 && units_per_rep > 0) {

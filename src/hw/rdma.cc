@@ -11,12 +11,20 @@ namespace magesim {
 RdmaNic::RdmaNic(const MachineParams& params, int node_id)
     : params_(params), node_id_(node_id) {}
 
-Task<> RdmaNic::SignalAt(std::shared_ptr<RdmaCompletion> c, SimTime when,
-                         TraceEventType done_ev, SimTime op_latency,
-                         RdmaCompletion::Status status) {
-  co_await Delay{when - Engine::current().now()};
-  TraceEmit(done_ev, -1, kTraceNoPage, kTraceNoFrame, static_cast<uint64_t>(op_latency));
-  c->Signal(status);
+Task<> RdmaNic::SignalAt(std::shared_ptr<RdmaCompletion> c) {
+  co_await Delay{c->completes_at() - Engine::current().now()};
+  const bool ok = c->outcome_ == RdmaCompletion::Status::kOk;
+  TraceEventType done_ev =
+      c->is_write_ ? (ok ? TraceEventType::kRdmaWriteDone : TraceEventType::kRdmaWriteError)
+                   : (ok ? TraceEventType::kRdmaReadDone : TraceEventType::kRdmaReadError);
+  TraceEmit(done_ev, -1, kTraceNoPage, kTraceNoFrame,
+            static_cast<uint64_t>(c->completes_at_ - c->posted_at_));
+  c->Signal(c->outcome_);
+}
+
+void RdmaNic::Arm(std::shared_ptr<RdmaCompletion> c) {
+  if (c->status() == RdmaCompletion::Status::kLost) return;
+  Engine::current().Spawn(SignalAt(std::move(c)));
 }
 
 const RdmaNic::Brownout* RdmaNic::ActiveBrownout(SimTime now) const {
@@ -81,7 +89,8 @@ std::shared_ptr<RdmaCompletion> RdmaNic::Post(Channel& ch, uint64_t bytes, Histo
   SimTime completes = start + wire + params_.rdma_base_ns + extra;
   // allocate_shared + slab: completion object and control block live in one
   // recyclable block (one completion per RDMA op adds up to millions).
-  auto c = std::allocate_shared<RdmaCompletion>(SlabStdAllocator<RdmaCompletion>{}, completes);
+  auto c = std::allocate_shared<RdmaCompletion>(SlabStdAllocator<RdmaCompletion>{}, now,
+                                                completes, is_write);
   if (fate.drop) {
     // The op still consumed channel time (the payload may even have reached
     // the far side) but its completion is lost: the event never fires and no
@@ -100,21 +109,14 @@ std::shared_ptr<RdmaCompletion> RdmaNic::Post(Channel& ch, uint64_t bytes, Histo
   if (queueing != nullptr) {
     queueing->Record(start - now);
   }
-  TraceEventType done_ev;
-  RdmaCompletion::Status status;
   if (fate.error) {
-    done_ev = is_write ? TraceEventType::kRdmaWriteError : TraceEventType::kRdmaReadError;
-    status = RdmaCompletion::Status::kError;
+    c->outcome_ = RdmaCompletion::Status::kError;
     if (is_write) {
       ++writes_errored_;
     } else {
       ++reads_errored_;
     }
-  } else {
-    done_ev = is_write ? TraceEventType::kRdmaWriteDone : TraceEventType::kRdmaReadDone;
-    status = RdmaCompletion::Status::kOk;
   }
-  eng.Spawn(SignalAt(c, completes, done_ev, completes - now, status));
   return c;
 }
 
@@ -122,10 +124,18 @@ std::shared_ptr<RdmaCompletion> RdmaNic::PostRead(uint64_t bytes) {
   bytes_read_ += bytes;
   ++reads_posted_;
   TraceEmit(TraceEventType::kRdmaReadPost, -1, kTraceNoPage, kTraceNoFrame, bytes);
-  return Post(read_ch_, bytes, read_latency_, &read_queueing_, /*is_write=*/false);
+  auto c = Post(read_ch_, bytes, read_latency_, &read_queueing_, /*is_write=*/false);
+  Arm(c);
+  return c;
 }
 
 std::shared_ptr<RdmaCompletion> RdmaNic::PostWrite(uint64_t bytes) {
+  auto c = PostWriteUnarmed(bytes);
+  Arm(c);
+  return c;
+}
+
+std::shared_ptr<RdmaCompletion> RdmaNic::PostWriteUnarmed(uint64_t bytes) {
   bytes_written_ += bytes;
   ++writes_posted_;
   TraceEmit(TraceEventType::kRdmaWritePost, -1, kTraceNoPage, kTraceNoFrame, bytes);

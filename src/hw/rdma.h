@@ -21,7 +21,9 @@
 
 namespace magesim {
 
-// Completion handle for asynchronously posted operations.
+// Completion handle for asynchronously posted operations. Posting fixes the
+// op's completion time and outcome; arming (RdmaNic::Arm) schedules the event
+// that delivers them.
 class RdmaCompletion {
  public:
   enum class Status : uint8_t {
@@ -31,7 +33,8 @@ class RdmaCompletion {
     kLost,     // completion never arrives (lost CQE / dead memory node)
   };
 
-  explicit RdmaCompletion(SimTime completes_at) : completes_at_(completes_at) {}
+  RdmaCompletion(SimTime posted_at, SimTime completes_at, bool is_write)
+      : posted_at_(posted_at), completes_at_(completes_at), is_write_(is_write) {}
   SimEvent::Awaiter Wait() { return event_.Wait(); }
   void Signal(Status s = Status::kOk) {
     status_ = s;
@@ -46,9 +49,15 @@ class RdmaCompletion {
   SimTime completes_at() const { return completes_at_; }
 
  private:
+  friend class RdmaNic;
+
   SimEvent event_{"rdma-completion"};
+  SimTime posted_at_;
   SimTime completes_at_;
+  bool is_write_;
   Status status_ = Status::kPending;
+  // What the armed completion signals at completes_at (kOk or kError).
+  Status outcome_ = Status::kOk;
 };
 
 class RdmaNic {
@@ -64,6 +73,15 @@ class RdmaNic {
   // simulated delay; callers model host-stack CPU cost themselves.
   std::shared_ptr<RdmaCompletion> PostRead(uint64_t bytes);
   std::shared_ptr<RdmaCompletion> PostWrite(uint64_t bytes);
+
+  // PostWrite without arming: the op takes its channel time, stats and fate,
+  // but schedules nothing until Arm(c). For a writer that awaits only one of
+  // its ops and so leaves the rest unarmed (ResilienceManager::PostWrites).
+  std::shared_ptr<RdmaCompletion> PostWriteUnarmed(uint64_t bytes);
+  // Schedules `c`'s completion event: at completes_at() it emits the op's
+  // done/error trace record and signals the handle. A dropped op never
+  // completes, so arming it schedules nothing.
+  static void Arm(std::shared_ptr<RdmaCompletion> c);
 
   // Synchronous helpers.
   Task<> Read(uint64_t bytes);
@@ -134,11 +152,10 @@ class RdmaNic {
   // skips expired windows once — O(1) amortized per posted op.
   const Brownout* ActiveBrownout(SimTime now) const;
 
+  // Posts an op unarmed (see PostWriteUnarmed).
   std::shared_ptr<RdmaCompletion> Post(Channel& ch, uint64_t bytes, Histogram& lat,
                                        Histogram* queueing, bool is_write);
-  static Task<> SignalAt(std::shared_ptr<RdmaCompletion> c, SimTime when,
-                         TraceEventType done_ev, SimTime op_latency,
-                         RdmaCompletion::Status status);
+  static Task<> SignalAt(std::shared_ptr<RdmaCompletion> c);
 
   MachineParams params_;
   int node_id_;

@@ -176,15 +176,21 @@ Task<RemoteOpStatus> ResilienceManager::ReadPage(int core, uint64_t vpn, uint64_
 
 std::shared_ptr<RdmaCompletion> ResilienceManager::PostWrites(
     const std::vector<uint64_t>& slots) {
+  // Only the latest write is awaited. The others' completion events signal
+  // no waiter, so nothing but a Tracer's rdma_write_done records observes
+  // them: without one they are never armed (docs/INTERNALS.md §4).
+  const bool arm_all = Tracer::Get() != nullptr;
   std::shared_ptr<RdmaCompletion> last;
   for (uint64_t slot : slots) {
     ReplicaSet targets = fleet_.WriteTargetsFor(slot);
     for (int j = 0; j < targets.count; ++j) {
-      auto c = fleet_.nic(targets.node[j]).PostWrite(kPageSize);
+      auto c = fleet_.nic(targets.node[j]).PostWriteUnarmed(kPageSize);
+      if (arm_all) RdmaNic::Arm(c);
       if (last == nullptr || c->completes_at() >= last->completes_at()) last = std::move(c);
     }
     fleet_.CommitWrite(slot, targets.Mask());
   }
+  if (!arm_all && last != nullptr) RdmaNic::Arm(last);
   return last;
 }
 

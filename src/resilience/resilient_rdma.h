@@ -6,7 +6,8 @@
 // There is one selection inside, on a fact the hardware model exposes: an
 // RdmaNic fails an op (drop or error) only on its attached fault model's say.
 // Without a fault model on any server NIC no op can fail, so ops are awaited
-// directly and schedule the same engine events as bare NIC reads and writes.
+// directly, as bare NIC reads and writes, and a writeback batch arms only the
+// completion it waits on.
 // With one, every op runs under a deadline with bounded retries, exponential
 // backoff and a circuit breaker per server channel, and the kernel gets
 // graceful-degradation hooks (eviction backpressure, prefetch throttling,
@@ -153,7 +154,8 @@ class ResilienceManager {
                      SpanHandle op);
   // No fault model: posts every (slot, replica) write, commits the replica
   // sets (the ops cannot fail) and returns the write that completes last
-  // (null when `slots` is empty).
+  // (null when `slots` is empty). Only that write's completion is armed,
+  // unless a Tracer records every write's completion.
   std::shared_ptr<RdmaCompletion> PostWrites(const std::vector<uint64_t>& slots);
   // The deadline/retry writeback.
   Task<> WriteSlots(int evictor_id, std::vector<uint64_t> slots, SpanHandle op);

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "src/sim/analysis_hooks.h"
 #include "src/sim/task.h"
 
 namespace magesim {
@@ -163,6 +166,67 @@ TEST(EngineTest, YieldNowRunsOtherSameTimeEventsFirst) {
   e.Spawn(b(order));
   e.Run();
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+}
+
+// A Delay whose wake-up would be the very next extraction continues in place:
+// now() advances and no event is dispatched for it.
+TEST(EngineTest, DelayContinuesInPlaceWhenNothingElseIsDue) {
+  Engine e;
+  std::vector<SimTime> times;
+  e.Spawn(RecordTimes(e, times));
+  EXPECT_EQ(e.Run(), 1u);  // the spawn only; both Delays ran in place
+  EXPECT_EQ(times, (std::vector<SimTime>{0, 100, 350}));
+  EXPECT_EQ(e.now(), 350);
+}
+
+Task<> LogAfter(Engine& e, SimTime d, std::string name,
+                std::vector<std::pair<std::string, SimTime>>& log) {
+  co_await Delay{d};
+  log.emplace_back(std::move(name), e.now());
+}
+
+// An event already queued at exactly now()+d is older, so it runs first and
+// the Delay must suspend behind it.
+TEST(EngineTest, DelaySuspendsBehindHeapEventAtSameWakeup) {
+  Engine e;
+  std::vector<std::pair<std::string, SimTime>> log;
+  e.Spawn(LogAfter(e, 100, "first", log));
+  e.Spawn(LogAfter(e, 100, "second", log));
+  EXPECT_EQ(e.Run(), 4u);  // two spawns, two wake-ups
+  EXPECT_EQ(log, (std::vector<std::pair<std::string, SimTime>>{{"first", 100},
+                                                                {"second", 100}}));
+}
+
+// A same-time ready event runs before any later wake-up, so the Delay must
+// suspend even though the heap is empty.
+TEST(EngineTest, DelaySuspendsWhileSameTimeEventIsReady) {
+  Engine e;
+  std::vector<std::pair<std::string, SimTime>> log;
+  e.Spawn(LogAfter(e, 10, "delayed", log));
+  e.Spawn(LogAfter(e, 0, "ready", log));
+  EXPECT_EQ(e.Run(), 3u);
+  EXPECT_EQ(log, (std::vector<std::pair<std::string, SimTime>>{{"ready", 0},
+                                                                {"delayed", 10}}));
+}
+
+// The analysis hooks see every Delay await, including one that continues in
+// place (the lock analyzer flags a Delay under a lock through this hook).
+TEST(EngineTest, DelayInPlaceStillReportsTheAwait) {
+  struct Counter {
+    int delays = 0;
+  } counter;
+  SimAnalysisHooks hooks;
+  hooks.ctx = &counter;
+  hooks.on_await = [](void* ctx, const void*, const char*, AwaitKind kind, TaskId) {
+    if (kind == AwaitKind::kDelay) ++static_cast<Counter*>(ctx)->delays;
+  };
+  SetAnalysisHooks(&hooks);
+  Engine e;
+  std::vector<SimTime> times;
+  e.Spawn(RecordTimes(e, times));
+  EXPECT_EQ(e.Run(), 1u);
+  SetAnalysisHooks(nullptr);
+  EXPECT_EQ(counter.delays, 2);
 }
 
 }  // namespace

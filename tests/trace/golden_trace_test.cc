@@ -1,7 +1,8 @@
-// Golden-trace regression test: one canonical scenario, fingerprinted by the
-// trace hash plus per-type event counts, checked against a golden file in the
-// source tree. Any behavioral change to the fault path, evictors, allocators
-// or fabric shows up here as a readable per-counter diff.
+// Golden-trace regression test: a canonical read scenario plus a write scan
+// on two kernels, each fingerprinted by the trace hash plus per-type event
+// counts and checked against a golden file in the source tree. Any behavioral
+// change to the fault path, evictors, allocators or fabric shows up here as a
+// readable per-counter diff.
 //
 // Intentional behavior changes: regenerate with
 //   MAGESIM_UPDATE_GOLDEN=1 ./build/tests/golden_trace_test
@@ -16,24 +17,25 @@
 #include <string>
 
 #include "src/core/farmem.h"
+#include "src/paging/kernels.h"
 #include "src/trace/trace.h"
 #include "src/workloads/seqscan.h"
 
 namespace magesim {
 namespace {
 
-std::string GoldenPath() {
-  return std::string(MAGESIM_GOLDEN_DIR) + "/seqscan_magelib.golden";
+std::string GoldenPath(const std::string& name) {
+  return std::string(MAGESIM_GOLDEN_DIR) + "/" + name + ".golden";
 }
 
-// Canonical scenario: a small sequential scan at 40% far memory on the
-// MAGE-library config. Small enough to run in <1s, rich enough to exercise
-// faults, prefetch, pipelined eviction, shootdowns and both RDMA directions.
-std::map<std::string, uint64_t> RunCanonical() {
-  SeqScanWorkload wl(
-      SeqScanWorkload::Options{.region_pages = 2048, .threads = 2, .passes = 2});
+// A small sequential scan at 40% far memory. Small enough to run in <1s, rich
+// enough to exercise faults, prefetch, eviction and shootdowns; a write scan
+// dirties every page, so every evicted page is written back over RDMA.
+std::map<std::string, uint64_t> RunScan(const KernelConfig& kernel, bool write) {
+  SeqScanWorkload wl(SeqScanWorkload::Options{
+      .region_pages = 2048, .threads = 2, .passes = 2, .write = write});
   FarMemoryMachine::Options opt;
-  opt.kernel = MageLibConfig();
+  opt.kernel = kernel;
   opt.local_mem_ratio = 0.6;
   opt.seed = 1;
 
@@ -72,25 +74,27 @@ std::map<std::string, uint64_t> LoadGolden(const std::string& path) {
   return g;
 }
 
-void SaveGolden(const std::string& path, const std::map<std::string, uint64_t>& fp) {
+void SaveGolden(const std::string& path, const std::string& what,
+                const std::map<std::string, uint64_t>& fp) {
   std::ofstream out(path);
-  out << "# Golden fingerprint for the canonical seqscan/magelib scenario.\n"
+  out << "# Golden fingerprint for the " << what << " scenario.\n"
       << "# Regenerate: MAGESIM_UPDATE_GOLDEN=1 ./build/tests/golden_trace_test\n";
   for (const auto& [k, v] : fp) out << k << "=" << v << "\n";
 }
 
-TEST(GoldenTraceTest, CanonicalScenarioMatchesGolden) {
-  std::map<std::string, uint64_t> fp = RunCanonical();
-
+// Compares `fp` with the golden `name`, or rewrites the golden (and skips)
+// under MAGESIM_UPDATE_GOLDEN.
+void CheckGolden(const std::string& name, const std::string& what,
+                 const std::map<std::string, uint64_t>& fp) {
+  const std::string path = GoldenPath(name);
   if (std::getenv("MAGESIM_UPDATE_GOLDEN") != nullptr) {
-    SaveGolden(GoldenPath(), fp);
-    GTEST_SKIP() << "golden regenerated at " << GoldenPath();
+    SaveGolden(path, what, fp);
+    GTEST_SKIP() << "golden regenerated at " << path;
   }
 
-  std::map<std::string, uint64_t> golden = LoadGolden(GoldenPath());
+  std::map<std::string, uint64_t> golden = LoadGolden(path);
   ASSERT_FALSE(golden.empty())
-      << "missing golden file " << GoldenPath()
-      << " — generate it with MAGESIM_UPDATE_GOLDEN=1";
+      << "missing golden file " << path << " — generate it with MAGESIM_UPDATE_GOLDEN=1";
 
   // Per-counter diff: report every divergent key, not just the first, so a
   // behavior change reads as "faults +312, evictions +2 batches" at a glance.
@@ -110,10 +114,27 @@ TEST(GoldenTraceTest, CanonicalScenarioMatchesGolden) {
     }
   }
   EXPECT_TRUE(diff.str().empty())
-      << "trace fingerprint diverged from golden (" << GoldenPath() << "):\n"
+      << "trace fingerprint diverged from golden (" << path << "):\n"
       << diff.str()
       << "If this change is intentional, regenerate with MAGESIM_UPDATE_GOLDEN=1 "
          "and commit the new golden.";
+}
+
+TEST(GoldenTraceTest, CanonicalScenarioMatchesGolden) {
+  CheckGolden("seqscan_magelib", "canonical seqscan/magelib",
+              RunScan(MageLibConfig(), /*write=*/false));
+}
+
+// Write scans pin the writeback path: MageLib's pipelined evictor posts each
+// batch and waits on it later, Hermit's synchronous evictor waits in place.
+TEST(GoldenTraceTest, WriteScanMageLibMatchesGolden) {
+  CheckGolden("seqscan_write_magelib", "write seqscan/magelib",
+              RunScan(MageLibConfig(), /*write=*/true));
+}
+
+TEST(GoldenTraceTest, WriteScanHermitMatchesGolden) {
+  CheckGolden("seqscan_write_hermit", "write seqscan/hermit",
+              RunScan(HermitConfig(), /*write=*/true));
 }
 
 }  // namespace
