@@ -16,7 +16,6 @@ double NormalizedAt(const KernelConfig& cfg, const MachineParams& hw, int far,
     FarMemoryMachine::Options opt;
     opt.kernel = cfg;
     opt.hw = hw;
-    opt.hw_overridden = true;
     opt.local_mem_ratio = pass == 0 ? 1.0 : 1.0 - far / 100.0;
     FarMemoryMachine m(opt, *wl);
     RunResult r = m.Run();

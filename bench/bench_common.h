@@ -8,27 +8,43 @@
 // Debugging: set MAGESIM_CHECK_INTERVAL_US=<us> to run every simulation in a
 // harness under the invariant checker (src/check/) at that period, plus a
 // final check when each run drains — no code changes needed. Violations show
-// up in RunResult::invariant_violations; see docs/INTERNALS.md.
+// up in RunResult::invariant_violations; see docs/INTERNALS.md. Every other
+// MAGESIM_* machine knob (src/core/knobs.h) works the same way.
 #ifndef MAGESIM_BENCH_BENCH_COMMON_H_
 #define MAGESIM_BENCH_BENCH_COMMON_H_
 
+#include <algorithm>
+#include <climits>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <stdexcept>
 #include <string>
 
 #include "src/core/farmem.h"
 #include "src/core/ideal_model.h"
 #include "src/core/report.h"
 #include "src/paging/kernels.h"
+#include "src/sim/parse.h"
 
 namespace magesim {
+
+// Runs `parse` on a harness environment knob; a bad value is a named error
+// and exit status 2, never a silent default.
+template <typename F>
+auto ParseBenchEnvOrExit(F parse) {
+  try {
+    return parse();
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    std::exit(2);
+  }
+}
 
 inline double BenchScale() {
   const char* s = std::getenv("MAGESIM_SCALE");
   if (s == nullptr) return 1.0;
-  double v = std::atof(s);
-  return v > 0 ? v : 1.0;
+  return ParseBenchEnvOrExit([s] { return ParsePositiveNumber("MAGESIM_SCALE", s); });
 }
 
 inline uint64_t Scaled(uint64_t base) {
@@ -50,22 +66,19 @@ struct BenchReps {
 };
 
 inline BenchReps BenchRepsFromEnv(int default_warmup, int default_measure) {
-  BenchReps r{default_warmup, default_measure, false};
   const char* s = std::getenv("MAGESIM_BENCH_REPS");
-  if (s == nullptr || *s == '\0') return r;
-  int w = -1, m = -1;
-  if (std::sscanf(s, "%d:%d", &w, &m) == 2) {
-    if (w >= 0 && m > 0) {
-      r.warmup = w;
-      r.measure = m;
-      r.from_env = true;
-    }
-  } else if (std::sscanf(s, "%d", &m) == 1 && m > 0) {
-    r.warmup = m / 4 > 0 ? m / 4 : 1;
-    r.measure = m;
-    r.from_env = true;
-  }
-  return r;
+  if (s == nullptr || *s == '\0') return {default_warmup, default_measure, false};
+  return ParseBenchEnvOrExit([text = std::string(s)] {
+    const char* name = "MAGESIM_BENCH_REPS";
+    size_t colon = text.find(':');
+    int m = static_cast<int>(
+        ParseWholeNumber(name, colon == std::string::npos ? text : text.substr(colon + 1), 1,
+                         INT_MAX));
+    int w = colon == std::string::npos
+                ? std::max(1, m / 4)
+                : static_cast<int>(ParseWholeNumber(name, text.substr(0, colon), 0, INT_MAX));
+    return BenchReps{w, m, true};
+  });
 }
 
 // Offloading sweep used by most application figures (percent far memory).

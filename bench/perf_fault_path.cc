@@ -11,7 +11,6 @@
 // report is named fault_path_spans — tracking the enabled-overhead of the
 // span tracer against the fault_path baseline.
 #include <cstdint>
-#include <cstdlib>
 #include <vector>
 
 #include "bench/perf_common.h"
@@ -25,6 +24,7 @@ struct Outcome {
   uint64_t evicted = 0;
   uint64_t events = 0;
   uint64_t sim_ns = 0;
+  bool spans = false;
 };
 
 Outcome RunOnce() {
@@ -44,6 +44,7 @@ Outcome RunOnce() {
   o.evicted = r.evicted_pages;
   o.events = m.engine().events_processed();
   o.sim_ns = static_cast<uint64_t>(r.sim_seconds * 1e9 + 0.5);
+  o.spans = m.spans() != nullptr;
   return o;
 }
 
@@ -68,9 +69,7 @@ int main() {
     out = got;
   }
 
-  const char* spans_env = std::getenv("MAGESIM_SPANS");
-  bool spans_on = spans_env != nullptr && spans_env[0] != '0';
-  PerfReport r(spans_on ? "fault_path_spans" : "fault_path", reps);
+  PerfReport r(out.spans ? "fault_path_spans" : "fault_path", reps);
   r.Sim("faults_per_rep", out.faults);
   r.Sim("evicted_pages_per_rep", out.evicted);
   r.Sim("events_per_rep", out.events);

@@ -1,56 +1,18 @@
 // magesim_cli: run any workload on any system variant from the command line.
 //
-//   magesim_cli --workload=pagerank --system=magelib --far=50 [--threads=48]
-//   magesim_cli --workload=trace --trace-file=prod.trc --system=hermit --far=30
-//   magesim_cli --workload=zipf-trace --system=dilos --far=40 --save-trace=out.trc
-//   magesim_cli --workload=seqscan --system=magelib --trace=events.jsonl
-//               --check-interval=100
-//   magesim_cli --tenant='lat:4:0.4:latency=seqscan/2,pages=4096,passes=64'
-//               --tenant='bg:1:0.8:batch=gups/2' --system=magelib --far=50
+//   magesim_cli --workload=pagerank --system=magelib --far=50 --threads=48
 //
-// Workloads come from the registry (src/workloads/registry.h); run
-// --list-workloads for names, descriptions and per-workload options, and pass
-// overrides with --workload-opts=key=val,key=val. "trace" requires
-// --trace-file.
-// Systems:   ideal, hermit, dilos, magelnx, magelib, fastswap.
-//
-// Multi-tenancy (src/tenancy):
-//   --tenant=spec         attach a memory control group running its own
-//                         workload; repeat the flag once per tenant. Spec
-//                         grammar: name:weight:limit[:soft]:qos=workload
-//                         [/threads][,key=val...] — see src/tenancy/
-//                         tenant_spec.h. MAGESIM_TENANCY overrides.
-// Debugging:
-//   --trace=path          write every simulation event as JSONL
-//   --trace-chrome=path   write a chrome://tracing / Perfetto JSON timeline
-//   --check-interval=us   run the invariant checker every N simulated µs
-//   --check               run one invariant check after the simulation drains
-// Fault injection (src/resilience):
-//   --fault-plan=spec     compact spec, JSON, or @file: e.g.
-//                         "brownout@2ms-6ms:bw=0.2;crash@10ms-12ms"
-//   --terminal=poison|fail  policy when a demand read exhausts retries
-//   --seed=N              simulation seed (default 1)
-// Observability:
-//   --metrics-out=path       write the JSON run-report
-//   --metrics-csv=path       write the sampler time series as CSV
-//   --metrics-prom=path      write a Prometheus text exposition
-//   --sample-interval-us=N   sampling period (default 1000)
-//   --progress               print a per-sample progress line to stderr
-// Span tracing (src/spans):
-//   --spans                  enable causal span tracing + tail attribution
-//   --spans-out=path         stream every span tree as JSONL (implies --spans;
-//                            feed to tools/span_view.py)
-//   --spans-top-k=N          slowest exemplars kept per op kind (default 8)
-//   --spans-sample=N         trace every Nth root op per kind (default 16;
-//                            1 = full fidelity, deterministic either way)
-// Unknown --flags are rejected (no silent typo-ignoring).
-// Exit status is nonzero if any invariant violation was detected.
+// `magesim_cli --help` lists every flag: the CLI's own (kCliFlags below) and
+// the machine knobs of src/core/knobs.h. Bad input exits 2 with an error
+// naming the flag; an invariant or lock-discipline violation, or an aborted
+// run, exits 1.
 #include <climits>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <map>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -58,64 +20,70 @@
 #include "src/trace/trace.h"
 
 #include "src/core/farmem.h"
+#include "src/core/knobs.h"
+#include "src/sim/parse.h"
 #include "src/tenancy/tenant_spec.h"
 #include "src/workloads/registry.h"
 #include "src/workloads/trace.h"
 
 namespace {
 
-// Every flag the CLI understands. Anything else is rejected with an error
-// (a typo'd --span-out silently running an un-traced simulation wastes far
-// more time than the check costs).
-constexpr const char* kKnownFlags[] = {
-    "list-workloads", "workload",       "system",        "far",
-    "threads",        "workload-opts",  "trace-file",    "save-trace",
-    "tenant",         "seed",           "fault-plan",    "terminal",
-    "check-interval", "check",          "analysis",      "metrics-out",
-    "metrics-csv",    "metrics-prom",   "sample-interval-us",
-    "progress",       "trace",          "trace-chrome",  "spans",
-    "spans-out",      "spans-top-k",    "spans-sample",  "fleet-nodes",
-    "fleet-replicas", "fleet-rebuild-gbps",
+// The CLI's own flags; every other --name=value is a machine knob.
+struct CliFlag {
+  const char* name;
+  const char* value;  // value placeholder, "" for a bare flag
+  const char* doc;
+};
+constexpr CliFlag kCliFlags[] = {
+    {"workload", "=<name>", "workload from the registry (see --list-workloads)"},
+    {"threads", "=<1..>", "application threads (default 24)"},
+    {"workload-opts", "=<k=v,...>", "workload options, e.g. file=prod.trc for --workload=trace"},
+    {"tenant", "=<spec>",
+     "attach a memory control group running its own workload; repeat once per tenant:\n"
+     "      name:weight:limit[:soft]:qos=workload[/threads][,k=v...] (src/tenancy/tenant_spec.h)"},
+    {"trace", "=<path>", "write every simulation event as JSONL"},
+    {"trace-chrome", "=<path>", "write a chrome://tracing / Perfetto JSON timeline"},
+    {"save-trace", "=<path>", "save a trace-backed workload's access trace (replay: file=<path>)"},
+    {"list-workloads", "", "list the workloads and their options"},
+    {"help", "", "print this help"},
 };
 
-bool IsKnownFlag(const std::string& name) {
-  for (const char* f : kKnownFlags) {
-    if (name == f) return true;
+bool IsCliFlag(const std::string& name) {
+  for (const CliFlag& f : kCliFlags) {
+    if (name == f.name) return true;
   }
   return false;
 }
 
-// Returns false (after printing the offender) on any unknown --flag.
-bool ParseArgs(int argc, char** argv, std::map<std::string, std::string>* args) {
-  for (int i = 1; i < argc; ++i) {
-    std::string a = argv[i];
-    if (a.rfind("--", 0) != 0) continue;
-    size_t eq = a.find('=');
-    std::string name = eq == std::string::npos ? a.substr(2) : a.substr(2, eq - 2);
-    if (!IsKnownFlag(name)) {
-      std::fprintf(stderr, "unknown option --%s\n", name.c_str());
-      return false;
-    }
-    if (eq == std::string::npos) {
-      // insert_or_assign rather than operator[]= : the latter trips a GCC 12
-      // -Wrestrict false positive (PR105329) when the char* assign inlines.
-      args->insert_or_assign(name, std::string("1"));
-    } else {
-      args->insert_or_assign(name, a.substr(eq + 1));
-    }
+// "=<0..100>", "[=0|1]", ...: what a knob's value may be.
+std::string ValueHint(const magesim::Knob& k) {
+  switch (k.kind) {
+    case magesim::KnobKind::kWhole:
+      return "=<" + std::to_string(k.lo) + ".." + (k.hi < INT_MAX ? std::to_string(k.hi) : "") +
+             ">";
+    case magesim::KnobKind::kPositive:
+      return "=<number > 0>";
+    case magesim::KnobKind::kBool:
+      return "[=0|1]";
+    case magesim::KnobKind::kText:
+      break;
   }
-  return true;
+  return std::string("=<") + (k.choices != nullptr ? k.choices : "text") + ">";
 }
 
-// ParseArgs collapses repeated flags; --tenant legitimately repeats, so it
-// gets its own pass over argv.
-std::vector<std::string> CollectTenantSpecs(int argc, char** argv) {
-  std::vector<std::string> specs;
-  for (int i = 1; i < argc; ++i) {
-    std::string a = argv[i];
-    if (a.rfind("--tenant=", 0) == 0) specs.push_back(a.substr(std::strlen("--tenant=")));
+void PrintHelp() {
+  std::printf(
+      "usage: magesim_cli --workload=<name> [--flag=value]...\n"
+      "       magesim_cli --tenant=<spec> [--tenant=<spec>]... [--flag=value]...\n"
+      "defaults: --system=magelib --far=30 --threads=24, a 5 s simulated time limit\n\n");
+  for (const CliFlag& f : kCliFlags) std::printf("  --%s%s\n      %s\n", f.name, f.value, f.doc);
+  std::printf("\nmachine knobs (src/core/knobs.h); a MAGESIM_* variable sets its knob in any\n"
+              "harness and overrides the flag:\n");
+  for (const magesim::Knob& k : magesim::Knobs()) {
+    std::string names = k.flag != nullptr ? std::string("--") + k.flag : "";
+    if (k.env != nullptr) names += (names.empty() ? "" : ", ") + std::string(k.env);
+    std::printf("  %s%s\n      %s\n", names.c_str(), ValueHint(k).c_str(), k.doc);
   }
-  return specs;
 }
 
 std::string Get(const std::map<std::string, std::string>& args, const std::string& key,
@@ -147,53 +115,56 @@ int ListWorkloadsMain() {
   return 0;
 }
 
-int Usage() {
-  std::fprintf(stderr,
-               "usage: magesim_cli --workload=<name> --system=<name> [--far=<pct>]\n"
-               "                   [--threads=N] [--workload-opts=k=v,...]\n"
-               "                   [--tenant=spec]... [--list-workloads]\n"
-               "                   [--trace-file=path] [--save-trace=path]\n"
-               "                   [--trace=events.jsonl] [--trace-chrome=timeline.json]\n"
-               "                   [--check-interval=us] [--check] [--analysis]\n"
-               "                   [--metrics-out=report.json] [--metrics-csv=series.csv]\n"
-               "                   [--metrics-prom=metrics.txt] [--sample-interval-us=N]\n"
-               "                   [--progress] [--fault-plan=spec|@file]\n"
-               "                   [--terminal=poison|fail] [--seed=N]\n"
-               "                   [--spans] [--spans-out=spans.jsonl] [--spans-top-k=N]\n"
-               "                   [--spans-sample=N] [--fleet-nodes=N]\n"
-               "                   [--fleet-replicas=K] [--fleet-rebuild-gbps=G]\n"
-               "workloads: see --list-workloads (trace requires --trace-file)\n"
-               "systems:   ideal hermit dilos magelnx magelib fastswap\n"
-               "tenants:   --tenant=name:weight:limit[:soft]:qos=workload[/threads][,k=v...]\n");
-  return 2;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   using namespace magesim;
-  std::map<std::string, std::string> args;
-  if (!ParseArgs(argc, argv, &args)) return Usage();
+  // A bare --flag means "1". The knob defaults are the CLI's, not Options'.
+  std::map<std::string, std::string> args, knobs = {{"system", "magelib"}, {"far", "30"}};
+  std::vector<std::string> tenant_specs;  // --tenant repeats
+  for (int i = 1; i < argc; ++i) {
+    std::string a = argv[i];
+    if (a.rfind("--", 0) != 0) continue;
+    size_t eq = a.find('=');
+    std::string name = a.substr(2, eq == std::string::npos ? eq : eq - 2);
+    std::string value = eq == std::string::npos ? "1" : a.substr(eq + 1);
+    if (name == "tenant") {
+      tenant_specs.push_back(value);
+    } else {
+      // insert_or_assign rather than operator[]= : the latter trips a GCC 12
+      // -Wrestrict false positive (PR105329) when the char* assign inlines.
+      (IsCliFlag(name) ? args : knobs).insert_or_assign(name, value);
+    }
+  }
+  if (args.count("help") != 0) {
+    PrintHelp();
+    return 0;
+  }
   if (args.count("list-workloads") != 0) return ListWorkloadsMain();
 
-  std::string wname = Get(args, "workload", "");
-  std::string sname = Get(args, "system", "magelib");
-  int far = 0, threads = 0;
-  uint64_t seed = 0;
-  int64_t check_us = 0;
+  FarMemoryMachine::Options opt;
+  opt.time_limit = 5 * kSecond;  // safety stop for open-ended workloads
+  int threads = 0;
   try {
-    far = static_cast<int>(ParseWholeNumber("--far", Get(args, "far", "30"), 0, 100));
+    // Table order, so flags combine the way their environment spellings do.
+    for (const Knob& k : Knobs()) {
+      auto it = k.flag != nullptr ? knobs.find(k.flag) : knobs.end();
+      if (it == knobs.end()) continue;
+      ApplyKnob(k, std::string("--") + k.flag, it->second, &opt);
+      knobs.erase(it);
+    }
+    if (!knobs.empty()) throw std::invalid_argument("unknown option --" + knobs.begin()->first);
     threads =
         static_cast<int>(ParseWholeNumber("--threads", Get(args, "threads", "24"), 1, INT_MAX));
-    seed = static_cast<uint64_t>(ParseWholeNumber("--seed", Get(args, "seed", "1"), 0, INT64_MAX));
-    check_us = ParseWholeNumber("--check-interval", Get(args, "check-interval", "0"), 0,
-                                INT64_MAX / kMicrosecond);
   } catch (const std::invalid_argument& e) {
-    std::fprintf(stderr, "%s\n", e.what());
+    std::fprintf(stderr, "%s (see --help)\n", e.what());
     return 2;
   }
-  std::vector<std::string> tenant_specs = CollectTenantSpecs(argc, argv);
-  if (wname.empty() && tenant_specs.empty()) return Usage();
+  std::string wname = Get(args, "workload", "");
+  if (wname.empty() && tenant_specs.empty()) {
+    std::fprintf(stderr, "magesim_cli: give --workload=<name> or --tenant=<spec> (see --help)\n");
+    return 2;
+  }
 
   std::unique_ptr<Workload> wl;
   if (!wname.empty()) {
@@ -203,8 +174,6 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "malformed --workload-opts (expected key=val,key=val)\n");
       return 2;
     }
-    std::string tf = Get(args, "trace-file", "");
-    if (!tf.empty()) params.opts.insert_or_assign("file", tf);
     std::string werr;
     wl = MakeWorkload(wname, params, &werr);
     if (wl == nullptr) {
@@ -230,12 +199,6 @@ int main(int argc, char** argv) {
                       nullptr);
   }
 
-  FarMemoryMachine::Options opt;
-  try {
-    opt.kernel = ConfigByName(sname);
-  } catch (const std::invalid_argument&) {
-    return Usage();
-  }
   for (const std::string& s : tenant_specs) {
     TenantSpec spec;
     std::string terr;
@@ -246,65 +209,6 @@ int main(int argc, char** argv) {
     opt.tenancy.tenants.push_back(std::move(spec));
   }
   opt.tenancy.enabled = !opt.tenancy.tenants.empty();
-  opt.local_mem_ratio = 1.0 - static_cast<double>(far) / 100.0;
-  opt.time_limit = 5 * kSecond;  // safety stop for open-ended workloads
-  opt.seed = seed;
-  opt.fault_plan = Get(args, "fault-plan", "");
-  std::string terminal = Get(args, "terminal", "poison");
-  if (terminal == "fail") {
-    opt.resilience.terminal = TerminalPolicy::kFailRun;
-  } else if (terminal != "poison") {
-    return Usage();
-  }
-  try {
-    if (args.count("fleet-nodes") != 0) {
-      opt.fleet.num_nodes = static_cast<int>(
-          ParseWholeNumber("--fleet-nodes", args.at("fleet-nodes"), 1, kMaxFleetNodes));
-    }
-    if (args.count("fleet-replicas") != 0) {
-      opt.fleet.replication = static_cast<int>(
-          ParseWholeNumber("--fleet-replicas", args.at("fleet-replicas"), 1, INT_MAX));
-    }
-    if (args.count("fleet-rebuild-gbps") != 0) {
-      opt.fleet.rebuild_gbps =
-          ParsePositiveNumber("--fleet-rebuild-gbps", args.at("fleet-rebuild-gbps"));
-    }
-  } catch (const std::invalid_argument& e) {
-    std::fprintf(stderr, "%s\n", e.what());
-    return 2;
-  }
-  if (check_us > 0) opt.check_interval = check_us * kMicrosecond;
-  if (args.count("check") != 0) opt.check_final = true;
-  if (args.count("analysis") != 0) opt.analysis.enabled = true;
-
-  opt.metrics.report_path = Get(args, "metrics-out", "");
-  opt.metrics.csv_path = Get(args, "metrics-csv", "");
-  opt.metrics.prom_path = Get(args, "metrics-prom", "");
-  int64_t sample_us = 0;
-  try {
-    sample_us = ParseWholeNumber("--sample-interval-us", Get(args, "sample-interval-us", "0"),
-                                 0, INT64_MAX / kMicrosecond);
-    if (args.count("spans-top-k") != 0) {
-      opt.spans.top_k =
-          static_cast<int>(ParseWholeNumber("--spans-top-k", args.at("spans-top-k"), 0, INT_MAX));
-    }
-    if (args.count("spans-sample") != 0) {
-      opt.spans.sample_every =
-          static_cast<int>(ParseWholeNumber("--spans-sample", args.at("spans-sample"), 1, INT_MAX));
-    }
-  } catch (const std::invalid_argument& e) {
-    std::fprintf(stderr, "%s\n", e.what());
-    return 2;
-  }
-  if (sample_us > 0) opt.metrics.sample_interval = sample_us * kMicrosecond;
-  opt.metrics.progress = args.count("progress") != 0;
-  opt.metrics.enabled = !opt.metrics.report_path.empty() || !opt.metrics.csv_path.empty() ||
-                        !opt.metrics.prom_path.empty() || sample_us > 0 ||
-                        opt.metrics.progress;
-
-  opt.spans.out_path = Get(args, "spans-out", "");
-  opt.spans.enabled = args.count("spans") != 0 || !opt.spans.out_path.empty() ||
-                      args.count("spans-top-k") != 0 || args.count("spans-sample") != 0;
 
   // Install the tracer (if requested) before building the machine so the
   // checker's recent-event ring registers with it.
@@ -349,8 +253,9 @@ int main(int argc, char** argv) {
 
   // With tenancy the machine swaps in a MultiTenantWorkload; report that one.
   Workload& ran = machine.workload();
-  std::printf("workload=%s system=%s far=%d%% threads=%d\n", ran.name().c_str(), sname.c_str(),
-              far, ran.num_threads());
+  const int far = static_cast<int>(std::lround((1.0 - opt.local_mem_ratio) * 100.0));
+  std::printf("workload=%s system=%s far=%d%% threads=%d\n", ran.name().c_str(),
+              opt.kernel.name.c_str(), far, ran.num_threads());
   std::printf("sim time        %.4f s\n", r.sim_seconds);
   std::printf("throughput      %.3f M %s/s\n", r.ops_per_sec / 1e6, ran.ops_unit().c_str());
   std::printf("major faults    %llu (%.2f M/s)\n",

@@ -36,7 +36,6 @@ const char* AwaitKindName(AwaitKind k) {
     case AwaitKind::kEvent: return "event-wait";
     case AwaitKind::kSemaphore: return "semaphore-wait";
     case AwaitKind::kChannel: return "channel-wait";
-    case AwaitKind::kCondVar: return "condvar-wait";
   }
   return "await";
 }

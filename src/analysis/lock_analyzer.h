@@ -17,7 +17,7 @@
 //      manifests in this run, reported with each edge's first-acquisition
 //      backtrail. Same-class nesting is not tracked (classic lockdep limit).
 //   3. Held-across-await — holding a lock across a non-lock awaiter (RDMA
-//      completion, evictor wakeup, semaphore, channel, condvar) serializes
+//      completion, evictor wakeup, semaphore, channel) serializes
 //      unrelated progress and is reported unless allowlisted. Delay{} under a
 //      lock is the repo's intended critical-section cost model and is only
 //      flagged when AnalysisOptions::flag_delay_awaits is set.

@@ -2,12 +2,11 @@
 
 #include <algorithm>
 #include <cassert>
-#include <climits>
 #include <cstdio>
-#include <cstdlib>
 #include <ctime>
 #include <stdexcept>
 
+#include "src/core/knobs.h"
 #include "src/metrics/run_report.h"
 #include "src/workloads/multi_tenant.h"
 
@@ -45,25 +44,19 @@ std::string LoadFaultPlanText(const std::string& opt) {
 
 FarMemoryMachine::FarMemoryMachine(Options options, Workload& workload)
     : options_(std::move(options)), workload_(&workload) {
-  if (!options_.hw_overridden) {
+  ApplyEnvKnobs(&options_);  // the environment overrides the caller's Options
+  if (!options_.hw) {
     options_.hw = options_.kernel.virtualized ? VirtualizedParams() : BareMetalParams();
   }
+  const MachineParams& hw = *options_.hw;
   engine_ = std::make_unique<Engine>();
-  topo_ = std::make_unique<Topology>(options_.hw);
+  topo_ = std::make_unique<Topology>(hw);
   tlb_ = std::make_unique<TlbShootdownManager>(*topo_);
-  nic_ = std::make_unique<RdmaNic>(options_.hw);
+  nic_ = std::make_unique<RdmaNic>(hw);
 
-  // Multi-tenant memory control groups: MAGESIM_TENANCY overrides the option,
-  // and a non-empty tenant list replaces the passed workload with a
-  // machine-built composite running one workload per tenant.
-  if (const char* env = std::getenv("MAGESIM_TENANCY")) {
-    std::string err;
-    TenancyOptions topt;
-    if (!ParseTenancyList(env, &topt, &err)) {
-      throw std::invalid_argument("bad MAGESIM_TENANCY: " + err);
-    }
-    options_.tenancy = std::move(topt);
-  }
+  // Multi-tenant memory control groups: a non-empty tenant list replaces the
+  // passed workload with a machine-built composite running one workload per
+  // tenant.
   if (options_.tenancy.enabled && !options_.tenancy.tenants.empty()) {
     std::string err;
     owned_workload_ = MultiTenantWorkload::Build(&options_.tenancy.tenants, &err);
@@ -96,20 +89,8 @@ FarMemoryMachine::FarMemoryMachine(Options options, Workload& workload)
   assert(reserved);
   (void)reserved;
 
-  // Memory-server fleet: env overrides, then construction. Server 0 is the
-  // machine's own NIC/memnode pair; the fleet owns servers 1..N-1.
-  if (const char* env = std::getenv("MAGESIM_FLEET_NODES")) {
-    options_.fleet.num_nodes =
-        static_cast<int>(ParseWholeNumber("MAGESIM_FLEET_NODES", env, 1, kMaxFleetNodes));
-  }
-  if (const char* env = std::getenv("MAGESIM_FLEET_REPLICAS")) {
-    // Large values fall to the documented clamp, like Options::fleet.
-    options_.fleet.replication =
-        static_cast<int>(ParseWholeNumber("MAGESIM_FLEET_REPLICAS", env, 1, INT_MAX));
-  }
-  if (const char* env = std::getenv("MAGESIM_FLEET_REBUILD_GBPS")) {
-    options_.fleet.rebuild_gbps = ParsePositiveNumber("MAGESIM_FLEET_REBUILD_GBPS", env);
-  }
+  // Memory-server fleet. Server 0 is the machine's own NIC/memnode pair; the
+  // fleet owns servers 1..N-1.
   if (options_.fleet.num_nodes < 1 || options_.fleet.num_nodes > kMaxFleetNodes) {
     throw std::invalid_argument("fleet.num_nodes=" + std::to_string(options_.fleet.num_nodes) +
                                 ": expected 1.." + std::to_string(kMaxFleetNodes));
@@ -117,9 +98,8 @@ FarMemoryMachine::FarMemoryMachine(Options options, Workload& workload)
   FleetManager::Options fo;
   fo.num_nodes = options_.fleet.num_nodes;
   fo.replication = options_.fleet.replication;
-  fo.vnodes_per_node = options_.fleet.vnodes_per_node;
   fo.seed = options_.seed;
-  fleet_ = std::make_unique<FleetManager>(*nic_, *memnode_, options_.hw, fo);
+  fleet_ = std::make_unique<FleetManager>(*nic_, *memnode_, hw, fo);
   ResilienceOptions ro = options_.resilience;
   if (ro.seed == 0) ro.seed = options_.seed * 0x9e3779b97f4a7c15ULL + 1;
   resilience_ = std::make_unique<ResilienceManager>(*fleet_, ro);
@@ -139,9 +119,6 @@ FarMemoryMachine::FarMemoryMachine(Options options, Workload& workload)
                                      wss, tenancy_.get());
 
   // Deterministic fault injection.
-  if (const char* env = std::getenv("MAGESIM_FAULT_PLAN")) {
-    options_.fault_plan = env;
-  }
   std::string plan_text = LoadFaultPlanText(options_.fault_plan);
   if (!plan_text.empty()) {
     std::string err;
@@ -184,12 +161,6 @@ FarMemoryMachine::FarMemoryMachine(Options options, Workload& workload)
   }
   kernel_->Prepopulate(resident);
 
-  // Env override lets any existing harness run checked without code changes.
-  if (const char* env = std::getenv("MAGESIM_CHECK_INTERVAL_US")) {
-    int64_t us = ParseWholeNumber("MAGESIM_CHECK_INTERVAL_US", env, 0, INT64_MAX / kMicrosecond);
-    if (us > 0) options_.check_interval = us * kMicrosecond;
-    options_.check_final = true;
-  }
   if (options_.check_interval > 0 || options_.check_final) {
     trace_ring_ = std::make_unique<TraceRingBuffer>(4096);
     if (Tracer::Get() != nullptr) {
@@ -199,11 +170,6 @@ FarMemoryMachine::FarMemoryMachine(Options options, Workload& workload)
         *kernel_, Tracer::Get() != nullptr ? trace_ring_.get() : nullptr);
   }
 
-  // MAGESIM_ANALYSIS force-enables the lock-discipline analyzer ("0"
-  // disables it, overriding an analysis-build default).
-  if (const char* env = std::getenv("MAGESIM_ANALYSIS")) {
-    options_.analysis.enabled = env[0] != '0';
-  }
   if (options_.analysis.enabled) {
     AnalysisOptions ao;
     ao.abort_on_violation = options_.analysis.abort_on_violation;
@@ -211,56 +177,12 @@ FarMemoryMachine::FarMemoryMachine(Options options, Workload& workload)
     analyzer_->Install();  // uninstalled by ~LockAnalyzer
   }
 
-  // Each MAGESIM_METRICS_* override force-enables the metrics subsystem.
-  auto& mo = options_.metrics;
-  if (const char* env = std::getenv("MAGESIM_METRICS_OUT")) {
-    mo.report_path = env;
-    mo.enabled = true;
-  }
-  if (const char* env = std::getenv("MAGESIM_METRICS_CSV")) {
-    mo.csv_path = env;
-    mo.enabled = true;
-  }
-  if (const char* env = std::getenv("MAGESIM_METRICS_PROM")) {
-    mo.prom_path = env;
-    mo.enabled = true;
-  }
-  if (const char* env = std::getenv("MAGESIM_METRICS_SAMPLE_INTERVAL_US")) {
-    int64_t us =
-        ParseWholeNumber("MAGESIM_METRICS_SAMPLE_INTERVAL_US", env, 0, INT64_MAX / kMicrosecond);
-    if (us > 0) mo.sample_interval = us * kMicrosecond;
-    mo.enabled = true;
-  }
-  if (const char* env = std::getenv("MAGESIM_METRICS_PROGRESS")) {
-    mo.progress = env[0] != '0';
-    mo.enabled = true;
-  }
-  // Each MAGESIM_SPANS* override force-enables span tracing.
-  auto& so = options_.spans;
-  if (const char* env = std::getenv("MAGESIM_SPANS")) {
-    so.enabled = env[0] != '0';
-  }
-  if (const char* env = std::getenv("MAGESIM_SPANS_OUT")) {
-    so.out_path = env;
-    so.enabled = true;
-  }
-  if (const char* env = std::getenv("MAGESIM_SPANS_TOP_K")) {
-    so.top_k = static_cast<int>(ParseWholeNumber("MAGESIM_SPANS_TOP_K", env, 0, INT_MAX));
-    so.enabled = true;
-  }
-  if (const char* env = std::getenv("MAGESIM_SPANS_SAMPLE")) {
-    so.sample_every = static_cast<int>(ParseWholeNumber("MAGESIM_SPANS_SAMPLE", env, 1, INT_MAX));
-    so.enabled = true;
-  }
-  if (so.enabled) {
-    SpanTracer::Options sto;
-    sto.out_path = so.out_path;
-    sto.top_k = so.top_k;
-    sto.sample_every = so.sample_every;
-    spans_ = std::make_unique<SpanTracer>(sto);
+  if (options_.spans.enabled) {
+    spans_ = std::make_unique<SpanTracer>(options_.spans);
     spans_->Install();  // uninstalled by ~SpanTracer
   }
 
+  auto& mo = options_.metrics;
   if (mo.enabled) {
     if (mo.sample_interval <= 0) mo.sample_interval = kMillisecond;
     metrics_ = std::make_unique<MetricsRegistry>();

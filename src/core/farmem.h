@@ -13,6 +13,7 @@
 #define MAGESIM_CORE_FARMEM_H_
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -27,7 +28,6 @@
 #include "src/paging/kernels.h"
 #include "src/resilience/fault_injector.h"
 #include "src/resilience/rebuild.h"
-#include "src/sim/parse.h"
 #include "src/resilience/resilient_rdma.h"
 #include "src/spans/spans.h"
 #include "src/tenancy/memcg.h"
@@ -36,8 +36,8 @@
 
 namespace magesim {
 
-// Per-tenant slice of a multi-tenant run (empty unless Options::tenancy /
-// MAGESIM_TENANCY attached memory control groups).
+// Per-tenant slice of a multi-tenant run (empty unless Options::tenancy
+// attached memory control groups).
 struct TenantRunResult {
   std::string name;
   QosClass qos = QosClass::kNormal;
@@ -97,8 +97,7 @@ struct RunResult {
   uint64_t invariant_violations = 0;
   std::string first_violation;  // empty when clean
 
-  // Lock-discipline analysis (when Options::analysis / MAGESIM_ANALYSIS
-  // enabled; zero otherwise).
+  // Lock-discipline analysis (when Options::analysis enabled; zero otherwise).
   uint64_t analysis_locks = 0;        // lock instances seen
   uint64_t analysis_order_edges = 0;  // acquisition-order digraph edges
   uint64_t analysis_violations = 0;
@@ -133,14 +132,17 @@ struct RunResult {
 
 class FarMemoryMachine {
  public:
+  // The settings with a magesim_cli flag or a MAGESIM_* environment variable
+  // are rows of the knob table (src/core/knobs.h); the environment overrides
+  // what the caller set here.
   struct Options {
     KernelConfig kernel;
     // Fraction of the working set kept in local DRAM; (1 - ratio) is the
     // paper's "X% far memory".
     double local_mem_ratio = 1.0;
-    // Hardware preset; kernel.virtualized selects VM-exit costs by default.
-    MachineParams hw = MachineParams{};
-    bool hw_overridden = false;
+    // Hardware preset; unset, kernel.virtualized picks VirtualizedParams() or
+    // BareMetalParams().
+    std::optional<MachineParams> hw;
     uint64_t seed = 1;
     // Hard stop (simulated time); 0 = run until the workload completes.
     SimTime time_limit = 0;
@@ -149,20 +151,11 @@ class FarMemoryMachine {
     // measurement for open-ended workloads.
     SimTime stats_warmup = 0;
     // Run the invariant checker every `check_interval` ns of simulated time
-    // (0 = no periodic checks). The MAGESIM_CHECK_INTERVAL_US environment
-    // variable, when set, overrides this — so every existing harness can be
-    // re-run checked without code changes.
+    // (0 = no periodic checks).
     SimTime check_interval = 0;
     // Run one final check after the simulation drains.
     bool check_final = false;
     // Unified observability (src/metrics): registry + profiler + sampler.
-    // Each MAGESIM_METRICS_* environment override also force-enables the
-    // subsystem, so any existing harness can emit a run-report unchanged:
-    //   MAGESIM_METRICS_OUT=report.json   JSON run-report path
-    //   MAGESIM_METRICS_CSV=series.csv    sampler time-series CSV path
-    //   MAGESIM_METRICS_PROM=metrics.txt  Prometheus text exposition path
-    //   MAGESIM_METRICS_SAMPLE_INTERVAL_US=500   sampling period
-    //   MAGESIM_METRICS_PROGRESS=1        per-sample stderr progress line
     struct MetricsOptions {
       bool enabled = false;
       // 0 = 1 ms default when enabled.
@@ -175,29 +168,21 @@ class FarMemoryMachine {
     MetricsOptions metrics;
 
     // Causal span tracing with critical-path tail attribution (src/spans).
-    // Each MAGESIM_SPANS* environment override also force-enables it:
-    //   MAGESIM_SPANS=1                   enable ("0" disables)
-    //   MAGESIM_SPANS_OUT=spans.jsonl     JSONL span export path
-    //   MAGESIM_SPANS_TOP_K=16            slowest exemplars per op kind
     // Enabling spans adds a `tail` section to the JSON run-report and
     // spans.* counters to the registry; with spans disabled every golden
     // and benchmark is byte-identical to a build without the subsystem.
-    struct SpansOptions {
+    // Sampling every 32nd root op keeps spans-on perf_fault_path within the
+    // ≤5% faults/sec budget; set sample_every = 1 for full fidelity.
+    struct SpansOptions : SpanTracer::Options {
+      SpansOptions() { sample_every = 32; }
       bool enabled = false;
-      std::string out_path;  // JSONL span export ("" = don't write)
-      int top_k = 8;
-      // Trace every Nth root op per kind (deterministic head sampling).
-      // The enabled-by-default rate keeps spans-on perf_fault_path within
-      // the ≤5% faults/sec budget; set 1 for full fidelity (tests, goldens).
-      int sample_every = 32;
     };
     SpansOptions spans;
 
     // Simulated-time lock-discipline analysis (src/analysis): ownership,
     // guarded-state, lock-order and held-across-await checking on every sim
-    // lock. The MAGESIM_ANALYSIS environment variable force-enables it ("0"
-    // disables), and building with -DMAGESIM_ANALYSIS=ON flips the
-    // compile-time default so the whole test suite runs analyzed.
+    // lock. Building with -DMAGESIM_ANALYSIS=ON flips the compile-time default
+    // so the whole test suite runs analyzed.
     struct AnalysisConfig {
 #ifdef MAGESIM_ANALYSIS_DEFAULT_ON
       bool enabled = true;
@@ -211,11 +196,10 @@ class FarMemoryMachine {
     AnalysisConfig analysis;
 
     // Deterministic fault injection: a FaultPlan spec/JSON string, or
-    // "@path" to load one from a file. The MAGESIM_FAULT_PLAN environment
-    // variable overrides this. Parse errors throw std::invalid_argument from
-    // the constructor. A non-empty plan attaches the injector as every
-    // server NIC's fault model, which puts remote ops under deadlines,
-    // retries and circuit breakers.
+    // "@path" to load one from a file. Parse errors throw
+    // std::invalid_argument from the constructor. A non-empty plan attaches
+    // the injector as every server NIC's fault model, which puts remote ops
+    // under deadlines, retries and circuit breakers.
     std::string fault_plan;
     // Retry/breaker/terminal-policy tuning. `resilience.seed == 0` derives a
     // stream from Options::seed.
@@ -224,13 +208,10 @@ class FarMemoryMachine {
     // Memory-server fleet: shard the far side over `num_nodes` servers with
     // `replication`-way replicated slots and a background rebuild driver.
     // The default is a fleet of one server (the machine's own NIC and memory
-    // node). Environment overrides: MAGESIM_FLEET_NODES,
-    // MAGESIM_FLEET_REPLICAS, MAGESIM_FLEET_REBUILD_GBPS (each a whole number
-    // > 0; anything else throws std::invalid_argument).
+    // node).
     struct FleetConfig {
       int num_nodes = 1;       // [1, kMaxFleetNodes], else the constructor throws
       int replication = 2;     // clamped to [1, min(num_nodes, kMaxReplicas)]
-      int vnodes_per_node = 64;
       double rebuild_gbps = 10.0;  // background re-replication pacing
     };
     FleetConfig fleet;
@@ -240,9 +221,7 @@ class FarMemoryMachine {
     // constructor with a MultiTenantWorkload built from the specs, attaches
     // a TenancyManager to the kernel (per-tenant accounting, QoS-aware
     // victim selection, hard-limit admission, balance controller), and fills
-    // RunResult::tenants. The MAGESIM_TENANCY environment variable
-    // (';'-separated spec list, see src/tenancy/tenant_spec.h) overrides
-    // this, so any existing harness can be run multi-tenant unchanged.
+    // RunResult::tenants.
     TenancyOptions tenancy;
   };
 
@@ -259,12 +238,12 @@ class FarMemoryMachine {
   // With tenancy attached this is the machine-built MultiTenantWorkload, not
   // the workload passed to the constructor.
   Workload& workload() { return *workload_; }
-  // Null unless tenancy was enabled via Options or MAGESIM_TENANCY.
+  // Null unless tenancy was enabled.
   TenancyManager* tenancy() { return tenancy_.get(); }
   const std::vector<std::unique_ptr<AppThread>>& threads() const { return threads_; }
-  // Null unless checking was enabled via Options or MAGESIM_CHECK_INTERVAL_US.
+  // Null unless checking was enabled.
   InvariantChecker* checker() { return checker_.get(); }
-  // Null unless analysis was enabled via Options or MAGESIM_ANALYSIS.
+  // Null unless analysis was enabled.
   LockAnalyzer* analyzer() { return analyzer_.get(); }
   // The far-memory data path and its memory-server fleet (never null).
   ResilienceManager* resilience() { return resilience_.get(); }
@@ -274,9 +253,9 @@ class FarMemoryMachine {
   MemoryNode& memnode() { return *memnode_; }
   // Null unless the fleet has more than one server.
   RebuildDriver* rebuild() { return rebuild_.get(); }
-  // Null unless metrics were enabled via Options or MAGESIM_METRICS_*.
+  // Null unless metrics were enabled.
   MetricsRegistry* metrics() { return metrics_.get(); }
-  // Null unless spans were enabled via Options or MAGESIM_SPANS*.
+  // Null unless spans were enabled.
   SpanTracer* spans() { return spans_.get(); }
   SimProfiler* profiler() { return profiler_.get(); }
   MetricsSampler* sampler() { return sampler_.get(); }

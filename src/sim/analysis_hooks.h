@@ -28,7 +28,6 @@ enum class AwaitKind : int {
   kEvent,       // SimEvent (RDMA completions, evictor wakeups, latches, ...)
   kSemaphore,   // SimSemaphore::Acquire
   kChannel,     // Channel<T> push/pop waits
-  kCondVar,     // SimCondVar::Wait
 };
 
 struct SimAnalysisHooks {

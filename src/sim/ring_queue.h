@@ -1,7 +1,7 @@
 // Flat ring-buffer FIFO replacing std::deque in the simulation hot path.
 //
 // std::deque allocates a map block plus ~512-byte node chunks per queue; the
-// sync primitives (mutex/semaphore/condvar waiter queues, channels) create
+// sync primitives (mutex/semaphore waiter queues, channels) create
 // thousands of them and push/pop on every contended handoff. RingQueue keeps
 // elements in one contiguous power-of-two buffer that grows by doubling and
 // is reused for the queue's whole lifetime: steady-state push/pop never

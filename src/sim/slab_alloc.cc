@@ -1,7 +1,6 @@
 #include "src/sim/slab_alloc.h"
 
 #include <cassert>
-#include <cstdlib>
 #include <new>
 
 #include "src/sim/prof_counters.h"
@@ -31,34 +30,18 @@ struct State {
   char* bump = nullptr;
   char* bump_end = nullptr;
   SlabStats stats;
-  // Tri-state so the env lookup stays off the hot path without a
-  // function-local static (whose thread-safe guard showed up in profiles at
-  // millions of calls per run): -1 = not yet consulted.
-  int enabled = -1;
+#ifdef MAGESIM_SLAB_DEFAULT_OFF
+  bool enabled = false;
+#else
+  bool enabled = true;
+#endif
 };
 
-// constinit: zero-initialized before any code runs, so allocations during
-// static initialization of other TUs are safe.
+// constinit: initialized before any code runs, so allocations during static
+// initialization of other TUs are safe.
 constinit State g_state;
 
-void InitEnabled(State& s) {
-#ifdef MAGESIM_SLAB_DEFAULT_OFF
-  s.enabled = 0;
-#else
-  s.enabled = 1;
-#endif
-  if (const char* e = std::getenv("MAGESIM_SLAB")) {
-    s.enabled = !(e[0] == '0' && e[1] == '\0') ? 1 : 0;
-  }
-}
-
-State& S() {
-  State& s = g_state;
-  if (s.enabled < 0) [[unlikely]] {
-    InitEnabled(s);
-  }
-  return s;
-}
+State& S() { return g_state; }
 
 // Rounds a gross size (user + header) up to its size class; kNumClasses for
 // oversize requests.

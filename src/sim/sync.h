@@ -269,12 +269,6 @@ class SimSharedMutex {
     return true;
   }
 
-  bool TryLockShared() {
-    if (!CanGrantShared()) return false;
-    GrantShared(Engine::CurrentTaskOrNone());
-    return true;
-  }
-
   void AssertHeld(const char* what = "") const {
     if (const SimAnalysisHooks* hk = AnalysisHooks()) {
       hk->on_assert_held(hk->ctx, this, name_.c_str(), Engine::CurrentTaskOrNone(), what);
@@ -504,14 +498,6 @@ class SimSemaphore {
 
   Awaiter Acquire() { return Awaiter{*this}; }
 
-  bool TryAcquire() {
-    if (count_ > 0) {
-      --count_;
-      return true;
-    }
-    return false;
-  }
-
   void Release(int64_t n = 1) {
     while (n > 0 && !waiters_.empty()) {
       Waiter w = waiters_.front();
@@ -585,57 +571,6 @@ class SimBarrier {
   SimEvent event_{"barrier"};
 };
 
-// Condition variable paired with a SimMutex. The caller must hold `m`;
-// Wait() releases it, suspends until a notification, and reacquires it
-// before returning:
-//
-//   while (!pred) co_await cv.Wait(m);
-class SimCondVar {
- public:
-  explicit SimCondVar(const char* name = "condvar") : name_(name) {}
-
-  Task<> Wait(SimMutex& m);
-
-  void NotifyOne() {
-    if (waiters_.empty()) return;
-    Waiter w = waiters_.front();
-    waiters_.pop_front();
-    Engine::current().ScheduleAfter(0, w.h, w.task);
-  }
-
-  void NotifyAll() {
-    for (const Waiter& w : waiters_) {
-      Engine::current().ScheduleAfter(0, w.h, w.task);
-    }
-    waiters_.clear();
-  }
-
-  size_t num_waiters() const { return waiters_.size(); }
-  const char* name() const { return name_; }
-
- private:
-  struct WaitAwaiter {
-    SimCondVar& cv;
-    bool await_ready() const noexcept { return false; }
-    void await_suspend(std::coroutine_handle<> h) {
-      Engine& e = Engine::current();
-      if (const SimAnalysisHooks* hk = AnalysisHooks()) {
-        hk->on_await(hk->ctx, &cv, cv.name_, AwaitKind::kCondVar, e.current_task());
-      }
-      cv.waiters_.push_back(Waiter{h, e.current_task()});
-    }
-    void await_resume() const noexcept {}
-  };
-
-  struct Waiter {
-    std::coroutine_handle<> h;
-    TaskId task;
-  };
-
-  const char* name_;
-  RingQueue<Waiter> waiters_;
-};
-
 // Bounded FIFO channel. Push suspends when full, Pop suspends when empty.
 template <typename T>
 class Channel {
@@ -668,14 +603,6 @@ class Channel {
     items_.pop_front();
     WakeOnePusher();
     co_return v;
-  }
-
-  bool TryPop(T* out) {
-    if (items_.empty()) return false;
-    *out = std::move(items_.front());
-    items_.pop_front();
-    WakeOnePusher();
-    return true;
   }
 
   size_t size() const { return items_.size(); }

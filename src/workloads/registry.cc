@@ -1,8 +1,6 @@
 #include "src/workloads/registry.h"
 
 #include <algorithm>
-#include <cctype>
-#include <cerrno>
 #include <climits>
 #include <cstdint>
 #include <cstdlib>
@@ -10,6 +8,7 @@
 #include <set>
 #include <stdexcept>
 
+#include "src/sim/parse.h"
 #include "src/workloads/dataframe.h"
 #include "src/workloads/gups.h"
 #include "src/workloads/memcached.h"
@@ -30,7 +29,7 @@ class OptReader {
   OptReader(const std::map<std::string, std::string>& opts, std::string* error)
       : opts_(opts), error_(error) {}
 
-  uint64_t U64(const std::string& key, uint64_t def) { return Whole(key, def, UINT64_MAX); }
+  uint64_t U64(const std::string& key, uint64_t def) { return Whole(key, def, INT64_MAX); }
 
   int Int(const std::string& key, int def) {
     return static_cast<int>(Whole(key, static_cast<uint64_t>(def), INT_MAX));
@@ -62,21 +61,17 @@ class OptReader {
   }
 
  private:
-  // A whole number in [0, max], digits only: strtoull alone would accept a
-  // sign or leading space, and wraps "-1" to 2^64 - 1. A bad value records
-  // the error and yields `def`, so the factory never sees it.
-  uint64_t Whole(const std::string& key, uint64_t def, uint64_t max) {
+  // A whole number in [0, max]. A bad value records the error and yields
+  // `def`, so the factory never sees it.
+  uint64_t Whole(const std::string& key, uint64_t def, int64_t max) {
     const std::string* v = Find(key);
     if (v == nullptr) return def;
-    char* end = nullptr;
-    errno = 0;
-    uint64_t out = std::strtoull(v->c_str(), &end, 10);
-    if (v->empty() || !std::isdigit(static_cast<unsigned char>(v->front())) || *end != '\0' ||
-        errno == ERANGE || out > max) {
+    try {
+      return static_cast<uint64_t>(ParseWholeNumber(key, *v, 0, max));
+    } catch (const std::invalid_argument&) {
       Fail(key, *v);
       return def;
     }
-    return out;
   }
 
   const std::string* Find(const std::string& key) {

@@ -16,10 +16,7 @@ RunResult RunScan(KernelConfig cfg, double ratio, int threads = 16, uint64_t pag
   FarMemoryMachine::Options opt;
   opt.kernel = cfg;
   opt.local_mem_ratio = ratio;
-  if (hw != nullptr) {
-    opt.hw = *hw;
-    opt.hw_overridden = true;
-  }
+  if (hw != nullptr) opt.hw = *hw;
   FarMemoryMachine m(opt, wl);
   return m.Run();
 }

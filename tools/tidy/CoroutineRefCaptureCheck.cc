@@ -18,7 +18,7 @@ static const char kDefaultLongLived[] =
     "Engine;Topology;TlbShootdownManager;RdmaNic;Kernel;FarMemoryMachine;"
     "TenancyManager;ResilienceManager;MemoryNode;FleetManager;"
     "RebuildDriver;AppThread;Workload;MachineParams;KernelConfig;SimMutex;"
-    "SimEvent;SimSemaphore;SimCondVar;MetricsRegistry;MetricsSampler;"
+    "SimEvent;SimSemaphore;MetricsRegistry;MetricsSampler;"
     "SpanTracer;PageFrame;PageTable;PageAccounting;PageAllocator;FramePool;"
     "BuddyAllocator;SwapAllocator;VmaResolver;Prefetcher;CircuitBreaker;"
     "MemCgroup;LockAnalyzer;Rng;ZipfGenerator;FaultInjector;KernelStats;char";

@@ -65,7 +65,7 @@ LONG_LIVED_TYPES = {
     "FarMemoryMachine", "TenancyManager", "ResilienceManager", "MemoryNode",
     "FleetManager", "RebuildDriver", "AppThread", "Workload",
     "MachineParams", "KernelConfig", "SimMutex", "SimEvent", "SimSemaphore",
-    "SimCondVar", "MetricsRegistry", "MetricsSampler", "SpanTracer",
+    "MetricsRegistry", "MetricsSampler", "SpanTracer",
     "PageFrame", "PageTable", "PageAccounting", "PageAllocator", "FramePool",
     "BuddyAllocator", "SwapAllocator", "VmaResolver", "Prefetcher",
     "CircuitBreaker", "MemCgroup", "LockAnalyzer", "Rng", "ZipfGenerator",
