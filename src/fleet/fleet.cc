@@ -33,8 +33,12 @@ void FleetManager::Prepopulate(uint64_t num_slots) {
     copies_.assign(num_slots, 1);  // every slot's replica set is {server 0}
   } else {
     copies_.assign(num_slots, 0);
+    desired_.assign(num_slots * DesiredBytesPerSlot(), 0);
     for (uint64_t slot = 0; slot < num_slots; ++slot) {
-      copies_[slot] = placement_.ReplicasOf(slot).Mask();
+      ReplicaSet r = placement_.ReplicasOf(slot);
+      copies_[slot] = r.Mask();
+      uint8_t* ids = &desired_[slot * DesiredBytesPerSlot()];
+      for (int i = 0; i < r.count; ++i) ids[i / 2] |= static_cast<uint8_t>(r.node[i] << (4 * (i % 2)));
     }
   }
   lost_.assign(num_slots, 0);
@@ -46,7 +50,7 @@ FleetManager::ReadTarget FleetManager::ReadTargetFor(uint64_t slot,
   ReadTarget t;
   uint16_t held =
       static_cast<uint16_t>(copies_[slot] & live_mask_ & ~exclude_mask);
-  ReplicaSet desired = placement_.ReplicasOf(slot);
+  ReplicaSet desired = DesiredReplicas(slot);
   for (int i = 0; i < desired.count; ++i) {
     int n = desired.node[i];
     if ((held & (1u << n)) != 0) {
@@ -67,7 +71,7 @@ FleetManager::ReadTarget FleetManager::ReadTargetFor(uint64_t slot,
 }
 
 ReplicaSet FleetManager::WriteTargetsFor(uint64_t slot) const {
-  ReplicaSet desired = placement_.ReplicasOf(slot);
+  ReplicaSet desired = DesiredReplicas(slot);
   ReplicaSet out;
   for (int i = 0; i < desired.count; ++i) {
     if (NodeLive(desired.node[i])) out.node[out.count++] = desired.node[i];
@@ -151,7 +155,7 @@ bool FleetManager::PopRepair(uint64_t* slot) {
 
 int FleetManager::RebuildTargetFor(uint64_t slot) const {
   if ((copies_[slot] & live_mask_) == 0) return -1;
-  ReplicaSet desired = placement_.ReplicasOf(slot);
+  ReplicaSet desired = DesiredReplicas(slot);
   for (int i = 0; i < desired.count; ++i) {
     int n = desired.node[i];
     if (NodeLive(n) && (copies_[slot] & (1u << n)) == 0) return n;
@@ -160,7 +164,7 @@ int FleetManager::RebuildTargetFor(uint64_t slot) const {
 }
 
 int FleetManager::SourceFor(uint64_t slot) const {
-  ReplicaSet desired = placement_.ReplicasOf(slot);
+  ReplicaSet desired = DesiredReplicas(slot);
   for (int i = 0; i < desired.count; ++i) {
     int n = desired.node[i];
     if (NodeLive(n) && (copies_[slot] & (1u << n)) != 0) return n;

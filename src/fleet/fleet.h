@@ -70,8 +70,9 @@ class FleetManager {
 
   // Sizes the replica table to the far pool's `num_slots` slots, each
   // holding its full desired replica set (machine prepopulation: remote
-  // copies exist before the run starts). Every slot argument below must be
-  // less than `num_slots`.
+  // copies exist before the run starts), and, with more than one server,
+  // stores every slot's desired replica list. Every slot argument below must
+  // be less than `num_slots`.
   void Prepopulate(uint64_t num_slots);
 
   // --- data-plane resolution ---
@@ -81,8 +82,15 @@ class FleetManager {
   };
   // `exclude_mask` skips servers that already failed this op (read failover).
   ReadTarget ReadTargetFor(uint64_t slot, uint16_t exclude_mask = 0) const;
+  // The placement map's ReplicasOf(slot), served from the per-slot table
+  // Prepopulate stored (the map never changes at runtime).
   ReplicaSet DesiredReplicas(uint64_t slot) const {
-    return placement_.ReplicasOf(slot);
+    if (desired_.empty()) return placement_.ReplicasOf(slot);  // one server
+    ReplicaSet out;
+    out.count = placement_.replication();
+    const uint8_t* ids = &desired_[slot * DesiredBytesPerSlot()];
+    for (int i = 0; i < out.count; ++i) out.node[i] = (ids[i / 2] >> (4 * (i % 2))) & 0xf;
+    return out;
   }
   // Live desired replicas a writeback should target (desired order).
   ReplicaSet WriteTargetsFor(uint64_t slot) const;
@@ -131,6 +139,9 @@ class FleetManager {
   bool NodeLive(int node) const {
     return (live_mask_ & (1u << node)) != 0;
   }
+  size_t DesiredBytesPerSlot() const {
+    return static_cast<size_t>(placement_.replication() + 1) / 2;
+  }
 
   PlacementMap placement_;
   std::vector<MemoryNode*> nodes_;  // [0] borrowed, rest own via owned_*
@@ -140,7 +151,13 @@ class FleetManager {
 
   // copies_[slot] bit n set = server n holds the slot's current data.
   // lost_[slot] = the slot's data became unreachable and was surfaced.
-  // All three tables are sized once, by Prepopulate.
+  // desired_ = each slot's desired replicas in order, one 4-bit server id
+  // each, two to a byte: DesiredBytesPerSlot() bytes per slot, at most 4
+  // (empty for a one-server fleet).
+  // All four tables are sized once, by Prepopulate.
+  static_assert(kMaxFleetNodes <= 16 && kMaxReplicas <= 8,
+                "a desired replica list must pack into 4 bytes");
+  std::vector<uint8_t> desired_;
   std::vector<uint16_t> copies_;
   std::vector<uint8_t> lost_;
   uint16_t live_mask_ = 0;

@@ -43,12 +43,14 @@ ReplicaSet PlacementMap::ReplicasOf(uint64_t slot) const {
     return out;
   }
   uint64_t h = Mix64(seed_ ^ Mix64(slot));
-  size_t start = static_cast<size_t>(
+  size_t at = static_cast<size_t>(
       std::lower_bound(ring_.begin(), ring_.end(), h,
                        [](const Point& p, uint64_t v) { return p.hash < v; }) -
       ring_.begin());
-  for (size_t i = 0; i < ring_.size() && out.count < replication_; ++i) {
-    int node = ring_[(start + i) % ring_.size()].node;
+  // Clockwise from the slot's hash, wrapping once past the last point.
+  for (size_t i = 0; i < ring_.size() && out.count < replication_; ++i, ++at) {
+    if (at == ring_.size()) at = 0;
+    int node = ring_[at].node;
     bool seen = false;
     for (int j = 0; j < out.count; ++j) seen |= out.node[j] == node;
     if (!seen) out.node[out.count++] = node;

@@ -46,6 +46,7 @@ PageFrame* PageTable::Unmap(uint64_t vpn) {
   pte.present = false;
   pte.accessed = false;
   pte.dirty = false;
+  pte.prefetched = false;
   --mapped_;
   return f;
 }

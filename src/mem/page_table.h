@@ -29,10 +29,19 @@ struct Pte {
   // A fault (or prefetch) is in flight for this page; concurrent faulting
   // threads must wait instead of issuing duplicate RDMA reads.
   bool fault_in_flight = false;
+  // The far copy matches the page's contents: a clean eviction may skip the
+  // writeback (clean reclaim). Survives unmap; a write clears it. Starts
+  // true: the far pool holds every page from the start (warmed-up state).
+  bool remote_valid = true;
+  // Mapped by a prefetch and not touched since (prefetch hit stats). Unmap
+  // clears it, so a prefetched page evicted untouched is not a later hit.
+  bool prefetched = false;
   // Swap slot holding the page while non-present (kNoSwapSlot when the
   // variant uses VMA-level direct mapping instead).
   uint64_t swap_slot = kNoSwapSlot;
 };
+// The six flags share the padding after `frame`: one PTE per 24 bytes.
+static_assert(sizeof(Pte) == 24, "Pte grew past 24 bytes");
 
 class PageTable {
  public:
@@ -48,7 +57,7 @@ class PageTable {
   void Map(uint64_t vpn, PageFrame* frame);
 
   // Clears a mapping (eviction unmap). Transfers the PTE dirty bit onto the
-  // frame and returns it.
+  // frame and returns it; drops the prefetch mark.
   PageFrame* Unmap(uint64_t vpn);
 
   // --- Fault dedup (unified page table / swap cache replacement) ---

@@ -55,8 +55,9 @@ MAGESIM_HOT_PATH Task<> Kernel::Fault(CoreId core, uint64_t vpn, bool write) {
     ChargePage(core, vpn, f);
     TraceEmit(TraceEventType::kPageMap, core, vpn, f->pfn);
     if (write) {
-      pt_->At(vpn).dirty = true;
-      remote_valid_[vpn] = false;
+      Pte& pte = pt_->At(vpn);
+      pte.dirty = true;
+      pte.remote_valid = false;
     }
     // magesim-lint: allow(hotpath-alloc): ideal variant models zero software
     // overhead, so host-side deque growth is explicitly outside the model.
@@ -83,7 +84,7 @@ MAGESIM_HOT_PATH Task<> Kernel::Fault(CoreId core, uint64_t vpn, bool write) {
     pte.accessed = true;
     if (write) {
       pte.dirty = true;
-      remote_valid_[vpn] = false;
+      pte.remote_valid = false;
     }
     co_return;
   }
@@ -168,7 +169,7 @@ MAGESIM_HOT_PATH Task<> Kernel::Fault(CoreId core, uint64_t vpn, bool write) {
     TraceEmit(TraceEventType::kPageMap, core, vpn, frame->pfn);
     if (write) {
       pte.dirty = true;
-      remote_valid_[vpn] = false;
+      pte.remote_valid = false;
     }
   }
 

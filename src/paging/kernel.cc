@@ -131,8 +131,6 @@ Kernel::Kernel(const KernelConfig& config, Topology& topo, TlbShootdownManager& 
     prefetcher_ = std::make_unique<Prefetcher>(*this, config.prefetch_window);
   }
 
-  remote_valid_.assign(wss_pages, false);
-  prefetched_.assign(wss_pages, false);
   active_evictors_ = config.feedback_evictors ? 1 : config.num_evictors;
   faults_per_core_.assign(static_cast<size_t>(topo.num_cores()), 0);
 }
@@ -174,8 +172,6 @@ void Kernel::Prepopulate(uint64_t resident_pages) {
       accounting_->InsertSetup(static_cast<CoreId>(vpn % 64), f);
     }
   }
-  // All pages have valid remote copies in the warmed-up state.
-  remote_valid_.assign(wss_pages_, true);
   // Non-resident pages live in swap when slot-based.
   if (swap_ != nullptr) {
     for (uint64_t vpn = 0; vpn < wss_pages_; ++vpn) {
@@ -184,23 +180,6 @@ void Kernel::Prepopulate(uint64_t resident_pages) {
       swap_->MarkUsedForSetup(vpn);
     }
   }
-}
-
-MAGESIM_HOT_PATH bool Kernel::TryFastAccess(uint64_t vpn, bool write) {
-  MAGESIM_PROF_SCOPE(fast_access);
-  Pte& pte = pt_->At(vpn);
-  if (!pte.present) return false;
-  pte.accessed = true;
-  if (write) {
-    pte.dirty = true;
-    remote_valid_[vpn] = false;
-  }
-  if (prefetched_[vpn]) {
-    prefetched_[vpn] = false;
-    ++stats_.prefetch_hits;
-  }
-  ++stats_.fast_hits;
-  return true;
 }
 
 void Kernel::InstantReclaim(uint64_t vpn) {
@@ -213,7 +192,7 @@ void Kernel::InstantReclaim(uint64_t vpn) {
   PageFrame* f = pt_->Unmap(vpn);
   accounting_->Unlink(f);
   UnchargePage(-1, vpn, f);
-  remote_valid_[vpn] = true;  // emulates a completed pageout
+  pte.remote_valid = true;  // emulates a completed pageout
   TraceEmit(TraceEventType::kPageUnmap, -1, vpn, f->pfn);
   TraceEmit(TraceEventType::kFrameFree, -1, vpn, f->pfn);
   buddy_->FreePage(f);  // resets state/vpn/dirty
@@ -229,8 +208,8 @@ void Kernel::IdealReclaimOne() {
     if (!pte.present || pte.fault_in_flight) continue;
     PageFrame* f = pt_->Unmap(vpn);
     UnchargePage(-1, vpn, f);
-    remote_valid_[vpn] = true;  // ideal eviction costs nothing
-    buddy_->FreePage(f);        // resets state/vpn/dirty
+    pte.remote_valid = true;  // ideal eviction costs nothing
+    buddy_->FreePage(f);      // resets state/vpn/dirty
     return;
   }
 }
@@ -484,10 +463,11 @@ MAGESIM_HOT_PATH std::vector<uint64_t> Kernel::CollectWritebackSlots(const std::
   for (PageFrame* f : victims) {
     uint64_t vpn = f->vpn;  // Unmap preserved frame->vpn for writeback routing
     uint64_t slot = FleetSlotOf(vpn);
-    if (f->dirty || !remote_valid_[vpn] || !fleet.HasLiveCopy(slot)) {
+    Pte& pte = pt_->At(vpn);
+    if (f->dirty || !pte.remote_valid || !fleet.HasLiveCopy(slot)) {
       // magesim-lint: allow(hotpath-alloc): within the capacity reserved above.
       slots.push_back(slot);
-      remote_valid_[vpn] = true;
+      pte.remote_valid = true;
     } else {
       ++stats_.clean_reclaims;
     }

@@ -19,6 +19,8 @@
 #include "src/metrics/stage.h"
 #include "src/paging/config.h"
 #include "src/resilience/resilient_rdma.h"
+#include "src/sim/hot_path.h"
+#include "src/sim/prof_counters.h"
 #include "src/sim/stats.h"
 #include "src/spans/spans.h"
 
@@ -62,10 +64,10 @@ class Kernel {
   Kernel(const Kernel&) = delete;
   Kernel& operator=(const Kernel&) = delete;
 
-  // Pre-faults resident pages (zero simulated cost, setup only): maps the
-  // first `resident` pages of the working set and registers them with
-  // accounting. Remote copies of all pages are marked valid, modeling a
-  // warmed-up steady state.
+  // Pre-faults resident pages (zero simulated cost, setup only): maps
+  // `resident` pages spread over the working set and registers them with
+  // accounting. Every page's remote copy is valid from construction on (the
+  // far pool starts prepopulated), modeling a warmed-up steady state.
   void Prepopulate(uint64_t resident_pages);
 
   // Spawns evictor threads and (if configured) the feedback controller.
@@ -75,8 +77,24 @@ class Kernel {
 
   // --- Fault-in path ---
   // Fast path: if the page is present, sets accessed/dirty bits and returns
-  // true. No simulated time passes.
-  bool TryFastAccess(uint64_t vpn, bool write);
+  // true. No simulated time passes. Returns false, touching nothing, for a
+  // non-present page.
+  MAGESIM_HOT_PATH bool TryFastAccess(uint64_t vpn, bool write) {
+    MAGESIM_PROF_SCOPE(fast_access);
+    Pte& pte = pt_->At(vpn);
+    if (!pte.present) return false;
+    pte.accessed = true;
+    if (write) {
+      pte.dirty = true;
+      pte.remote_valid = false;
+    }
+    if (pte.prefetched) {
+      pte.prefetched = false;
+      ++stats_.prefetch_hits;
+    }
+    ++stats_.fast_hits;
+    return true;
+  }
 
   // Slow path (major fault). Suspends the calling (application) coroutine for
   // the full fault duration.
@@ -118,7 +136,7 @@ class Kernel {
   PageAllocator& allocator() { return *allocator_; }
   BuddyAllocator& buddy() { return *buddy_; }
   FramePool& frame_pool() { return *frames_; }
-  bool remote_valid(uint64_t vpn) const { return remote_valid_[vpn]; }
+  bool remote_valid(uint64_t vpn) const { return pt_->At(vpn).remote_valid; }
   Topology& topology() { return topo_; }
   TlbShootdownManager& tlb() { return tlb_; }
   ResilienceManager& resilience() { return resilience_; }
@@ -218,11 +236,6 @@ class Kernel {
   DirectMapping direct_map_;
   std::unique_ptr<Prefetcher> prefetcher_;
   TenancyManager* tenancy_ = nullptr;  // owned by FarMemoryMachine
-
-  // Remote copy validity per vpn (clean reclaim optimization).
-  std::vector<bool> remote_valid_;
-  // Prefetched-but-not-yet-touched marker (prefetch hit stats).
-  std::vector<bool> prefetched_;
 
   // Free-page pressure plumbing.
   SimEvent evictor_wake_{"evictor-wake"};

@@ -156,8 +156,8 @@ Task<> Prefetcher::PrefetchRange(CoreId core, uint64_t start_vpn, int64_t stride
       TraceEmit(TraceEventType::kPageMap, core, vpn, frame->pfn);
     }
     // Speculative: not a real reference yet.
-    k.page_table().At(vpn).accessed = false;
-    k.prefetched_[vpn] = true;
+    pte.accessed = false;
+    pte.prefetched = true;
     ++k.mutable_stats().prefetched_pages;
     {
       StageScope s(Stage::kAccountingInsert, op);

@@ -154,7 +154,7 @@ Task<RemoteOpStatus> ResilienceManager::ReadPage(int core, uint64_t vpn, uint64_
                                per_replica_budget, op);
     if (ok) {
       if (t.degraded) {
-        fleet_.NoteDegradedRead(slot, t.node, fleet_.placement().PrimaryOf(slot));
+        fleet_.NoteDegradedRead(slot, t.node, fleet_.DesiredReplicas(slot).node[0]);
         SpanLeafUnder(op, SpanKind::kDegradedRead, a0, Engine::current().now(),
                       t.node, vpn, {}, slot);
       }

@@ -1,8 +1,12 @@
 #include "src/workloads/dataframe.h"
 
+#include <algorithm>
+
 namespace magesim {
 
 DataframeWorkload::DataframeWorkload(Options opt) : opt_(opt) {
+  RequireAtLeast("dataframe", "num_rows", opt_.num_rows, 1);
+  RequireAtLeast("dataframe", "num_columns", static_cast<uint64_t>(std::max(opt_.num_columns, 0)), 1);
   rows_per_page_ = kPageSize / 8;  // 8-byte values
   column_pages_ = (opt_.num_rows + rows_per_page_ - 1) / rows_per_page_;
   group_base_ = column_pages_ * static_cast<uint64_t>(opt_.num_columns);

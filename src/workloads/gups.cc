@@ -3,6 +3,7 @@
 namespace magesim {
 
 GupsWorkload::GupsWorkload(Options opt) : opt_(opt), timeline_(opt.timeline_bucket) {
+  RequireAtLeast("gups", "total_pages", opt_.total_pages, 2);  // both regions non-empty
   region_a_pages_ = opt_.total_pages * 8 / 10;
   region_b_pages_ = opt_.total_pages - region_a_pages_;
   zipf_a_ = std::make_unique<ZipfGenerator>(region_a_pages_, opt_.zipf_theta);

@@ -1,13 +1,9 @@
 #include "src/workloads/memcached.h"
 
-#include <stdexcept>
-
 namespace magesim {
 
 MemcachedWorkload::MemcachedWorkload(Options opt) : opt_(opt) {
-  if (opt_.num_keys == 0) {
-    throw std::invalid_argument("memcached: num_keys=0 must be at least 1");
-  }
+  RequireAtLeast("memcached", "num_keys", opt_.num_keys, 1);
   // Hash table: 64 B bucket per key (open addressing, load factor folded in).
   bucket_pages_ = (opt_.num_keys * 64 + kPageSize - 1) / kPageSize;
   // Values: ~128 B each (USR values are small), packed.

@@ -24,6 +24,8 @@ class MetisWorkload : public Workload {
   };
 
   explicit MetisWorkload(Options opt) : opt_(opt), barrier_(opt.threads) {
+    RequireAtLeast("metis", "input_pages", opt_.input_pages, 1);
+    RequireAtLeast("metis", "intermediate_pages", opt_.intermediate_pages, 1);
     counts_.assign(1 << 16, 0);
   }
 

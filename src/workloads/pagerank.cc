@@ -70,6 +70,28 @@ uint64_t PageRankWorkload::ContribVpn(uint64_t vertex) const {
   return contrib_base_ + vertex / kContribPerPage;
 }
 
+uint64_t PageRankWorkload::PullHits(AppThread& t, uint64_t e, uint64_t e_end, double* sum,
+                                    uint64_t* last_edge_vpn) const {
+  const CsrGraph& g = *graph_;
+  double s = *sum;
+  uint64_t last = *last_edge_vpn;
+  for (; e < e_end; ++e) {
+    uint64_t evpn = NeighborsVpn(e);
+    if (evpn != last) {
+      if (!t.TryAccessPage(evpn, false)) break;
+      last = evpn;
+    }
+    uint32_t u = g.neighbors[e];
+    if (!t.TryAccessPage(ContribVpn(u), false)) break;
+    s += out_contrib_[u];
+    t.Compute(opt_.compute_per_edge_ns);
+    ++t.ops;
+  }
+  *sum = s;
+  *last_edge_vpn = last;
+  return e;
+}
+
 Task<> PageRankWorkload::ThreadBody(AppThread& t, int tid) {
   // GapBS pull-direction PageRank. Memory behavior mirrors the real code:
   //  * contributions (4 B/vertex) are read at random per edge — the hot,
@@ -119,9 +141,12 @@ Task<> PageRankWorkload::ThreadBody(AppThread& t, int tid) {
         last_off_vpn = ovpn;
       }
       double sum = 0.0;
-      uint64_t e_begin = g.offsets[v];
       uint64_t e_end = g.offsets[v + 1];
-      for (uint64_t e = e_begin; e < e_end; ++e) {
+      // Hits run in plain code; only an edge whose access missed is finished
+      // here, with the same accesses in the same order, before the plain run
+      // resumes at the next edge.
+      for (uint64_t e = g.offsets[v]; (e = PullHits(t, e, e_end, &sum, &last_edge_vpn)) < e_end;
+           ++e) {
         uint64_t evpn = NeighborsVpn(e);
         if (evpn != last_edge_vpn) {  // page-granular stream touch
           co_await t.AccessPage(evpn, false);

@@ -65,6 +65,16 @@ class PageRankWorkload : public Workload {
   uint64_t ContribVpn(uint64_t vertex) const;
 
  private:
+  // Runs pull edges [e, e_end) of one vertex in plain code for as long as
+  // every access hits (AppThread::TryAccessPage), adding their contributions
+  // to `*sum` and moving `*last_edge_vpn` past each stream page it touched.
+  // Returns the first edge with a missed access, or e_end. The caller
+  // finishes that edge on the awaited path: a coroutine keeps every local
+  // that lives across a co_await in its frame, so the per-edge state stays in
+  // registers only out here.
+  uint64_t PullHits(AppThread& t, uint64_t e, uint64_t e_end, double* sum,
+                    uint64_t* last_edge_vpn) const;
+
   Options opt_;
   std::shared_ptr<const CsrGraph> graph_;
   uint64_t neighbors_base_ = 0;  // vpn of neighbors[] region

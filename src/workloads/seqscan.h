@@ -21,7 +21,9 @@ class SeqScanWorkload : public Workload {
     bool write = false;
   };
 
-  explicit SeqScanWorkload(Options opt) : opt_(opt) {}
+  explicit SeqScanWorkload(Options opt) : opt_(opt) {
+    RequireAtLeast("seqscan", "region_pages", opt_.region_pages, 1);
+  }
 
   std::string name() const override { return "seqscan"; }
   uint64_t wss_pages() const override { return opt_.region_pages; }

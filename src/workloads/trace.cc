@@ -1,5 +1,6 @@
 #include "src/workloads/trace.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <memory>
@@ -72,7 +73,16 @@ bool Trace::LoadFrom(const std::string& path, Trace* out) {
   return true;
 }
 
+namespace {
+// Every thread's shard must hold a page (scan and mixed traces).
+void RequireShards(const char* who, const TraceGenOptions& opt) {
+  RequireAtLeast(who, "wss_pages", opt.wss_pages,
+                 static_cast<uint64_t>(std::max(opt.threads, 1)));
+}
+}  // namespace
+
 Trace GenerateScanTrace(const TraceGenOptions& opt) {
+  RequireShards("scan trace", opt);
   Trace t;
   t.wss_pages = opt.wss_pages;
   t.streams.resize(static_cast<size_t>(opt.threads));
@@ -90,6 +100,7 @@ Trace GenerateScanTrace(const TraceGenOptions& opt) {
 }
 
 Trace GenerateZipfTrace(const TraceGenOptions& opt, double theta) {
+  RequireAtLeast("zipf trace", "wss_pages", opt.wss_pages, 1);
   Trace t;
   t.wss_pages = opt.wss_pages;
   t.streams.resize(static_cast<size_t>(opt.threads));
@@ -106,6 +117,7 @@ Trace GenerateZipfTrace(const TraceGenOptions& opt, double theta) {
 }
 
 Trace GenerateMixedTrace(const TraceGenOptions& opt, double theta, double scan_fraction) {
+  RequireShards("mixed trace", opt);
   Trace t;
   t.wss_pages = opt.wss_pages;
   t.streams.resize(static_cast<size_t>(opt.threads));

@@ -1,9 +1,14 @@
 #include "src/workloads/workload.h"
 
-// Interface definitions are header-only; this TU anchors the library.
+#include <stdexcept>
 
 namespace magesim {
-namespace {
-[[maybe_unused]] const int kWorkloadAnchor = 0;
-}  // namespace
+
+void RequireAtLeast(const char* who, const char* field, uint64_t value, uint64_t min) {
+  if (value < min) {
+    throw std::invalid_argument(std::string(who) + ": " + field + "=" + std::to_string(value) +
+                                " must be at least " + std::to_string(min));
+  }
+}
+
 }  // namespace magesim

@@ -27,6 +27,7 @@ class AppThread {
   AppThread(Kernel& kernel, CoreId core, uint64_t seed)
       : kernel_(kernel),
         core_(core),
+        cpu_(&kernel.topology().core(core)),
         rng_(seed),
         compute_factor_(kernel.config().compute_overhead_factor) {}
 
@@ -44,24 +45,31 @@ class AppThread {
     return Engine::current().now() + static_cast<SimTime>(pending_acc_);
   }
 
-  // Touches the page containing `addr`. Fast path (present PTE, quantum not
-  // exceeded) never suspends.  Usage: `co_await t.Access(addr, write);`
+  // The access fast path as a plain call: touches page `vpn` (relative to
+  // vpn_base) and returns true when the PTE is present, the quantum is not
+  // exceeded and no interrupt time was stolen since the last flush. Returns
+  // false with no side effect at all (no PTE bit, counter or pending time
+  // changes); the caller then takes the awaited path, `co_await
+  // AccessPage(vpn, write)`, which retries this check and faults. A loop of
+  // TryAccessPage calls that hands its first miss to the awaited path is
+  // exactly the awaited loop (docs/INTERNALS.md §2).
+  bool TryAccessPage(uint64_t vpn, bool write) {
+    return pending_acc_ < static_cast<double>(kAppQuantum) &&
+           cpu_->stolen_total_ns() == stolen_seen_ &&
+           kernel_.TryFastAccess(vpn + vpn_base_, write);
+  }
+
+  // Touches the page containing `addr`. Fast path (TryAccessPage) never
+  // suspends.  Usage: `co_await t.Access(addr, write);`
   struct AccessAwaiter {
     AppThread& t;
-    uint64_t vpn;
+    uint64_t vpn;  // relative to vpn_base
     bool write;
     Task<> slow;
 
-    bool await_ready() {
-      if (t.pending_acc_ < static_cast<double>(kAppQuantum) &&
-          t.kernel_.topology().core(t.core_).stolen_total_ns() == t.stolen_seen_ &&
-          t.kernel_.TryFastAccess(vpn, write)) {
-        return true;
-      }
-      return false;
-    }
+    bool await_ready() { return t.TryAccessPage(vpn, write); }
     std::coroutine_handle<> await_suspend(std::coroutine_handle<> h) {
-      slow = t.AccessSlow(vpn, write);
+      slow = t.AccessSlow(vpn + t.vpn_base_, write);
       return slow.BeginAwait(h);
     }
     void await_resume() {
@@ -70,10 +78,10 @@ class AppThread {
   };
 
   AccessAwaiter Access(uint64_t addr, bool write) {
-    return AccessAwaiter{*this, (addr >> kPageShift) + vpn_base_, write, {}};
+    return AccessAwaiter{*this, addr >> kPageShift, write, {}};
   }
   AccessAwaiter AccessPage(uint64_t vpn, bool write) {
-    return AccessAwaiter{*this, vpn + vpn_base_, write, {}};
+    return AccessAwaiter{*this, vpn, write, {}};
   }
 
   // Shifts every access by a fixed page offset: multi-tenant composition
@@ -95,11 +103,10 @@ class AppThread {
   friend struct AccessAwaiter;
 
   SimTime TakePending() {
-    Core& c = kernel_.topology().core(core_);
     SimTime whole = static_cast<SimTime>(pending_acc_);
     pending_acc_ -= static_cast<double>(whole);  // keep the fractional remainder
-    SimTime stolen = c.DrainStolenTime();
-    stolen_seen_ = c.stolen_total_ns();
+    SimTime stolen = cpu_->DrainStolenTime();
+    stolen_seen_ = cpu_->stolen_total_ns();
     // The caller immediately elapses the returned duration, so attributing
     // here matches the simulated interval: accumulated quanta are app
     // compute, absorbed flush-IPI handler time is TLB-shootdown overhead.
@@ -120,12 +127,18 @@ class AppThread {
 
   Kernel& kernel_;
   CoreId core_;
+  Core* cpu_;  // topology().core(core_), resolved once
   Rng rng_;
   double compute_factor_;
   double pending_acc_ = 0;
   SimTime stolen_seen_ = 0;
   uint64_t vpn_base_ = 0;
 };
+
+// How a workload refuses an empty or too-small region or table (a size that
+// would divide by zero or run to a silent 0): throws std::invalid_argument
+// "<who>: <field>=<value> must be at least <min>".
+void RequireAtLeast(const char* who, const char* field, uint64_t value, uint64_t min);
 
 // A multi-threaded application.
 class Workload {

@@ -3,6 +3,7 @@
 namespace magesim {
 
 XsBenchWorkload::XsBenchWorkload(Options opt) : opt_(opt) {
+  RequireAtLeast("xsbench", "gridpoints", opt_.gridpoints, 1);
   energy_dist_ = std::make_unique<ZipfGenerator>(opt_.gridpoints, opt_.energy_zipf_theta);
   // Unionized grid: one 16-byte entry (energy + index) per gridpoint.
   entries_per_page_ = kPageSize / 16;

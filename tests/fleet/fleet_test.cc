@@ -31,6 +31,29 @@ struct FleetFixture {
   }
 };
 
+// The per-slot replica table Prepopulate stores is the placement map's
+// answer for every slot, order included, at every fleet shape up to the
+// largest (16 servers, 8 replicas: four packed bytes per slot).
+TEST(FleetTest, DesiredReplicaTableEqualsPlacementMap) {
+  for (uint64_t seed : {1ull, 9ull, 12345ull}) {
+    for (int nodes : {1, 2, 3, 4, 7, 16}) {
+      for (int replicas : {1, 2, 3, 8}) {
+        FleetFixture f(nodes, replicas, seed);
+        for (uint64_t s = 0; s < kSlots; ++s) {
+          ReplicaSet want = f.fleet.placement().ReplicasOf(s);
+          ReplicaSet got = f.fleet.DesiredReplicas(s);
+          ASSERT_EQ(got.count, want.count) << seed << "/" << nodes << "/" << replicas;
+          for (int i = 0; i < want.count; ++i) {
+            ASSERT_EQ(got.node[i], want.node[i])
+                << "seed " << seed << " nodes " << nodes << " k " << replicas << " slot "
+                << s << " replica " << i;
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(FleetTest, PrepopulatedSlotsReadFromPrimaryUndegraded) {
   FleetFixture f(4, 2);
   for (uint64_t s = 0; s < kSlots; ++s) {

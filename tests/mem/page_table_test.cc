@@ -23,10 +23,14 @@ TEST(PageTableTest, MapUnmapRoundTrip) {
   EXPECT_EQ(pt.mapped_pages(), 1u);
 
   pt.At(42).dirty = true;  // simulated write access
+  pt.At(42).prefetched = true;
+  pt.At(42).remote_valid = true;
   PageFrame* out = pt.Unmap(42);
   EXPECT_EQ(out, f);
   EXPECT_TRUE(out->dirty);  // dirty bit transferred to the frame
   EXPECT_FALSE(pt.At(42).present);
+  EXPECT_FALSE(pt.At(42).prefetched);   // an evicted prefetch is no later hit
+  EXPECT_TRUE(pt.At(42).remote_valid);  // the far copy outlives the mapping
   EXPECT_EQ(pt.mapped_pages(), 0u);
   EXPECT_EQ(out->state, PageFrame::State::kIsolated);
 }

@@ -208,6 +208,41 @@ TEST(KernelTest, InstantReclaimMakesPageFaultAgain) {
   EXPECT_EQ(rig.kernel.accounting().tracked_pages(), 99u);
 }
 
+// A prefetched page evicted before its first touch was a wasted prefetch: when
+// it is faulted back in, its next hit is a plain hit, not a prefetch hit.
+TEST(KernelTest, PrefetchEvictedUntouchedIsNoPrefetchHit) {
+  KernelConfig cfg = MageLibConfig();
+  cfg.prefetch = true;
+  Rig rig(cfg);
+  rig.kernel.Prepopulate(0);
+  rig.kernel.Start(8);
+  uint64_t wasted = ~0ULL;
+  uint64_t hits_before = 0;
+  rig.engine.Spawn([](Rig& rig, uint64_t& wasted, uint64_t& hits_before) -> Task<> {
+    Kernel& k = rig.kernel;
+    // A sequential fault stream engages read-ahead past the faulting page.
+    for (uint64_t v = 0; v < 64 && wasted == ~0ULL; ++v) {
+      while (!k.TryFastAccess(v, false)) co_await k.Fault(0, v, false);
+      co_await Delay{50 * kMicrosecond};  // let the read-ahead land
+      for (uint64_t w = v + 1; w < k.wss_pages() && wasted == ~0ULL; ++w) {
+        const Pte& pte = k.page_table().At(w);
+        if (pte.present && pte.prefetched && !pte.fault_in_flight) wasted = w;
+      }
+    }
+    if (wasted != ~0ULL) {
+      hits_before = k.stats().prefetch_hits;
+      k.InstantReclaim(wasted);
+      co_await k.Fault(0, wasted, false);
+      EXPECT_TRUE(k.TryFastAccess(wasted, false));
+    }
+    Engine::current().RequestShutdown();
+  }(rig, wasted, hits_before));
+  rig.engine.Run();
+  ASSERT_NE(wasted, ~0ULL) << "read-ahead never engaged";
+  EXPECT_FALSE(rig.kernel.page_table().At(wasted).prefetched);
+  EXPECT_EQ(rig.kernel.stats().prefetch_hits, hits_before);
+}
+
 TEST(KernelTest, IdealVariantFaultIsPureRdma) {
   Rig rig(IdealConfig());
   rig.kernel.Prepopulate(100);

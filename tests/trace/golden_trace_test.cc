@@ -1,8 +1,9 @@
-// Golden-trace regression test: a canonical read scenario plus a write scan
-// on two kernels, each fingerprinted by the trace hash plus per-type event
-// counts and checked against a golden file in the source tree. Any behavioral
-// change to the fault path, evictors, allocators or fabric shows up here as a
-// readable per-counter diff.
+// Golden-trace regression test: a canonical read scenario, a write scan on
+// two kernels and a PageRank run on Hermit, each fingerprinted by the trace
+// hash plus per-type event counts and checked against a golden file in the
+// source tree. Any behavioral change to the fault path, evictors, allocators,
+// fabric or application hit path shows up here as a readable per-counter
+// diff.
 //
 // Intentional behavior changes: regenerate with
 //   MAGESIM_UPDATE_GOLDEN=1 ./build/tests/golden_trace_test
@@ -15,10 +16,12 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "src/core/farmem.h"
 #include "src/paging/kernels.h"
 #include "src/trace/trace.h"
+#include "src/workloads/pagerank.h"
 #include "src/workloads/seqscan.h"
 
 namespace magesim {
@@ -28,17 +31,10 @@ std::string GoldenPath(const std::string& name) {
   return std::string(MAGESIM_GOLDEN_DIR) + "/" + name + ".golden";
 }
 
-// A small sequential scan at 40% far memory. Small enough to run in <1s, rich
-// enough to exercise faults, prefetch, eviction and shootdowns; a write scan
-// dirties every page, so every evicted page is written back over RDMA.
-std::map<std::string, uint64_t> RunScan(const KernelConfig& kernel, bool write) {
-  SeqScanWorkload wl(SeqScanWorkload::Options{
-      .region_pages = 2048, .threads = 2, .passes = 2, .write = write});
-  FarMemoryMachine::Options opt;
-  opt.kernel = kernel;
-  opt.local_mem_ratio = 0.6;
-  opt.seed = 1;
-
+// Installs a hashing tracer, runs `wl` on `opt`, and fingerprints the trace
+// plus the run's headline counters; `hits` adds the kernel's page-hit counts.
+std::map<std::string, uint64_t> RunTraced(const FarMemoryMachine::Options& opt,
+                                          Workload& wl, bool hits = false) {
   Tracer tracer;
   TraceHashSink hash;
   tracer.AddSink(&hash);
@@ -58,6 +54,45 @@ std::map<std::string, uint64_t> RunScan(const KernelConfig& kernel, bool write) 
   fp["result.evicted_pages"] = r.evicted_pages;
   fp["result.total_ops"] = r.total_ops;
   fp["result.sim_ns"] = static_cast<uint64_t>(r.sim_seconds * 1e9 + 0.5);
+  if (hits) {
+    fp["kernel.fast_hits"] = m.kernel().stats().fast_hits;
+    fp["kernel.prefetch_hits"] = m.kernel().stats().prefetch_hits;
+  }
+  return fp;
+}
+
+// A small sequential scan at 40% far memory. Small enough to run in <1s, rich
+// enough to exercise faults, prefetch, eviction and shootdowns; a write scan
+// dirties every page, so every evicted page is written back over RDMA.
+std::map<std::string, uint64_t> RunScan(const KernelConfig& kernel, bool write) {
+  SeqScanWorkload wl(SeqScanWorkload::Options{
+      .region_pages = 2048, .threads = 2, .passes = 2, .write = write});
+  FarMemoryMachine::Options opt;
+  opt.kernel = kernel;
+  opt.local_mem_ratio = 0.6;
+  opt.seed = 1;
+  return RunTraced(opt, wl);
+}
+
+// A small GapBS PageRank on Hermit at 70% far memory: the random contribution
+// reads make most accesses page hits between faults, so the fingerprint pins
+// the hit path (every access, its order, and the compute time between) as
+// well as the ranks, bit for bit.
+std::map<std::string, uint64_t> RunPageRank() {
+  PageRankWorkload wl(PageRankWorkload::Options{
+      .scale = 15, .edge_factor = 16, .iterations = 2, .threads = 4, .seed = 3});
+  FarMemoryMachine::Options opt;
+  opt.kernel = HermitConfig();
+  opt.local_mem_ratio = 0.3;
+  opt.seed = 1;
+  std::map<std::string, uint64_t> fp = RunTraced(opt, wl, /*hits=*/true);
+  const std::vector<double>& ranks = wl.ranks();
+  uint64_t digest = 1469598103934665603ULL;  // FNV-1a over the rank bytes
+  const auto* bytes = reinterpret_cast<const unsigned char*>(ranks.data());
+  for (size_t i = 0; i < ranks.size() * sizeof(double); ++i) {
+    digest = (digest ^ bytes[i]) * 1099511628211ULL;
+  }
+  fp["result.rank_digest"] = digest;
   return fp;
 }
 
@@ -135,6 +170,10 @@ TEST(GoldenTraceTest, WriteScanMageLibMatchesGolden) {
 TEST(GoldenTraceTest, WriteScanHermitMatchesGolden) {
   CheckGolden("seqscan_write_hermit", "write seqscan/hermit",
               RunScan(HermitConfig(), /*write=*/true));
+}
+
+TEST(GoldenTraceTest, PageRankHermitMatchesGolden) {
+  CheckGolden("pagerank_hermit", "pagerank/hermit", RunPageRank());
 }
 
 }  // namespace
