@@ -4,7 +4,6 @@
 #include <cassert>
 
 #include "src/analysis/guarded.h"
-#include "src/sim/prof_counters.h"
 #include "src/sim/engine.h"
 
 namespace magesim {
@@ -98,7 +97,6 @@ Task<size_t> PartitionedFifo::IsolateBatch(int evictor_id, CoreId core, size_t w
 }
 
 void PartitionedFifo::Unlink(PageFrame* f) {
-  MAGESIM_PROF_SCOPE(fifo_unlink);
   if (!f->linked()) return;
   lists_[static_cast<size_t>(f->lru_list)].Remove(f);
   f->lru_list = -1;

@@ -34,20 +34,26 @@ PlacementMap::PlacementMap(uint64_t seed, int num_nodes, int replication,
     if (a.hash != b.hash) return a.hash < b.hash;
     return a.node < b.node;  // hash ties broken deterministically
   });
+  if (num_nodes_ == 1) return;  // one server has one answer: no table
+  const size_t n = ring_.size();
+  arc_replicas_.reserve(n);
+  for (size_t i = 0; i < n; ++i) arc_replicas_.push_back(WalkFrom(i));
+  // About four buckets per point keeps the scan to a step or two.
+  int bits = 2;
+  while ((size_t{1} << bits) < 4 * n && bits < 20) ++bits;
+  bucket_shift_ = 64 - bits;
+  bucket_first_.resize(size_t{1} << bits);
+  size_t at = 0;
+  for (size_t b = 0; b < bucket_first_.size(); ++b) {
+    const uint64_t lo = static_cast<uint64_t>(b) << bucket_shift_;
+    while (at < n && ring_[at].hash < lo) ++at;
+    bucket_first_[b] = static_cast<uint32_t>(at);
+  }
 }
 
-ReplicaSet PlacementMap::ReplicasOf(uint64_t slot) const {
+ReplicaSet PlacementMap::WalkFrom(size_t at) const {
   ReplicaSet out;
-  if (num_nodes_ == 1) {  // one server has one answer: no ring walk per fault
-    out.count = 1;
-    return out;
-  }
-  uint64_t h = Mix64(seed_ ^ Mix64(slot));
-  size_t at = static_cast<size_t>(
-      std::lower_bound(ring_.begin(), ring_.end(), h,
-                       [](const Point& p, uint64_t v) { return p.hash < v; }) -
-      ring_.begin());
-  // Clockwise from the slot's hash, wrapping once past the last point.
+  // Clockwise from point `at`, wrapping once past the last point.
   for (size_t i = 0; i < ring_.size() && out.count < replication_; ++i, ++at) {
     if (at == ring_.size()) at = 0;
     int node = ring_[at].node;
@@ -56,6 +62,23 @@ ReplicaSet PlacementMap::ReplicasOf(uint64_t slot) const {
     if (!seen) out.node[out.count++] = node;
   }
   return out;
+}
+
+ReplicaSet PlacementMap::ReplicasOf(uint64_t slot) const {
+  if (num_nodes_ == 1) {  // one server has one answer: no ring walk per fault
+    ReplicaSet out;
+    out.count = 1;
+    return out;
+  }
+  return ReplicasAtHash(Mix64(seed_ ^ Mix64(slot)));
+}
+
+ReplicaSet PlacementMap::ReplicasAtHash(uint64_t h) const {
+  // The first point at or after h (std::lower_bound's answer), found from
+  // h's bucket; past the last point the arc wraps to point 0.
+  size_t at = bucket_first_[h >> bucket_shift_];
+  while (at < ring_.size() && ring_[at].hash < h) ++at;
+  return arc_replicas_[at == ring_.size() ? 0 : at];
 }
 
 uint64_t PlacementMap::Fingerprint() const {

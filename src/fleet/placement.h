@@ -38,8 +38,12 @@ class PlacementMap {
 
   // Desired replica holders of `slot`, primary first. Liveness-independent:
   // the map never changes at runtime, so rebuild always converges back to
-  // the same layout a fresh same-seed run would produce.
+  // the same layout a fresh same-seed run would produce. A table lookup: the
+  // ring walk runs once per arc, at construction.
   ReplicaSet ReplicasOf(uint64_t slot) const;
+  // The replicas of ring position `h` (a slot's hash): multi-server maps
+  // only. Public so tests can probe arc edges and the wrap-around directly.
+  ReplicaSet ReplicasAtHash(uint64_t h) const;
   int PrimaryOf(uint64_t slot) const { return ReplicasOf(slot).node[0]; }
 
   int num_nodes() const { return num_nodes_; }
@@ -55,10 +59,21 @@ class PlacementMap {
     int node;
   };
 
+  // The first `replication_` distinct servers clockwise from ring point `at`.
+  ReplicaSet WalkFrom(size_t at) const;
+
   uint64_t seed_;
   int num_nodes_;
   int replication_;
   std::vector<Point> ring_;  // sorted by (hash, node)
+  // Multi-server maps only. A slot whose hash h lies in the arc (point i-1,
+  // point i] -- arc 0 also taking every h past the last point -- has
+  // replicas arc_replicas_[i]. bucket_first_[b] is the first point whose hash
+  // is >= b << bucket_shift_, so h's arc is found by a short forward scan
+  // from bucket_first_[h >> bucket_shift_].
+  std::vector<ReplicaSet> arc_replicas_;
+  std::vector<uint32_t> bucket_first_;
+  int bucket_shift_ = 64;
 };
 
 }  // namespace magesim

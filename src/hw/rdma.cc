@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <memory>
 
-#include "src/sim/prof_counters.h"
 #include "src/sim/slab_alloc.h"
 
 namespace magesim {
@@ -65,7 +64,6 @@ void RdmaNic::InjectBrownout(SimTime from, SimTime until, double bandwidth_facto
 
 std::shared_ptr<RdmaCompletion> RdmaNic::Post(Channel& ch, uint64_t bytes, Histogram& lat,
                                               Histogram* queueing, bool is_write) {
-  MAGESIM_PROF_SCOPE(rdma_post);
   Engine& eng = Engine::current();
   SimTime now = eng.now();
   double rate = params_.nic_gbps;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "src/sim/prof_counters.h"
 #include "src/sim/sync.h"
 
 namespace magesim {
@@ -27,7 +26,6 @@ BuddyAllocator::BuddyAllocator(FramePool& pool)
 }
 
 uint32_t BuddyAllocator::AllocBlock(int order) {
-  MAGESIM_PROF_SCOPE(buddy_alloc);
   assert(order >= 0 && order <= kMaxOrder);
   if (guard_ != nullptr) guard_->AssertHeld("buddy free lists (alloc)");
   last_op_work_ = 1;
@@ -69,7 +67,6 @@ void BuddyAllocator::RemoveFromFreeList(uint32_t pfn, int order) {
 }
 
 void BuddyAllocator::FreeBlock(uint32_t pfn, int order) {
-  MAGESIM_PROF_SCOPE(buddy_free);
   assert(order >= 0 && order <= kMaxOrder);
   if (guard_ != nullptr) guard_->AssertHeld("buddy free lists (free)");
   last_op_work_ = 1;

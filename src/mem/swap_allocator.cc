@@ -1,5 +1,6 @@
 #include "src/mem/swap_allocator.h"
 
+#include <bit>
 #include <cassert>
 
 #include "src/analysis/guarded.h"
@@ -9,7 +10,7 @@ namespace magesim {
 
 SwapAllocator::SwapAllocator(uint64_t num_slots, int num_cores, SimTime cs_ns)
     : num_slots_(num_slots), free_slots_(num_slots), cs_ns_(cs_ns) {
-  used_.assign(num_slots, false);
+  used_.assign((num_slots + 63) / 64, 0);
   cluster_hint_.resize(static_cast<size_t>(num_cores));
   // Stagger per-core cluster hints across the device, as Linux's per-CPU
   // cluster allocation does.
@@ -18,18 +19,30 @@ SwapAllocator::SwapAllocator(uint64_t num_slots, int num_cores, SimTime cs_ns)
   }
 }
 
-uint64_t SwapAllocator::ScanFrom(uint64_t start) {
-  for (uint64_t i = 0; i < num_slots_; ++i) {
-    uint64_t s = (start + i) % num_slots_;
-    if (!used_[s]) return s;
+uint64_t SwapAllocator::ScanFrom(uint64_t start) const {
+  uint64_t s = FirstFree(start, num_slots_);
+  return s != kNoSlot ? s : FirstFree(0, start);
+}
+
+uint64_t SwapAllocator::FirstFree(uint64_t from, uint64_t to) const {
+  // A word at a time; the bits past num_slots_ in the last word read free,
+  // so a hit at or beyond `to` means nothing in range is.
+  while (from < to) {
+    const uint64_t w = from >> 6;
+    const uint64_t free_bits = ~used_[w] & (~0ULL << (from & 63));
+    if (free_bits != 0) {
+      const uint64_t s = (w << 6) + static_cast<uint64_t>(std::countr_zero(free_bits));
+      return s < to ? s : kNoSlot;
+    }
+    from = (w + 1) << 6;
   }
   return kNoSlot;
 }
 
 void SwapAllocator::MarkUsedForSetup(uint64_t slot) {
   assert(slot < num_slots_);
-  if (!used_[slot]) {
-    used_[slot] = true;
+  if (!used(slot)) {
+    used_[slot >> 6] |= 1ULL << (slot & 63);
     --free_slots_;
   }
 }
@@ -44,7 +57,7 @@ Task<uint64_t> SwapAllocator::Alloc(CoreId core) {
   uint64_t& hint = cluster_hint_[static_cast<size_t>(core)];
   uint64_t slot = ScanFrom(hint);
   assert(slot != kNoSlot);
-  used_[slot] = true;
+  used_[slot >> 6] |= 1ULL << (slot & 63);
   --free_slots_;
   hint = (slot + 1) % num_slots_;
   co_return slot;
@@ -55,8 +68,8 @@ Task<> SwapAllocator::Free(uint64_t slot) {
   auto g = co_await lock_.Scoped();
   co_await Delay{cs_ns_ / 2};
   MAGESIM_ASSERT_HELD(lock_, "swap slot bitmap (free)");
-  assert(used_[slot]);
-  used_[slot] = false;
+  assert(used(slot));
+  used_[slot >> 6] &= ~(1ULL << (slot & 63));
   ++free_slots_;
 }
 

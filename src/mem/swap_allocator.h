@@ -39,12 +39,16 @@ class SwapAllocator {
   const LockStats& lock_stats() const { return lock_.stats(); }
 
  private:
-  uint64_t ScanFrom(uint64_t start);
+  // First free slot at or after `start`, wrapping once past the end.
+  uint64_t ScanFrom(uint64_t start) const;
+  // First free slot in [from, to), or kNoSlot.
+  uint64_t FirstFree(uint64_t from, uint64_t to) const;
+  bool used(uint64_t slot) const { return (used_[slot >> 6] >> (slot & 63)) & 1; }
 
   uint64_t num_slots_;
   uint64_t free_slots_;
   SimTime cs_ns_;
-  std::vector<bool> used_;
+  std::vector<uint64_t> used_;  // bit (s % 64) of word s / 64: slot s is taken
   std::vector<uint64_t> cluster_hint_;  // per-core next-fit hints
   SimMutex lock_{"swap-info"};
 };

@@ -12,7 +12,6 @@
 #include "src/resilience/resilient_rdma.h"
 #include "src/sim/engine.h"
 #include "src/sim/hot_path.h"
-#include "src/sim/prof_counters.h"
 #include "src/spans/spans.h"
 #include "src/tenancy/memcg.h"
 #include "src/tenancy/tenant_accounting.h"
@@ -183,7 +182,6 @@ void Kernel::Prepopulate(uint64_t resident_pages) {
 }
 
 void Kernel::InstantReclaim(uint64_t vpn) {
-  MAGESIM_PROF_SCOPE(instant_reclaim);
   // Deliberate modeling shortcut (pre-evicted pages, zero simulated cost):
   // bypasses the isolation protocol and the buddy lock on purpose.
   AnalysisExemptScope exempt;
@@ -215,7 +213,6 @@ void Kernel::IdealReclaimOne() {
 }
 
 void Kernel::MaybeWakeEvictors() {
-  MAGESIM_PROF_SCOPE(maybe_wake_evictors);
   if (free_pages() < low_wm_ || TenancyEvictionPressure()) {
     evictor_wake_.Pulse();
   }

@@ -20,7 +20,6 @@
 #include "src/paging/config.h"
 #include "src/resilience/resilient_rdma.h"
 #include "src/sim/hot_path.h"
-#include "src/sim/prof_counters.h"
 #include "src/sim/stats.h"
 #include "src/spans/spans.h"
 
@@ -80,7 +79,6 @@ class Kernel {
   // true. No simulated time passes. Returns false, touching nothing, for a
   // non-present page.
   MAGESIM_HOT_PATH bool TryFastAccess(uint64_t vpn, bool write) {
-    MAGESIM_PROF_SCOPE(fast_access);
     Pte& pte = pt_->At(vpn);
     if (!pte.present) return false;
     pte.accessed = true;

@@ -15,37 +15,27 @@ ResilienceManager::ResilienceManager(FleetManager& fleet, const ResilienceOption
   }
 }
 
-Task<> ResilienceManager::CompletionWatcher(std::shared_ptr<RdmaCompletion> c,
-                                            std::shared_ptr<OpWait> w) {
-  // If the completion was dropped this watcher parks forever — the same
-  // intentional leak policy as any coroutine parked at shutdown.
+Task<> DeadlineWait::Pending(std::shared_ptr<RdmaCompletion> c, SimTime grace) {
+  const SimTime now = Engine::current().now();
+  if (c->status() == RdmaCompletion::Status::kLost) {
+    // The deadline watcher's hops: its spawn, its Delay, its wake-up of us.
+    co_await YieldNow{};
+    co_await Delay{std::max(now, c->completes_at()) + grace - now};
+    co_await YieldNow{};
+    co_return;
+  }
+  // Armed, so the signal comes at completes_at(), before the deadline. Due
+  // now: it is already queued ahead of us; let it run as the completion
+  // watcher's spawn did.
+  if (c->completes_at() <= now) co_await YieldNow{};
   co_await c->Wait();
-  w->ev.Set();
+  co_await YieldNow{};  // the completion watcher's wake-up of us
 }
 
-Task<> ResilienceManager::DeadlineWatcher(SimTime delay, std::shared_ptr<OpWait> w) {
-  co_await Delay{delay};
-  w->ev.Set();
-}
-
-Task<ResilienceManager::OpOutcome> ResilienceManager::AwaitWithDeadline(
-    std::shared_ptr<RdmaCompletion> c, int actor, uint64_t vpn) {
-  Engine& eng = Engine::current();
-  SimTime now = eng.now();
-  SimTime deadline = std::max(now, c->completes_at()) + opt_.retry.op_grace_ns;
-  if (!c->done()) {
-    auto w = std::make_shared<OpWait>();
-    eng.Spawn(CompletionWatcher(c, w));
-    eng.Spawn(DeadlineWatcher(deadline - now, w));
-    co_await w->ev.Wait();
-  }
-  if (!c->done()) {
-    ++timeouts_;
-    TraceEmit(TraceEventType::kRdmaTimeout, actor, vpn, kTraceNoFrame,
-              static_cast<uint64_t>(Engine::current().now() - now));
-    co_return OpOutcome::kTimeout;
-  }
-  co_return c->ok() ? OpOutcome::kOk : OpOutcome::kError;
+void ResilienceManager::NoteTimeout(int actor, uint64_t vpn, SimTime posted) {
+  ++timeouts_;
+  TraceEmit(TraceEventType::kRdmaTimeout, actor, vpn, kTraceNoFrame,
+            static_cast<uint64_t>(Engine::current().now() - posted));
 }
 
 Task<bool> ResilienceManager::OneOpOn(RdmaNic& nic, CircuitBreaker& br,
@@ -63,7 +53,8 @@ Task<bool> ResilienceManager::OneOpOn(RdmaNic& nic, CircuitBreaker& br,
     }
     SimTime p0 = Engine::current().now();
     auto c = is_write ? nic.PostWrite(kPageSize) : nic.PostRead(kPageSize);
-    OpOutcome out = co_await AwaitWithDeadline(c, actor, vpn);
+    OpOutcome out = co_await DeadlineWait(std::move(c), opt_.retry.op_grace_ns);
+    if (out == OpOutcome::kTimeout) NoteTimeout(actor, vpn, p0);
     SpanLeafUnder(op,
                   attempt == 0 ? (is_write ? SpanKind::kRdmaWrite : SpanKind::kRdmaRead)
                                : SpanKind::kRdmaRetry,
@@ -268,7 +259,8 @@ Task<> ResilienceManager::WriteSlots(int evictor_id, std::vector<uint64_t> slots
   }
   for (PendingOp& p : ops) {
     SimTime w0 = Engine::current().now();
-    OpOutcome out = co_await AwaitWithDeadline(p.c, evictor_id, slots[p.idx]);
+    OpOutcome out = co_await DeadlineWait(std::move(p.c), opt_.retry.op_grace_ns);
+    if (out == OpOutcome::kTimeout) NoteTimeout(evictor_id, slots[p.idx], w0);
     SpanLeafUnder(op, SpanKind::kRdmaWrite, w0, Engine::current().now(), evictor_id,
                   slots[p.idx], {}, 1);
     CircuitBreaker& br = NodeBreaker(p.node, /*is_write=*/true);

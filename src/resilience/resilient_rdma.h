@@ -54,6 +54,49 @@ enum class RemoteOpStatus : uint8_t {
   kAbandoned,  // retries exhausted on a speculative op; caller must unwind
 };
 
+// What a deadline wait saw of one op.
+enum class OpOutcome : uint8_t { kOk, kError, kTimeout };
+
+// Awaitable: waits for the completion `c` until it is overdue by `grace`
+// (> 0) past its scheduled completion, or past now for one already due, and
+// yields the op's outcome. Queueing delay alone never trips it; a dropped op
+// always does. `c` comes from RdmaNic::PostRead/PostWrite, so it is armed
+// unless dropped.
+//
+// The wait spawns no task. An op's fate and completion time are fixed when
+// it is posted, so the wait knows at its start which case it is in, and
+// makes itself the engine hops (same times, same order against every other
+// event) that a completion watcher and a deadline watcher task used to make
+// for it (docs/INTERNALS.md §4):
+//  * done: no suspension and no coroutine frame;
+//  * armed, due later: the signal wakes it, then one hop at that time;
+//  * armed, due now but not yet signaled: two hops (the pending signal is
+//    older, so it runs first);
+//  * dropped: one hop, a Delay to the deadline, one hop.
+class DeadlineWait {
+ public:
+  DeadlineWait(std::shared_ptr<RdmaCompletion> c, SimTime grace)
+      : c_(std::move(c)), grace_(grace) {}
+
+  bool await_ready() const { return c_->done(); }
+  std::coroutine_handle<> await_suspend(std::coroutine_handle<> h) {
+    pending_ = Pending(c_, grace_);
+    return pending_.BeginAwait(h);
+  }
+  OpOutcome await_resume() {
+    if (pending_.valid()) pending_.RethrowIfException();
+    if (!c_->done()) return OpOutcome::kTimeout;
+    return c_->ok() ? OpOutcome::kOk : OpOutcome::kError;
+  }
+
+ private:
+  static Task<> Pending(std::shared_ptr<RdmaCompletion> c, SimTime grace);
+
+  std::shared_ptr<RdmaCompletion> c_;
+  SimTime grace_;
+  Task<> pending_;
+};
+
 // A writeback batch in flight: what an evictor awaits (FinishWriteback)
 // before it reclaims the batch's frames. Empty when nothing needed writing.
 class Writeback {
@@ -130,20 +173,9 @@ class ResilienceManager {
   uint64_t breaker_opens_total() const;
 
  private:
-  enum class OpOutcome : uint8_t { kOk, kError, kTimeout };
-
-  struct OpWait {
-    SimEvent ev;
-  };
-
-  // Waits for `c` until it is overdue by the policy grace. Uses the
-  // completion's scheduled time, so queueing delay alone never trips it; a
-  // lost completion always does.
-  Task<OpOutcome> AwaitWithDeadline(std::shared_ptr<RdmaCompletion> c, int actor,
-                                    uint64_t vpn);
-  static Task<> CompletionWatcher(std::shared_ptr<RdmaCompletion> c,
-                                  std::shared_ptr<OpWait> w);
-  static Task<> DeadlineWatcher(SimTime delay, std::shared_ptr<OpWait> w);
+  // Counts and traces an op of `actor`/`vpn`, posted at `posted`, that a
+  // DeadlineWait timed out.
+  void NoteTimeout(int actor, uint64_t vpn, SimTime posted);
 
   // Full retry loop for one op posted on `nic` under breaker `br`; true on
   // success. `budget` = extra attempts allowed after the first. Leaves

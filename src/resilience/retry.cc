@@ -5,7 +5,7 @@
 
 namespace magesim {
 
-Task<> CircuitBreaker::Admit() {
+Task<> CircuitBreaker::AdmitSlow() {
   for (;;) {
     if (state_ == State::kClosed) co_return;
     Engine& eng = Engine::current();

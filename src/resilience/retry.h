@@ -5,6 +5,7 @@
 #ifndef MAGESIM_RESILIENCE_RETRY_H_
 #define MAGESIM_RESILIENCE_RETRY_H_
 
+#include <coroutine>
 #include <cstdint>
 
 #include "src/sim/random.h"
@@ -71,8 +72,23 @@ class CircuitBreaker {
 
   // Waits until the caller may issue an op. Always admits eventually: while
   // open, callers park until the cool-down elapses, then one per cycle goes
-  // through as the probe and the rest await its verdict.
-  Task<> Admit();
+  // through as the probe and the rest await its verdict. A closed breaker
+  // admits in await_ready, with no coroutine frame.
+  // Usage: `co_await breaker.Admit();`
+  struct AdmitAwaiter {
+    CircuitBreaker& br;
+    Task<> slow;
+
+    bool await_ready() const { return br.state_ == State::kClosed; }
+    std::coroutine_handle<> await_suspend(std::coroutine_handle<> h) {
+      slow = br.AdmitSlow();
+      return slow.BeginAwait(h);
+    }
+    void await_resume() {
+      if (slow.valid()) slow.RethrowIfException();
+    }
+  };
+  AdmitAwaiter Admit() { return AdmitAwaiter{*this, {}}; }
 
   void OnSuccess();
   void OnFailure();
@@ -87,6 +103,8 @@ class CircuitBreaker {
   }
 
  private:
+  // Admit past a breaker that is not closed.
+  Task<> AdmitSlow();
   void Open(SimTime now);
   void Close(SimTime now);
 

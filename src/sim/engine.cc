@@ -4,8 +4,6 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "src/sim/prof_counters.h"
-
 namespace magesim {
 
 Engine* Engine::current_ = nullptr;
@@ -39,7 +37,6 @@ uint64_t Engine::Run() {
     // global minimum — identical extraction order to a single heap.
     if (!ready_.empty()) {
       if (!queue_.empty() && before(queue_.top(), ready_.front())) {
-        MAGESIM_PROF_SCOPE(run_heap_pop);
         ev = queue_.top();
         queue_.pop();
       } else {
@@ -47,7 +44,6 @@ uint64_t Engine::Run() {
         ready_.pop_front();
       }
     } else if (!queue_.empty()) {
-      MAGESIM_PROF_SCOPE(run_heap_pop);
       ev = queue_.top();
       queue_.pop();
     } else {
@@ -57,10 +53,7 @@ uint64_t Engine::Run() {
     now_ = ev.t;
     current_task_ = ev.task;
     ++processed;
-    {
-      MAGESIM_PROF_SCOPE(run_resume);
-      ev.h.resume();
-    }
+    ev.h.resume();
   }
   current_task_ = kNoTask;
   events_processed_ += processed;

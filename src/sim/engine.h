@@ -21,7 +21,6 @@
 
 #include "src/sim/analysis_hooks.h"
 #include "src/sim/event_heap.h"
-#include "src/sim/prof_counters.h"
 #include "src/sim/ring_queue.h"
 #include "src/sim/task.h"
 #include "src/sim/time.h"
@@ -54,10 +53,8 @@ class Engine {
   void ScheduleAt(SimTime t, std::coroutine_handle<> h, TaskId task) {
     assert(h);
     if (t <= now_) {
-      MAGESIM_PROF_SCOPE(sched_ring_push);
       ready_.push_back(Event{now_, seq_++, h, task});
     } else {
-      MAGESIM_PROF_SCOPE(sched_heap_push);
       queue_.push(Event{t, seq_++, h, task});
     }
   }

@@ -3,8 +3,6 @@
 #include <cassert>
 #include <new>
 
-#include "src/sim/prof_counters.h"
-
 namespace magesim {
 namespace {
 
@@ -66,7 +64,6 @@ void* CarveFromChunk(State& s, size_t bytes) {
 }  // namespace
 
 void* SlabAllocator::Allocate(size_t n) {
-  MAGESIM_PROF_SCOPE(slab_alloc);
   State& s = S();
   ++s.stats.allocs;
   size_t gross = n + sizeof(Header);
@@ -92,7 +89,6 @@ void* SlabAllocator::Allocate(size_t n) {
 }
 
 void SlabAllocator::Deallocate(void* p) {
-  MAGESIM_PROF_SCOPE(slab_free);
   if (p == nullptr) return;
   State& s = S();
   ++s.stats.frees;

@@ -6,7 +6,6 @@
 #include <cstdio>
 #include <limits>
 
-#include "src/sim/prof_counters.h"
 
 namespace magesim {
 
@@ -55,7 +54,6 @@ int64_t Histogram::SlotLowerBound(int slot) {
 void Histogram::Record(int64_t value) { RecordN(value, 1); }
 
 void Histogram::RecordN(int64_t value, uint64_t n) {
-  MAGESIM_PROF_SCOPE(hist_record);
   if (n == 0) return;
   if (count_ == 0 || value < min_) min_ = value;
   if (value > max_) max_ = value;

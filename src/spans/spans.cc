@@ -6,7 +6,6 @@
 #include <cstdio>
 
 #include "src/metrics/run_report.h"
-#include "src/sim/prof_counters.h"
 
 namespace magesim {
 
@@ -124,7 +123,6 @@ double SpanTailBand::Share(SpanKind k) const {
 }
 
 void SpanTracer::Agg::Fold(int64_t latency_ns, const SimTime* phase) {
-  MAGESIM_PROF_SCOPE(span_fold);
   latency.Record(latency_ns);
   if (slot_ops.empty()) {
     slot_ops.assign(Histogram::kNumSlots, 0);
@@ -166,7 +164,6 @@ void SpanTracer::Uninstall() {
 
 SpanRecord* SpanTracer::NewRecord(SpanRecord* root, SpanKind k, int32_t actor,
                                   uint64_t page, int tenant, SimTime t0) {
-  MAGESIM_PROF_SCOPE(span_new_record);
   ArenaBlock* b;
   if (root == nullptr) {
     b = NewBlock();
@@ -238,7 +235,6 @@ void SpanTracer::ReleaseStackIfEmpty(TaskId task, Stack& s) {
 
 SpanHandle SpanTracer::Begin(SpanKind k, int32_t actor, uint64_t page, int tenant,
                              SimTime t0) {
-  MAGESIM_PROF_SCOPE(span_begin);
   Stack& s = EnsureStack();
   // A sampled-out root suppresses its whole tree: nested Begins push the
   // sentinel again so the pops stay balanced.
@@ -255,7 +251,6 @@ SpanHandle SpanTracer::Begin(SpanKind k, int32_t actor, uint64_t page, int tenan
 }
 
 void SpanTracer::End(SpanHandle h, uint64_t arg) {
-  MAGESIM_PROF_SCOPE(span_end);
   if (h.rec == nullptr) return;
   SpanRecord* rec = h.rec;
   TaskId task = Engine::CurrentTaskOrNone();
@@ -272,7 +267,6 @@ void SpanTracer::End(SpanHandle h, uint64_t arg) {
 
 SpanHandle SpanTracer::BeginDetachedSampled(SpanKind k, int32_t actor, uint64_t page,
                                             int tenant, SimTime t0) {
-  MAGESIM_PROF_SCOPE(span_begin_detached);
   if (t0 < 0) t0 = Engine::NowOrZero();
   return SpanHandle{NewRecord(nullptr, k, actor, page, tenant, t0)};
 }
@@ -286,7 +280,6 @@ SpanHandle SpanTracer::BeginChildSampled(SpanHandle parent, SpanKind k, int32_t 
 }
 
 void SpanTracer::EndDetachedSampled(SpanHandle h, uint64_t arg) {
-  MAGESIM_PROF_SCOPE(span_end_detached);
   h.rec->t1 = Engine::NowOrZero();
   h.rec->arg = arg;
   Seal(h.rec);
@@ -295,7 +288,6 @@ void SpanTracer::EndDetachedSampled(SpanHandle h, uint64_t arg) {
 
 uint64_t SpanTracer::Leaf(SpanKind k, SimTime t0, int32_t actor, uint64_t page,
                           SpanCausalPoint link, uint64_t arg) {
-  MAGESIM_PROF_SCOPE(span_leaf);
   SimTime now = Engine::NowOrZero();
   if (now <= t0) return 0;
   Stack* s = FindStack();
@@ -326,7 +318,6 @@ uint64_t SpanTracer::Leaf(SpanKind k, SimTime t0, int32_t actor, uint64_t page,
 uint64_t SpanTracer::LeafUnderSampled(SpanHandle parent, SpanKind k, SimTime t0,
                                       SimTime t1, int32_t actor, uint64_t page,
                                       SpanCausalPoint link, uint64_t arg) {
-  MAGESIM_PROF_SCOPE(span_leaf_under);
   SpanRecord* rec = NewRecord(RootOf(parent.rec), k, actor, page, -1, t0);
   rec->t1 = t1;
   rec->arg = arg;
@@ -518,7 +509,6 @@ void SpanTracer::MaybeKeepExemplar(SpanRecord* root, int64_t latency_ns,
 }
 
 void SpanTracer::FreeOp(SpanRecord* root) {
-  MAGESIM_PROF_SCOPE(span_free_op);
   // The chain is newest-first; the root record lives inside the last block,
   // so grab each `next` before its block is recycled.
   ArenaBlock* b = static_cast<ArenaBlock*>(root->arena);
@@ -530,12 +520,10 @@ void SpanTracer::FreeOp(SpanRecord* root) {
 }
 
 void SpanTracer::FinalizeOp(SpanRecord* root) {
-  MAGESIM_PROF_SCOPE(span_finalize_op);
   int64_t latency_ns = root->t1 - root->t0;
   if (latency_ns < 0) latency_ns = 0;
   SimTime phase[kNumSpanKinds] = {};
   {
-    MAGESIM_PROF_SCOPE(span_critical_path);
     ComputeCriticalPath(root, phase);
   }
   ++ops_[static_cast<size_t>(root->kind)];

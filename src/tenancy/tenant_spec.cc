@@ -1,5 +1,6 @@
 #include "src/tenancy/tenant_spec.h"
 
+#include <cctype>
 #include <climits>
 #include <cstdlib>
 #include <set>
@@ -26,10 +27,23 @@ std::vector<std::string> Split(const std::string& s, char sep) {
 }
 
 bool ParseFrac(const std::string& s, double* out, std::string* err) {
+  const std::string want = " (want a fraction like 0.4 or a percent like 40)";
+  // strtod also reads "nan", "inf" and hex floats; a limit is none of them,
+  // and each would reach the tenancy manager's page arithmetic as garbage.
+  std::string lower = s;
+  for (char& c : lower) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+  const char* what = lower.find("nan") != std::string::npos   ? "is not a number"
+                     : lower.find("inf") != std::string::npos ? "is not finite"
+                     : lower.find('x') != std::string::npos   ? "is a hex float"
+                                                              : nullptr;
+  if (what != nullptr) {
+    *err = "limit '" + s + "' " + what + want;
+    return false;
+  }
   char* end = nullptr;
   double v = std::strtod(s.c_str(), &end);
   if (end == s.c_str() || *end != '\0' || v < 0) {
-    *err = "bad limit '" + s + "' (want a fraction like 0.4 or a percent like 40)";
+    *err = "bad limit '" + s + "'" + want;
     return false;
   }
   // Percentages read naturally ("40" = 40% of local DRAM).
@@ -94,6 +108,12 @@ bool ParseTenantSpec(const std::string& s, TenantSpec* out, std::string* err) {
   size_t qos_at = 3;
   if (head.size() == 5) {
     if (!ParseFrac(head[3], &t.soft_frac, err)) return false;
+    // Admission assumes soft <= hard; a hard limit of 0 means none.
+    if (t.hard_frac > 0 && t.soft_frac > t.hard_frac) {
+      *err = "tenant '" + t.name + "': soft limit '" + head[3] + "' is above the hard limit '" +
+             head[2] + "'";
+      return false;
+    }
     qos_at = 4;
   }
   if (!ParseQosClass(head[qos_at], &t.qos)) {

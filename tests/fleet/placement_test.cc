@@ -4,8 +4,11 @@
 // with the same seed emits a byte-identical trace.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <limits>
 #include <set>
+#include <vector>
 
 #include "src/core/farmem.h"
 #include "src/fleet/placement.h"
@@ -29,6 +32,119 @@ TEST(PlacementTest, SameSeedSameMap) {
       ASSERT_EQ(ra.node[i], rb.node[i]) << "slot " << slot << " replica " << i;
     }
   }
+}
+
+// The map before its arc table: the ring built the same way, a
+// std::lower_bound for the slot's hash and a clockwise walk per lookup.
+class ReferenceRing {
+ public:
+  ReferenceRing(uint64_t seed, int num_nodes, int replication, int vnodes = 64)
+      : seed_(seed), nodes_(num_nodes) {
+    replication_ = std::clamp(replication, 1, std::min(nodes_, kMaxReplicas));
+    for (int n = 0; n < nodes_; ++n) {
+      for (int v = 0; v < vnodes; ++v) {
+        ring_.push_back({Mix64(seed_ ^ Mix64((static_cast<uint64_t>(n) << 32) |
+                                             static_cast<uint64_t>(v))),
+                         n});
+      }
+    }
+    std::sort(ring_.begin(), ring_.end(), [](const Point& a, const Point& b) {
+      return a.hash != b.hash ? a.hash < b.hash : a.node < b.node;
+    });
+  }
+  uint64_t SlotHash(uint64_t slot) const { return Mix64(seed_ ^ Mix64(slot)); }
+  ReplicaSet At(uint64_t h) const {
+    ReplicaSet out;
+    size_t at = static_cast<size_t>(
+        std::lower_bound(ring_.begin(), ring_.end(), h,
+                         [](const Point& p, uint64_t v) { return p.hash < v; }) -
+        ring_.begin());
+    for (size_t i = 0; i < ring_.size() && out.count < replication_; ++i, ++at) {
+      if (at == ring_.size()) at = 0;
+      int node = ring_[at].node;
+      bool seen = false;
+      for (int j = 0; j < out.count; ++j) seen |= out.node[j] == node;
+      if (!seen) out.node[out.count++] = node;
+    }
+    return out;
+  }
+  uint64_t Fingerprint() const {
+    uint64_t h = 0xcbf29ce484222325ULL;
+    auto mix = [&h](uint64_t v) {
+      for (int i = 0; i < 8; ++i) {
+        h ^= (v >> (i * 8)) & 0xff;
+        h *= 0x100000001b3ULL;
+      }
+    };
+    mix(static_cast<uint64_t>(nodes_));
+    mix(static_cast<uint64_t>(replication_));
+    for (const Point& p : ring_) {
+      mix(p.hash);
+      mix(static_cast<uint64_t>(p.node));
+    }
+    return h;
+  }
+  // Every ring position worth probing: each point, its neighbours, and both
+  // ends of the hash space (the wrap-around arc).
+  std::vector<uint64_t> EdgeHashes() const {
+    std::vector<uint64_t> hs = {0, 1, std::numeric_limits<uint64_t>::max()};
+    for (const Point& p : ring_) {
+      hs.push_back(p.hash);
+      hs.push_back(p.hash - 1);
+      hs.push_back(p.hash + 1);
+    }
+    return hs;
+  }
+
+ private:
+  struct Point {
+    uint64_t hash;
+    int node;
+  };
+  static uint64_t Mix64(uint64_t x) {
+    x += 0x9e3779b97f4a7c15ULL;
+    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+    return x ^ (x >> 31);
+  }
+  uint64_t seed_;
+  int nodes_;
+  int replication_;
+  std::vector<Point> ring_;
+};
+
+void ExpectSameSet(const ReplicaSet& got, const ReplicaSet& want, const char* what,
+                   uint64_t key) {
+  ASSERT_EQ(got.count, want.count) << what << " " << key;
+  for (int i = 0; i < got.count; ++i) {
+    ASSERT_EQ(got.node[i], want.node[i]) << what << " " << key << " replica " << i;
+  }
+}
+
+// The arc table gives the walk's sets in the walk's order for every slot and
+// every arc edge, including hashes equal to a ring point and the arc that
+// wraps past the last point; the ring and its Fingerprint() are unchanged.
+TEST(PlacementTest, ArcTableEqualsRingWalk) {
+  for (uint64_t seed : {1ULL, 7ULL, 0xdeadbeefULL}) {
+    for (int nodes : {2, 3, 4, 7, 16}) {
+      for (int k : {1, 2, 3, 8}) {
+        PlacementMap map(seed, nodes, k);
+        ReferenceRing ref(seed, nodes, k);
+        ASSERT_EQ(map.Fingerprint(), ref.Fingerprint());
+        for (uint64_t slot = 0; slot < 2048; ++slot) {
+          ExpectSameSet(map.ReplicasOf(slot), ref.At(ref.SlotHash(slot)), "slot", slot);
+        }
+        for (uint64_t h : ref.EdgeHashes()) {
+          ExpectSameSet(map.ReplicasAtHash(h), ref.At(h), "hash", h);
+        }
+      }
+    }
+  }
+  // Few points per server: long arcs, few buckets.
+  PlacementMap sparse(3, 5, 3, /*vnodes_per_node=*/1);
+  ReferenceRing ref(3, 5, 3, /*vnodes=*/1);
+  ASSERT_EQ(sparse.Fingerprint(), ref.Fingerprint());
+  for (uint64_t h : ref.EdgeHashes()) ExpectSameSet(sparse.ReplicasAtHash(h), ref.At(h), "hash", h);
 }
 
 TEST(PlacementTest, DifferentSeedDifferentMap) {

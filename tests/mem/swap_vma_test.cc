@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
 #include "src/mem/swap_allocator.h"
 #include "src/mem/vma.h"
 #include "src/sim/engine.h"
+#include "src/sim/random.h"
 
 namespace magesim {
 namespace {
@@ -77,6 +79,96 @@ TEST(SwapAllocatorTest, GlobalLockContendsAcrossCores) {
   e.Run();
   EXPECT_GT(swap.lock_stats().contended, 100u);
   EXPECT_GT(swap.lock_stats().mean_wait_ns(), 500.0);
+}
+
+// The allocator's scan before it went word-wise: a bit-at-a-time walk from
+// the per-core hint, wrapping once. The word scan must pick the same slot.
+class ReferenceSwap {
+ public:
+  ReferenceSwap(uint64_t n, int cores) : used_(n, false), hint_(static_cast<size_t>(cores)) {
+    for (size_t i = 0; i < hint_.size(); ++i) {
+      hint_[i] = (i * SwapAllocator::kClusterSlots) % (n == 0 ? 1 : n);
+    }
+    free_ = n;
+  }
+  uint64_t Alloc(int core) {
+    if (free_ == 0) return SwapAllocator::kNoSlot;
+    const uint64_t n = used_.size();
+    uint64_t& hint = hint_[static_cast<size_t>(core)];
+    for (uint64_t i = 0; i < n; ++i) {
+      uint64_t s = (hint + i) % n;
+      if (!used_[s]) {
+        used_[s] = true;
+        --free_;
+        hint = (s + 1) % n;
+        return s;
+      }
+    }
+    return SwapAllocator::kNoSlot;
+  }
+  void Free(uint64_t s) {
+    used_[s] = false;
+    ++free_;
+  }
+  void MarkUsed(uint64_t s) {
+    if (!used_[s]) {
+      used_[s] = true;
+      --free_;
+    }
+  }
+
+ private:
+  std::vector<bool> used_;
+  std::vector<uint64_t> hint_;
+  uint64_t free_ = 0;
+};
+
+// Random alloc/free traffic from several cores over sizes on and off a
+// 64-slot word boundary, from empty and from a pre-marked device, until it
+// fills: every allocation equals the reference walk's.
+TEST(SwapAllocatorTest, WordScanMatchesBitWalk) {
+  for (uint64_t n : {1ULL, 63ULL, 64ULL, 65ULL, 200ULL, 1000ULL, 4096ULL}) {
+    for (uint64_t seed : {1ULL, 2ULL, 3ULL}) {
+      Engine e;
+      const int cores = 5;
+      SwapAllocator swap(n, cores);
+      ReferenceSwap ref(n, cores);
+      Rng rng(seed * 7919 + n);
+      for (uint64_t s = 0; s < n; ++s) {
+        if (rng.NextDouble() < 0.3) {
+          swap.MarkUsedForSetup(s);
+          ref.MarkUsed(s);
+        }
+      }
+      e.Spawn([](SwapAllocator& sw, ReferenceSwap& rf, Rng& r, uint64_t n,
+                 int cores) -> Task<> {
+        std::vector<uint64_t> held;
+        for (uint64_t step = 0; step < 6 * n + 64; ++step) {
+          // Back to the engine loop each step: uncontended allocations finish
+          // in place, and without tail calls (sanitizer builds) every
+          // in-place step would stack another frame.
+          co_await YieldNow{};
+          // Lean towards allocating so the device fills and wraps.
+          if (held.empty() || r.NextDouble() < 0.6) {
+            int core = static_cast<int>(r.Next() % static_cast<uint64_t>(cores));
+            uint64_t got = co_await sw.Alloc(core);
+            uint64_t want = rf.Alloc(core);
+            EXPECT_EQ(got, want) << "n=" << n << " step=" << step;
+            if (got != want) co_return;
+            if (got != SwapAllocator::kNoSlot) held.push_back(got);
+          } else {
+            size_t i = static_cast<size_t>(r.Next() % held.size());
+            uint64_t slot = held[i];
+            held[i] = held.back();
+            held.pop_back();
+            co_await sw.Free(slot);
+            rf.Free(slot);
+          }
+        }
+      }(swap, ref, rng, n, cores));
+      e.Run();
+    }
+  }
 }
 
 TEST(DirectMappingTest, IsLinearAndFree) {

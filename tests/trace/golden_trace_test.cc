@@ -1,9 +1,10 @@
 // Golden-trace regression test: a canonical read scenario, a write scan on
-// two kernels and a PageRank run on Hermit, each fingerprinted by the trace
-// hash plus per-type event counts and checked against a golden file in the
-// source tree. Any behavioral change to the fault path, evictors, allocators,
-// fabric or application hit path shows up here as a readable per-counter
-// diff.
+// two kernels, a PageRank run on Hermit and a tenant pair on a chaotic
+// server fleet, each fingerprinted by the trace hash plus per-type event
+// counts and checked against a golden file in the source tree. Any
+// behavioral change to the fault path, evictors, allocators, fabric,
+// application hit path or resilient data path shows up here as a readable
+// per-counter diff.
 //
 // Intentional behavior changes: regenerate with
 //   MAGESIM_UPDATE_GOLDEN=1 ./build/tests/golden_trace_test
@@ -20,6 +21,7 @@
 
 #include "src/core/farmem.h"
 #include "src/paging/kernels.h"
+#include "src/tenancy/tenant_spec.h"
 #include "src/trace/trace.h"
 #include "src/workloads/pagerank.h"
 #include "src/workloads/seqscan.h"
@@ -32,9 +34,11 @@ std::string GoldenPath(const std::string& name) {
 }
 
 // Installs a hashing tracer, runs `wl` on `opt`, and fingerprints the trace
-// plus the run's headline counters; `hits` adds the kernel's page-hit counts.
+// plus the run's headline counters; `hits` adds the kernel's page-hit counts,
+// `fleet` the resilience, fleet and per-tenant counters.
 std::map<std::string, uint64_t> RunTraced(const FarMemoryMachine::Options& opt,
-                                          Workload& wl, bool hits = false) {
+                                          Workload& wl, bool hits = false,
+                                          bool fleet = false) {
   Tracer tracer;
   TraceHashSink hash;
   tracer.AddSink(&hash);
@@ -57,6 +61,25 @@ std::map<std::string, uint64_t> RunTraced(const FarMemoryMachine::Options& opt,
   if (hits) {
     fp["kernel.fast_hits"] = m.kernel().stats().fast_hits;
     fp["kernel.prefetch_hits"] = m.kernel().stats().prefetch_hits;
+  }
+  if (fleet) {
+    fp["resilience.retries"] = r.rdma_retries;
+    fp["resilience.timeouts"] = r.rdma_timeouts;
+    fp["resilience.breaker_opens"] = r.breaker_opens;
+    fp["resilience.pages_poisoned"] = r.pages_poisoned;
+    fp["resilience.writebacks_lost"] = r.writebacks_lost;
+    fp["inject.drops"] = r.injected_drops;
+    fp["inject.errors"] = r.injected_errors;
+    fp["fleet.crashes"] = r.memnode_crashes;
+    fp["fleet.degraded_reads"] = r.fleet_degraded_reads;
+    fp["fleet.slots_lost"] = r.fleet_slots_lost;
+    fp["fleet.repairs_queued"] = r.fleet_repairs_queued;
+    fp["fleet.slots_rebuilt"] = r.fleet_slots_rebuilt;
+    fp["fleet.rebuild_pending"] = r.fleet_rebuild_pending;
+    for (const TenantRunResult& tr : r.tenants) {
+      fp["tenant." + tr.name + ".ops"] = tr.ops;
+      fp["tenant." + tr.name + ".faults"] = tr.faults;
+    }
   }
   return fp;
 }
@@ -94,6 +117,35 @@ std::map<std::string, uint64_t> RunPageRank() {
   }
   fp["result.rank_digest"] = digest;
   return fp;
+}
+
+// Two tenants on a 4-server fleet with 2-way replication, under RDMA errors
+// and drops, a write-error burst that opens breakers, and a crash of server
+// 1 that rebuilds before the time limit: every remote op runs under the
+// deadline/retry/breaker path (§7), and reads fail over to the surviving
+// replica. The fingerprint pins that path's timing and the fleet's failover
+// and rebuild counters.
+std::map<std::string, uint64_t> RunFleetChaos() {
+  FarMemoryMachine::Options opt;
+  opt.kernel = MageLibConfig();
+  opt.local_mem_ratio = 0.35;
+  opt.seed = 1;
+  opt.time_limit = 24 * kMillisecond;
+  opt.fleet.num_nodes = 4;
+  opt.fleet.replication = 2;
+  opt.fleet.rebuild_gbps = 50.0;
+  opt.fault_plan =
+      "error@2ms-6ms:p=0.02;error@3ms-4ms:p=0.5,ch=write;drop@2ms-6ms:p=0.005;"
+      "crash@8ms-16ms:node=1";
+  std::string err;
+  EXPECT_TRUE(ParseTenancyList(
+      "lat:4:0:latency=seqscan/2,pages=1024,passes=100000,compute_ns=2000;"
+      "bg:1:0.35:0.3:batch=gups/4,pages=4096,theta=0.4,run_ms=600,phase_ms=600",
+      &opt.tenancy, &err))
+      << err;
+  SeqScanWorkload placeholder(
+      SeqScanWorkload::Options{.region_pages = 64, .threads = 1, .passes = 1});
+  return RunTraced(opt, placeholder, /*hits=*/false, /*fleet=*/true);
 }
 
 std::map<std::string, uint64_t> LoadGolden(const std::string& path) {
@@ -174,6 +226,12 @@ TEST(GoldenTraceTest, WriteScanHermitMatchesGolden) {
 
 TEST(GoldenTraceTest, PageRankHermitMatchesGolden) {
   CheckGolden("pagerank_hermit", "pagerank/hermit", RunPageRank());
+}
+
+// The fault-capable data path: deadline waits, retries, breakers, replica
+// failover and rebuild.
+TEST(GoldenTraceTest, FleetChaosTenantsMatchesGolden) {
+  CheckGolden("fleet_chaos_tenants", "fleet chaos/tenants", RunFleetChaos());
 }
 
 }  // namespace

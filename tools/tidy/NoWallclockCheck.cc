@@ -13,7 +13,7 @@ NoWallclockCheck::NoWallclockCheck(StringRef Name, ClangTidyContext *Context)
     : ClangTidyCheck(Name, Context),
       AllowedFilesRegex(Options.get(
           "AllowedFilesRegex",
-          "(^|/)(bench|tests|tools|examples)/|prof_counters|perf_common")),
+          "(^|/)(bench|tests|tools|examples)/|perf_common")),
       AllowedFiles(AllowedFilesRegex) {}
 
 void NoWallclockCheck::storeOptions(ClangTidyOptions::OptionMap &Opts) {

@@ -7,8 +7,8 @@
 // time(), clock(), gettimeofday(), rand()/srand(), std::random_device.
 // Simulation code must use SimTime (Engine::now) and the seeded magesim::Rng.
 //
-// Allowlist: the bench harness "wall" metric group and the rdtsc profiler
-// (prof_counters) measure the host on purpose; they match AllowedFilesRegex.
+// Allowlist: the bench harness "wall" metric group measures the host on
+// purpose; it matches AllowedFilesRegex.
 // Site-level escapes use `// magesim-lint: allow(no-wallclock): <reason>`.
 #ifndef MAGESIM_TOOLS_TIDY_NO_WALLCLOCK_CHECK_H_
 #define MAGESIM_TOOLS_TIDY_NO_WALLCLOCK_CHECK_H_

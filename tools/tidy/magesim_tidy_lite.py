@@ -48,7 +48,7 @@ CHECKS = (
 
 # Mirrors NoWallclockCheck's AllowedFilesRegex default.
 WALLCLOCK_ALLOWED_FILES = re.compile(
-    r"(^|/)(bench|tests|tools|examples)/|prof_counters|perf_common")
+    r"(^|/)(bench|tests|tools|examples)/|perf_common")
 
 # Mirrors UnorderedIterationCheck's SinkRegex default (callee names). \b not
 # a stricter lookbehind: sinks are usually member calls (`out->push_back(`).
