@@ -1,7 +1,12 @@
 // Figure 11: GUPS throughput timeline with a working-set phase change.
 // Baselines nearly stall for seconds after the change; MAGE dips briefly and
 // recovers because its eviction path drains the old working set fast.
-#include "bench/bench_common.h"
+//
+// Also emits BENCH_gups_timeline.json (bench/perf_common.h): every printed
+// rate plus the engine's event count in the "sim" group, the wall time of a
+// whole four-system sweep in the "wall" group. MAGESIM_BENCH_REPS sets the
+// sweep count (default: one, no warmup).
+#include "bench/perf_common.h"
 #include "src/workloads/gups.h"
 
 namespace magesim {
@@ -11,8 +16,9 @@ constexpr SimTime kBucket = 20 * kMillisecond;
 
 // Throughput per 20 ms bucket from the machine's periodic sampler (windowed
 // ops rate over each sampling interval), not the workload's private timeline.
+// `events` accumulates the machine's engine event count.
 std::vector<double> RunTimeline(const KernelConfig& cfg, SimTime phase_at, SimTime run_for,
-                                uint64_t pages) {
+                                uint64_t pages, uint64_t* events) {
   GupsWorkload wl({.total_pages = pages,
                    .threads = 48,
                    .zipf_theta = 0.6,  // spread the hot set across region B
@@ -26,6 +32,7 @@ std::vector<double> RunTimeline(const KernelConfig& cfg, SimTime phase_at, SimTi
   opt.metrics.sample_interval = kBucket;
   FarMemoryMachine m(opt, wl);
   m.Run();
+  *events += m.engine().events_processed();
   // Sample k (at t = k*kBucket) carries the windowed rate over bucket k-1.
   const auto& samples = m.sampler()->samples();
   size_t buckets = static_cast<size_t>(run_for / kBucket);
@@ -47,9 +54,24 @@ int main() {
   SimTime run_for = 1200 * kMillisecond;
   uint64_t pages = Scaled(192 * 1024);
 
+  BenchReps reps = BenchRepsFromEnv(/*default_warmup=*/0, /*default_measure=*/1);
   std::map<std::string, std::vector<double>> res;
-  for (const auto& cfg : AllSystemConfigs()) {
-    res[cfg.name] = RunTimeline(cfg, phase_at, run_for, pages);
+  uint64_t events = 0;
+  std::vector<uint64_t> rep_ns;
+  for (int i = 0; i < reps.warmup + reps.measure; ++i) {
+    std::map<std::string, std::vector<double>> got;
+    uint64_t got_events = 0;
+    uint64_t t0 = WallNowNs();
+    for (const auto& cfg : AllSystemConfigs()) {
+      got[cfg.name] = RunTimeline(cfg, phase_at, run_for, pages, &got_events);
+    }
+    if (i >= reps.warmup) rep_ns.push_back(WallNowNs() - t0);
+    if (i > 0 && (got != res || got_events != events)) {
+      std::fprintf(stderr, "fig11_gups_timeline: nondeterministic rep\n");
+      return 1;
+    }
+    res = std::move(got);
+    events = got_events;
   }
 
   Table t({"t(s)", "magelib", "magelnx", "dilos", "hermit"});
@@ -60,6 +82,15 @@ int main() {
               Table::Num(res["hermit"][i])});
   }
   t.Print();
+
+  PerfReport r("gups_timeline", reps);
+  for (const auto& [name, rates] : res) {
+    for (size_t i = 0; i < rates.size(); ++i) {
+      char key[48];
+      std::snprintf(key, sizeof(key), "%s_mups_%04zums", name.c_str(), i * 20);
+      r.SimF(key, rates[i]);
+    }
+  }
 
   // Phase-change damage: deepest dip and total lost work after the change.
   std::printf("\n%-8s %12s %16s\n", "system", "deepest-dip", "lost-updates(M)");
@@ -74,10 +105,15 @@ int main() {
       min_rate = std::min(min_rate, rates[i]);
       if (rates[i] < pre) deficit += (pre - rates[i]) * 0.02;
     }
-    std::printf("  %-8s %10.0f%% %16.2f\n", name.c_str(),
-                pre > 0 ? (1 - min_rate / pre) * 100 : 0, deficit);
+    double dip = pre > 0 ? (1 - min_rate / pre) * 100 : 0;
+    std::printf("  %-8s %10.0f%% %16.2f\n", name.c_str(), dip, deficit);
+    r.SimF(name + "_deepest_dip_pct", dip);
+    r.SimF(name + "_lost_mupdates", deficit);
   }
   std::printf("(the paper's 32 GB working set stalls baselines for ~2 s; at simulation\n"
               " scale the transition is shorter but the relative damage ordering holds)\n");
+  r.Sim("events_per_rep", events);
+  r.WallTimes(rep_ns, events, "events");
+  r.Write();
   return 0;
 }

@@ -4,7 +4,7 @@
 // The fig09/fig17 GapBS sweep point: pull-direction PageRank over a
 // scale-17 Kronecker graph, 48 threads, on Hermit at 30% local memory. Most
 // accesses are page hits between faults, so this harness prices the hit path
-// (AppThread::TryAccessPage, the PTE update, the workload's own loop) where
+// (the pull loop's hit run, AppThread::RunHits, and the PTE update) where
 // perf_fault_path prices the fault and eviction path. The graph is built
 // once, outside the timed reps; each rep builds a fresh machine and workload
 // over it, and only Run() is timed.

@@ -28,6 +28,25 @@ namespace magesim {
 class Prefetcher;
 class TenancyManager;
 
+// The one definition of a page hit, shared by Kernel::TryFastAccess and
+// AppThread's hit runs (src/workloads/workload.h): a present PTE takes the
+// accessed bit and, on a write, the dirty bit and a stale far copy; a
+// prefetched one loses its mark and counts one `prefetch_hits`. Returns
+// false, touching nothing, for a non-present PTE. The caller counts the hit.
+MAGESIM_HOT_PATH inline bool TouchIfPresent(Pte& pte, bool write, uint64_t& prefetch_hits) {
+  if (!pte.present) return false;
+  pte.accessed = true;
+  if (write) {
+    pte.dirty = true;
+    pte.remote_valid = false;
+  }
+  if (pte.prefetched) {
+    pte.prefetched = false;
+    ++prefetch_hits;
+  }
+  return true;
+}
+
 struct KernelStats {
   uint64_t faults = 0;           // major faults actually serviced
   uint64_t fast_hits = 0;        // present-PTE accesses
@@ -79,17 +98,7 @@ class Kernel {
   // true. No simulated time passes. Returns false, touching nothing, for a
   // non-present page.
   MAGESIM_HOT_PATH bool TryFastAccess(uint64_t vpn, bool write) {
-    Pte& pte = pt_->At(vpn);
-    if (!pte.present) return false;
-    pte.accessed = true;
-    if (write) {
-      pte.dirty = true;
-      pte.remote_valid = false;
-    }
-    if (pte.prefetched) {
-      pte.prefetched = false;
-      ++stats_.prefetch_hits;
-    }
+    if (!TouchIfPresent(pt_->At(vpn), write, stats_.prefetch_hits)) return false;
     ++stats_.fast_hits;
     return true;
   }

@@ -6,6 +6,8 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "src/sim/parse.h"
+
 namespace magesim {
 
 namespace {
@@ -64,14 +66,6 @@ std::string FormatDouble(double v) {
   return buf;
 }
 
-bool ParseDouble(const std::string& s, double* out) {
-  char* end = nullptr;
-  double v = std::strtod(s.c_str(), &end);
-  if (end == s.c_str() || *end != '\0') return false;
-  *out = v;
-  return true;
-}
-
 // Each kind starts from sensible non-noop defaults so terse specs like
 // "brownout@2ms-6ms" are meaningful; explicit keys override.
 void ApplyKindDefaults(FaultWindow* w) {
@@ -103,14 +97,14 @@ bool SetWindowKey(FaultWindow* w, const std::string& key, const std::string& val
                   std::string* error) {
   if (key == "p") {
     double p;
-    if (!ParseDouble(value, &p) || p < 0.0 || p > 1.0) {
+    if (!ParseFiniteNumber(value, &p) || p < 0.0 || p > 1.0) {
       SetError(error, "bad probability '" + value + "' (want 0..1)");
       return false;
     }
     w->probability = p;
   } else if (key == "bw") {
     double bw;
-    if (!ParseDouble(value, &bw) || bw <= 0.0) {
+    if (!ParseFiniteNumber(value, &bw) || bw <= 0.0) {
       SetError(error, "bad bandwidth factor '" + value + "' (want > 0)");
       return false;
     }
@@ -291,11 +285,10 @@ const char* FaultKindName(FaultKind k) {
 
 bool ParseTimeNs(const std::string& text, SimTime* out) {
   std::string s = Trim(text);
-  if (s.empty()) return false;
-  char* end = nullptr;
-  double v = std::strtod(s.c_str(), &end);
-  if (end == s.c_str()) return false;
-  std::string unit = Trim(end);
+  double v = 0;
+  size_t used = ParseFinitePrefix(s, &v);
+  if (used == 0) return false;
+  std::string unit = Trim(s.substr(used));
   double scale = 1.0;
   if (unit == "" || unit == "ns") {
     scale = 1.0;

@@ -9,10 +9,12 @@
 //
 // Profile note (fig05 sweep, 2026-08): after the slab allocator landed, the
 // event heap was the next-largest engine cost; switching binary -> 4-ary
-// recovered most of it. If a future profile shows the heap dominating again
-// (deep queues from very wide topologies), the documented fallback is a
-// calendar queue / hierarchical timer wheel keyed on SimTime — see
-// docs/INTERNALS.md "Perf harness & baselines".
+// recovered most of it. Two replacements measured since were dead ends:
+// 82% of magebench scan_evict's events pass through this heap, and at 91%
+// of its pops it holds only 16-31 entries, so 16-byte (t, seq|slot) keys
+// with the handles in a side array ran +4% wall (4 of 5 pairs slower) and a
+// radix heap +14% (4 of 4 slower). What is left is fewer heap entries, not
+// a new structure (docs/INTERNALS.md §12, ROADMAP "Exact event queue").
 #ifndef MAGESIM_SIM_EVENT_HEAP_H_
 #define MAGESIM_SIM_EVENT_HEAP_H_
 

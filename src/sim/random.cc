@@ -1,6 +1,9 @@
 #include "src/sim/random.h"
 
 #include <cassert>
+#include <cstdio>
+#include <stdexcept>
+#include <string>
 
 namespace magesim {
 
@@ -50,17 +53,23 @@ double Zeta(uint64_t n, double theta) {
 
 ZipfGenerator::ZipfGenerator(uint64_t n, double theta) : n_(n), theta_(theta) {
   assert(n > 0);
+  if (!(theta >= 0.0 && theta < 1.0)) {
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%g", theta);
+    throw std::invalid_argument(std::string("zipf: theta=") + buf + " must be in [0, 1)");
+  }
   zetan_ = Zeta(n, theta);
   zeta2_ = Zeta(2, theta);
   alpha_ = 1.0 / (1.0 - theta);
   eta_ = (1.0 - std::pow(2.0 / static_cast<double>(n), 1.0 - theta)) / (1.0 - zeta2_ / zetan_);
+  rank1_bound_ = 1.0 + std::pow(0.5, theta);
 }
 
 uint64_t ZipfGenerator::Next(Rng& rng) {
   double u = rng.NextDouble();
   double uz = u * zetan_;
   if (uz < 1.0) return 0;
-  if (uz < 1.0 + std::pow(0.5, theta_)) return 1;
+  if (uz < rank1_bound_) return 1;
   uint64_t v = static_cast<uint64_t>(static_cast<double>(n_) *
                                      std::pow(eta_ * u - eta_ + 1.0, alpha_));
   if (v >= n_) v = n_ - 1;

@@ -56,10 +56,13 @@ class Rng {
   uint64_t s_[4];
 };
 
-// Zipf-distributed integers over [0, n) with skew `theta` (0 < theta). Uses
+// Zipf-distributed integers over [0, n) with skew `theta` in [0, 1). Uses
 // the Gray et al. quick method: O(n) precompute of zeta(n), O(1) per sample.
 class ZipfGenerator {
  public:
+  // Throws std::invalid_argument "zipf: theta=<v> must be in [0, 1)" for a
+  // theta outside [0, 1) or nan: at 1 the method's alpha = 1/(1 - theta) is
+  // infinite, and above it the samples are meaningless.
   ZipfGenerator(uint64_t n, double theta);
 
   uint64_t Next(Rng& rng);
@@ -74,6 +77,7 @@ class ZipfGenerator {
   double zetan_;
   double eta_;
   double zeta2_;
+  double rank1_bound_;  // 1 + 0.5^theta: uz below it (and >= 1) draws rank 1
 };
 
 // The 64-bit hash behind ScrambleIndex: FNV-1a style, then two murmur-style

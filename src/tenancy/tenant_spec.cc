@@ -1,8 +1,6 @@
 #include "src/tenancy/tenant_spec.h"
 
-#include <cctype>
 #include <climits>
-#include <cstdlib>
 #include <set>
 #include <stdexcept>
 
@@ -28,22 +26,13 @@ std::vector<std::string> Split(const std::string& s, char sep) {
 
 bool ParseFrac(const std::string& s, double* out, std::string* err) {
   const std::string want = " (want a fraction like 0.4 or a percent like 40)";
-  // strtod also reads "nan", "inf" and hex floats; a limit is none of them,
-  // and each would reach the tenancy manager's page arithmetic as garbage.
-  std::string lower = s;
-  for (char& c : lower) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-  const char* what = lower.find("nan") != std::string::npos   ? "is not a number"
-                     : lower.find("inf") != std::string::npos ? "is not finite"
-                     : lower.find('x') != std::string::npos   ? "is a hex float"
-                                                              : nullptr;
-  if (what != nullptr) {
-    *err = "limit '" + s + "' " + what + want;
-    return false;
-  }
-  char* end = nullptr;
-  double v = std::strtod(s.c_str(), &end);
-  if (end == s.c_str() || *end != '\0' || v < 0) {
-    *err = "bad limit '" + s + "'" + want;
+  double v = 0;
+  const char* why = nullptr;
+  if (!ParseFiniteNumber(s, &v, &why) || v < 0) {
+    // nan, inf and hex floats are named: each would reach the tenancy
+    // manager's page arithmetic as garbage.
+    *err = why != nullptr && why != kNotDecimal ? "limit '" + s + "' " + why + want
+                                                : "bad limit '" + s + "'" + want;
     return false;
   }
   // Percentages read naturally ("40" = 40% of local DRAM).

@@ -23,22 +23,36 @@ Task<> GupsWorkload::ThreadBody(AppThread& t, int tid) {
     }
     co_await t.Sync();
   }
-  // Batch updates between timeline samples to keep bookkeeping cheap.
-  while (!eng.shutdown_requested() && t.logical_now() < opt_.run_for) {
-    bool phase_b = t.logical_now() >= opt_.phase_change_at;
-    uint64_t vpn;
-    if (phase_b) {
-      uint64_t rank = zipf_b_->Next(t.rng());
-      vpn = region_a_pages_ + ScrambleIndex(rank, region_b_pages_);
-    } else {
-      uint64_t rank = zipf_a_->Next(t.rng());
-      vpn = ScrambleIndex(rank, region_a_pages_);
+  // Cursor: the page drawn for the next update, if it is not yet done. The
+  // loop condition and the draw run once per update, before its access, so
+  // a run resumed at a missed access finds the page already drawn.
+  bool drawn = false;
+  uint64_t next_vpn = 0;
+  co_await t.RunHits([&](AppThread::HitRun& r) {
+    const Options o = opt_;
+    bool have = drawn;
+    uint64_t vpn = next_vpn;
+    for (;;) {
+      if (!have) {
+        if (r.shutdown_requested() || r.logical_now() >= o.run_for) break;
+        if (r.logical_now() >= o.phase_change_at) {
+          uint64_t rank = zipf_b_->Next(t.rng());
+          vpn = region_a_pages_ + ScrambleIndex(rank, region_b_pages_);
+        } else {
+          uint64_t rank = zipf_a_->Next(t.rng());
+          vpn = ScrambleIndex(rank, region_a_pages_);
+        }
+        have = true;
+      }
+      if (!r.Touch(vpn, /*write=*/true)) break;
+      have = false;
+      r.Compute(o.compute_per_update_ns);
+      ++r.ops;
+      timeline_.Add(r.logical_now(), 1.0);
     }
-    co_await t.AccessPage(vpn, /*write=*/true);
-    t.Compute(opt_.compute_per_update_ns);
-    ++t.ops;
-    timeline_.Add(t.logical_now(), 1.0);
-  }
+    drawn = have;
+    next_vpn = vpn;
+  });
   co_await t.Sync();
 }
 

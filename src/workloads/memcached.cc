@@ -1,9 +1,21 @@
 #include "src/workloads/memcached.h"
 
+#include <cstdio>
+#include <stdexcept>
+#include <string>
+
 namespace magesim {
 
 MemcachedWorkload::MemcachedWorkload(Options opt) : opt_(opt) {
   RequireAtLeast("memcached", "num_keys", opt_.num_keys, 1);
+  // The load generator waits 1e9 / rate ns between requests: a rate of 0
+  // would wait forever, a negative one a negative time.
+  if (!(opt_.load_ops_per_sec > 0)) {
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%g", opt_.load_ops_per_sec);
+    throw std::invalid_argument(std::string("memcached: load_ops_per_sec=") + buf +
+                                " must be > 0");
+  }
   // Hash table: 64 B bucket per key (open addressing, load factor folded in).
   bucket_pages_ = (opt_.num_keys * 64 + kPageSize - 1) / kPageSize;
   // Values: ~128 B each (USR values are small), packed.

@@ -70,28 +70,6 @@ uint64_t PageRankWorkload::ContribVpn(uint64_t vertex) const {
   return contrib_base_ + vertex / kContribPerPage;
 }
 
-uint64_t PageRankWorkload::PullHits(AppThread& t, uint64_t e, uint64_t e_end, double* sum,
-                                    uint64_t* last_edge_vpn) const {
-  const CsrGraph& g = *graph_;
-  double s = *sum;
-  uint64_t last = *last_edge_vpn;
-  for (; e < e_end; ++e) {
-    uint64_t evpn = NeighborsVpn(e);
-    if (evpn != last) {
-      if (!t.TryAccessPage(evpn, false)) break;
-      last = evpn;
-    }
-    uint32_t u = g.neighbors[e];
-    if (!t.TryAccessPage(ContribVpn(u), false)) break;
-    s += out_contrib_[u];
-    t.Compute(opt_.compute_per_edge_ns);
-    ++t.ops;
-  }
-  *sum = s;
-  *last_edge_vpn = last;
-  return e;
-}
-
 Task<> PageRankWorkload::ThreadBody(AppThread& t, int tid) {
   // GapBS pull-direction PageRank. Memory behavior mirrors the real code:
   //  * contributions (4 B/vertex) are read at random per edge — the hot,
@@ -110,61 +88,92 @@ Task<> PageRankWorkload::ThreadBody(AppThread& t, int tid) {
   for (int iter = 0; iter < opt_.iterations; ++iter) {
     if (eng.shutdown_requested()) co_return;
     // Phase 1: out-contributions (sequential rank read, sequential contrib
-    // write, page-granular).
-    uint64_t last_rank_vpn = ~0ULL, last_contrib_vpn = ~0ULL;
-    for (uint64_t v = begin; v < end; ++v) {
-      uint64_t rvpn = RankVpn(v, false);
-      if (rvpn != last_rank_vpn) {
-        co_await t.AccessPage(rvpn, false);
-        last_rank_vpn = rvpn;
+    // write, page-granular), one hit run. Cursor: the next vertex and the
+    // last rank and contribution pages touched; a guard moves only once its
+    // Touch hit.
+    uint64_t next_v = begin, last_rank_vpn = ~0ULL, last_contrib_vpn = ~0ULL;
+    co_await t.RunHits([&](AppThread::HitRun& r) {
+      uint64_t v = next_v, last_rank = last_rank_vpn, last_contrib = last_contrib_vpn;
+      const SimTime per_vertex = opt_.compute_per_vertex_ns;
+      for (; v < end; ++v) {
+        uint64_t rvpn = RankVpn(v, false);
+        if (rvpn != last_rank) {
+          if (!r.Touch(rvpn, false)) break;
+          last_rank = rvpn;
+        }
+        uint64_t cvpn = ContribVpn(v);
+        if (cvpn != last_contrib) {
+          if (!r.Touch(cvpn, true)) break;
+          last_contrib = cvpn;
+        }
+        uint64_t deg = g.OutDegree(v);
+        out_contrib_[v] =
+            deg == 0 ? 0.0 : static_cast<float>(rank_src_[v] / static_cast<double>(deg));
+        r.Compute(per_vertex);
       }
-      uint64_t cvpn = ContribVpn(v);
-      if (cvpn != last_contrib_vpn) {
-        co_await t.AccessPage(cvpn, true);
-        last_contrib_vpn = cvpn;
-      }
-      uint64_t deg = g.OutDegree(v);
-      out_contrib_[v] =
-          deg == 0 ? 0.0 : static_cast<float>(rank_src_[v] / static_cast<double>(deg));
-      t.Compute(opt_.compute_per_vertex_ns);
-    }
+      next_v = v;
+      last_rank_vpn = last_rank;
+      last_contrib_vpn = last_contrib;
+    });
     co_await t.Sync();
     co_await barrier_.Arrive();
 
     // Phase 2: pull along incoming edges; contribution reads hop randomly.
-    uint64_t last_edge_vpn = ~0ULL, last_off_vpn = ~0ULL, last_dst_vpn = ~0ULL;
-    for (uint64_t v = begin; v < end; ++v) {
+    // The shutdown check before each vertex: the first here, the rest in
+    // the run, after the vertex before it is done.
+    if (begin < end) {
       if (eng.shutdown_requested()) co_return;
-      uint64_t ovpn = OffsetsVpn(v);
-      if (ovpn != last_off_vpn) {
-        co_await t.AccessPage(ovpn, false);
-        last_off_vpn = ovpn;
-      }
-      double sum = 0.0;
-      uint64_t e_end = g.offsets[v + 1];
-      // Hits run in plain code; only an edge whose access missed is finished
-      // here, with the same accesses in the same order, before the plain run
-      // resumes at the next edge.
-      for (uint64_t e = g.offsets[v]; (e = PullHits(t, e, e_end, &sum, &last_edge_vpn)) < e_end;
-           ++e) {
-        uint64_t evpn = NeighborsVpn(e);
-        if (evpn != last_edge_vpn) {  // page-granular stream touch
-          co_await t.AccessPage(evpn, false);
-          last_edge_vpn = evpn;
+      PullCursor cur{begin, g.offsets[begin], 0.0, ~0ULL, ~0ULL, ~0ULL, false};
+      co_await t.RunHits([&](AppThread::HitRun& r) {
+        // Locals: the loop stores only to them, to PTEs and to the rank
+        // array. Each page guard moves past a page only once its Touch hit,
+        // so a run resumed at a missed access skips every earlier access of
+        // the vertex and repeats that one.
+        PullCursor c = cur;
+        const double base = (1.0 - kDamping) / static_cast<double>(n);
+        const SimTime per_edge = opt_.compute_per_edge_ns;
+        const SimTime per_vertex = opt_.compute_per_vertex_ns;
+        const uint64_t* offsets = g.offsets.data();
+        const uint32_t* neighbors = g.neighbors.data();
+        const float* contrib = out_contrib_.data();
+        while (c.v < end) {
+          uint64_t ovpn = OffsetsVpn(c.v);
+          if (ovpn != c.last_off_vpn) {
+            if (!r.Touch(ovpn, false)) break;
+            c.last_off_vpn = ovpn;
+          }
+          const uint64_t e_end = offsets[c.v + 1];
+          for (; c.e < e_end; ++c.e) {
+            uint64_t evpn = NeighborsVpn(c.e);
+            if (evpn != c.last_edge_vpn) {  // page-granular stream touch
+              if (!r.Touch(evpn, false)) break;
+              c.last_edge_vpn = evpn;
+            }
+            uint32_t u = neighbors[c.e];
+            if (!r.Touch(ContribVpn(u), false)) break;  // random far access
+            c.sum += contrib[u];
+            r.Compute(per_edge);
+            ++r.ops;
+          }
+          if (c.e < e_end) break;
+          uint64_t dvpn = RankVpn(c.v, true);
+          if (dvpn != c.last_dst_vpn) {
+            if (!r.Touch(dvpn, true)) break;
+            c.last_dst_vpn = dvpn;
+          }
+          rank_dst_[c.v] = base + kDamping * c.sum;
+          r.Compute(per_vertex);
+          ++c.v;
+          c.e = offsets[c.v];
+          c.sum = 0.0;
+          if (c.v < end && r.shutdown_requested()) {
+            c.stopped = true;
+            break;
+          }
         }
-        uint32_t u = g.neighbors[e];
-        co_await t.AccessPage(ContribVpn(u), false);  // random far access
-        sum += out_contrib_[u];
-        t.Compute(opt_.compute_per_edge_ns);
-        ++t.ops;
-      }
-      uint64_t dvpn = RankVpn(v, true);
-      if (dvpn != last_dst_vpn) {
-        co_await t.AccessPage(dvpn, true);
-        last_dst_vpn = dvpn;
-      }
-      rank_dst_[v] = (1.0 - kDamping) / static_cast<double>(n) + kDamping * sum;
-      t.Compute(opt_.compute_per_vertex_ns);
+        cur = c;
+      });
+      if (cur.stopped) co_return;
     }
     co_await t.Sync();
     co_await barrier_.Arrive();

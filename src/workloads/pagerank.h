@@ -65,15 +65,19 @@ class PageRankWorkload : public Workload {
   uint64_t ContribVpn(uint64_t vertex) const;
 
  private:
-  // Runs pull edges [e, e_end) of one vertex in plain code for as long as
-  // every access hits (AppThread::TryAccessPage), adding their contributions
-  // to `*sum` and moving `*last_edge_vpn` past each stream page it touched.
-  // Returns the first edge with a missed access, or e_end. The caller
-  // finishes that edge on the awaited path: a coroutine keeps every local
-  // that lives across a co_await in its frame, so the per-edge state stays in
-  // registers only out here.
-  uint64_t PullHits(AppThread& t, uint64_t e, uint64_t e_end, double* sum,
-                    uint64_t* last_edge_vpn) const;
+  // Where a thread's pull phase, one hit-run body over all its vertices
+  // (AppThread::RunHits), stands: the next vertex, its next edge and
+  // partial sum, and the last offsets, neighbor-stream and rank pages it
+  // touched. The body moves it only past finished accesses.
+  struct PullCursor {
+    uint64_t v;
+    uint64_t e;
+    double sum;
+    uint64_t last_off_vpn;
+    uint64_t last_edge_vpn;
+    uint64_t last_dst_vpn;
+    bool stopped;  // a shutdown request ended the phase early
+  };
 
   Options opt_;
   std::shared_ptr<const CsrGraph> graph_;

@@ -35,12 +35,17 @@ class OptReader {
     return static_cast<int>(Whole(key, static_cast<uint64_t>(def), INT_MAX));
   }
 
+  // A finite decimal number (ParseFiniteNumber). A bad value records the
+  // error, naming why, and yields `def`.
   double Dbl(const std::string& key, double def) {
     const std::string* v = Find(key);
     if (v == nullptr) return def;
-    char* end = nullptr;
-    double out = std::strtod(v->c_str(), &end);
-    if (end == v->c_str() || *end != '\0') Fail(key, *v);
+    double out = def;
+    const char* why = nullptr;
+    if (!ParseFiniteNumber(*v, &out, &why)) {
+      Fail(key, *v, why);
+      return def;
+    }
     return out;
   }
 
@@ -80,8 +85,10 @@ class OptReader {
     return it == opts_.end() ? nullptr : &it->second;
   }
 
-  void Fail(const std::string& key, const std::string& v) {
-    if (error_->empty()) *error_ = "bad value '" + v + "' for option '" + key + "'";
+  void Fail(const std::string& key, const std::string& v, const char* why = nullptr) {
+    if (!error_->empty()) return;
+    *error_ = "bad value '" + v + "' for option '" + key + "'";
+    if (why != nullptr) *error_ += std::string(" (") + why + ")";
   }
 
   const std::map<std::string, std::string>& opts_;

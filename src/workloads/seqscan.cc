@@ -8,15 +8,39 @@ Task<> SeqScanWorkload::ThreadBody(AppThread& t, int tid) {
   uint64_t begin = shard * static_cast<uint64_t>(tid);
   uint64_t end = (tid == opt_.threads - 1) ? opt_.region_pages : begin + shard;
   uint64_t sum = 0;
-  for (int pass = 0; pass < opt_.passes; ++pass) {
-    for (uint64_t vpn = begin; vpn < end; ++vpn) {
-      if (eng.shutdown_requested()) co_return;
-      co_await t.AccessPage(vpn, opt_.write);
-      // The checksum itself: deterministic page-content stand-in.
-      sum += vpn * 0x9e3779b97f4a7c15ULL + static_cast<uint64_t>(pass);
-      t.Compute(opt_.compute_per_page_ns);
-      ++t.ops;
-    }
+  if (begin < end && opt_.passes > 0) {
+    // The shutdown check before each page: the first here, the rest in the
+    // run, after the page before it is done.
+    if (eng.shutdown_requested()) co_return;
+    // Cursor: the next page of the current pass.
+    int pass = 0;
+    uint64_t vpn = begin;
+    bool stopped = false;
+    co_await t.RunHits([&](AppThread::HitRun& r) {
+      // Locals, so the PTE stores of a hit cannot alias them.
+      const Options o = opt_;
+      uint64_t v = vpn, s = sum;
+      int p = pass;
+      while (p < o.passes) {
+        if (!r.Touch(v, o.write)) break;
+        // The checksum itself: deterministic page-content stand-in.
+        s += v * 0x9e3779b97f4a7c15ULL + static_cast<uint64_t>(p);
+        r.Compute(o.compute_per_page_ns);
+        ++r.ops;
+        if (++v == end) {
+          v = begin;
+          ++p;
+        }
+        if (p < o.passes && r.shutdown_requested()) {
+          stopped = true;
+          break;
+        }
+      }
+      vpn = v;
+      sum = s;
+      pass = p;
+    });
+    if (stopped) co_return;
   }
   co_await t.Sync();
   checksum_ ^= sum;

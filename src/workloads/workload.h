@@ -8,6 +8,7 @@
 #ifndef MAGESIM_WORKLOADS_WORKLOAD_H_
 #define MAGESIM_WORKLOADS_WORKLOAD_H_
 
+#include <cassert>
 #include <cstdint>
 #include <string>
 
@@ -44,19 +45,113 @@ class AppThread {
   SimTime logical_now() const {
     return Engine::current().now() + static_cast<SimTime>(pending_acc_);
   }
+  // The locally accumulated compute time itself, fractional ns included.
+  double pending_compute() const { return pending_acc_; }
 
   // The access fast path as a plain call: touches page `vpn` (relative to
   // vpn_base) and returns true when the PTE is present, the quantum is not
   // exceeded and no interrupt time was stolen since the last flush. Returns
   // false with no side effect at all (no PTE bit, counter or pending time
   // changes); the caller then takes the awaited path, `co_await
-  // AccessPage(vpn, write)`, which retries this check and faults. A loop of
-  // TryAccessPage calls that hands its first miss to the awaited path is
-  // exactly the awaited loop (docs/INTERNALS.md §2).
+  // AccessPage(vpn, write)`, which retries this check and faults. A loop
+  // runs its hits in plain code through RunHits below (docs/INTERNALS.md §2).
   bool TryAccessPage(uint64_t vpn, bool write) {
     return pending_acc_ < static_cast<double>(kAppQuantum) &&
            cpu_->stolen_total_ns() == stolen_seen_ &&
            kernel_.TryFastAccess(vpn + vpn_base_, write);
+  }
+
+  // One plain run of a workload's access sequence (docs/INTERNALS.md §2):
+  // the body calls Touch, Compute and `++ops` where the awaited loop would
+  // call AccessPage, AppThread::Compute and `++t.ops`. No engine event can
+  // run inside a plain call, so a run snapshots what only an event can
+  // change (engine time, the shutdown flag, whether time was stolen), keeps
+  // the PTE base, the pending time and its counters in locals, and writes
+  // them back once, when it ends.
+  class HitRun {
+   public:
+    // One access to page `vpn` (relative to vpn_base). A hit returns true
+    // with the effects of an awaited access that hits. A miss (page not
+    // present, quantum exceeded, or time stolen since the last flush)
+    // returns false with no side effect, and the body must return at once;
+    // the awaited path does the access, and in the next run this same
+    // access, its first Touch, returns true at once.
+    bool Touch(uint64_t vpn, bool write) {
+      if (resume_) [[unlikely]] {
+        resume_ = false;
+        assert(vpn == miss_vpn_ && write == miss_write_);
+        return true;
+      }
+      if (pending_ < static_cast<double>(kAppQuantum) && !stolen_ &&
+          TouchIfPresent(ptes_[vpn], write, prefetch_hits_)) {
+        ++hits_;
+        return true;
+      }
+      missed_ = true;
+      miss_vpn_ = vpn;
+      miss_write_ = write;
+      return false;
+    }
+
+    // AppThread::Compute, on the run's copy of the pending time.
+    void Compute(SimTime ns) { pending_ += static_cast<double>(ns) * compute_factor_; }
+    SimTime logical_now() const { return now_ + static_cast<SimTime>(pending_); }
+    bool shutdown_requested() const { return shutdown_; }
+
+    uint64_t ops = 0;  // added to AppThread::ops when the run ends
+
+   private:
+    friend class AppThread;
+
+    HitRun(AppThread& t, bool resume)
+        : ptes_(&t.kernel_.page_table().At(0) + t.vpn_base_),
+          pending_(t.pending_acc_),
+          compute_factor_(t.compute_factor_),
+          now_(Engine::current().now()),
+          stolen_(t.cpu_->stolen_total_ns() != t.stolen_seen_),
+          shutdown_(Engine::current().shutdown_requested()),
+          resume_(resume),
+          miss_vpn_(t.miss_vpn_),
+          miss_write_(t.miss_write_) {}
+
+    Pte* ptes_;
+    double pending_;
+    double compute_factor_;
+    SimTime now_;
+    bool stolen_;
+    bool shutdown_;
+    bool resume_;
+    bool missed_ = false;
+    uint64_t miss_vpn_;
+    bool miss_write_;
+    uint64_t hits_ = 0;
+    uint64_t prefetch_hits_ = 0;
+  };
+
+  // Runs `body(HitRun&)` in plain runs, awaiting only its misses; a run
+  // that ends without a miss completes the co_await in place. The body
+  // keeps its place in a cursor it owns, so that what it runs again before
+  // the resumed Touch has no effect and reads nothing an event can change.
+  // Usage: `co_await t.RunHits([&](AppThread::HitRun& r) {...});`
+  template <typename Body>
+  struct RunAwaiter {
+    AppThread& t;
+    Body body;
+    Task<> slow;
+
+    bool await_ready() { return t.RunPlain(body, /*resume=*/false); }
+    std::coroutine_handle<> await_suspend(std::coroutine_handle<> h) {
+      slow = t.RunSlow(body);
+      return slow.BeginAwait(h);
+    }
+    void await_resume() {
+      if (slow.valid()) slow.RethrowIfException();
+    }
+  };
+
+  template <typename Body>
+  RunAwaiter<Body> RunHits(Body body) {
+    return RunAwaiter<Body>{*this, std::move(body), {}};
   }
 
   // Touches the page containing `addr`. Fast path (TryAccessPage) never
@@ -125,6 +220,36 @@ class AppThread {
     }
   }
 
+  // One plain run of `body`; true when it finished, false when it stopped
+  // at a miss (kept in miss_vpn_/miss_write_). Kept out of line so that
+  // each body has one caller, which inlines it: `r` then never leaves this
+  // frame, and its fields live in registers.
+  template <typename Body>
+  [[gnu::noinline]] bool RunPlain(Body& body, bool resume) {
+    HitRun r(*this, resume);
+    body(r);
+    pending_acc_ = r.pending_;
+    ops += r.ops;
+    KernelStats& stats = kernel_.mutable_stats();
+    stats.fast_hits += r.hits_;
+    stats.prefetch_hits += r.prefetch_hits_;
+    miss_vpn_ = r.miss_vpn_;
+    miss_write_ = r.miss_write_;
+    return !r.missed_;
+  }
+
+  // The awaited side of RunHits: does each missed access as AccessPage
+  // would (the plain check just refused it, and no event ran since), then
+  // resumes the body.
+  // magesim-lint: allow(coroutine-ref-capture): body is the RunAwaiter's
+  // member, which lives in the awaiting frame until this task resumes it.
+  template <typename Body>
+  Task<> RunSlow(Body& body) {
+    do {
+      co_await AccessSlow(miss_vpn_ + vpn_base_, miss_write_);
+    } while (!RunPlain(body, /*resume=*/true));
+  }
+
   Kernel& kernel_;
   CoreId core_;
   Core* cpu_;  // topology().core(core_), resolved once
@@ -133,6 +258,8 @@ class AppThread {
   double pending_acc_ = 0;
   SimTime stolen_seen_ = 0;
   uint64_t vpn_base_ = 0;
+  uint64_t miss_vpn_ = 0;  // the access a hit run stopped at (relative to vpn_base)
+  bool miss_write_ = false;
 };
 
 // How a workload refuses an empty or too-small region or table (a size that

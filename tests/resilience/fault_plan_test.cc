@@ -98,6 +98,10 @@ TEST(FaultPlanTest, RejectsMalformedPlans) {
       "drop@2ms-1ms",              // until <= from
       "drop@1ms-1ms",              // empty window
       "drop@1ms-2ms:p=1.5",        // probability out of range
+      "drop@1ms-2ms:p=nan",        // nan passes every range check
+      "drop@1ms-2ms:p=0x1p-2",     // hex float
+      "brownout@1ms-2ms:bw=inf",   // infinite bandwidth factor
+      "drop@nan-2ms",              // nan time
       "brownout@1ms-2ms:bw=0",     // zero bandwidth
       "brownout@1ms-2ms:bw=-1",    // negative bandwidth
       "drop@1ms-2ms:ch=sideways",  // unknown channel
@@ -131,6 +135,11 @@ TEST(FaultPlanTest, TimeUnitsParseAndFormat) {
   EXPECT_FALSE(ParseTimeNs("", &t));
   EXPECT_FALSE(ParseTimeNs("ms", &t));
   EXPECT_FALSE(ParseTimeNs("-5us", &t));
+  EXPECT_FALSE(ParseTimeNs("nanus", &t));
+  EXPECT_FALSE(ParseTimeNs("infms", &t));
+  EXPECT_FALSE(ParseTimeNs("0x10us", &t));
+  EXPECT_TRUE(ParseTimeNs(" 1.5 ms ", &t));
+  EXPECT_EQ(t, 1500 * kMicrosecond);
 
   EXPECT_EQ(FormatTimeNs(3 * kMillisecond), "3ms");
   EXPECT_EQ(FormatTimeNs(1500 * kMicrosecond), "1500us");

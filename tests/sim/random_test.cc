@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <map>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 namespace magesim {
@@ -121,6 +124,51 @@ TEST(ScrambleTest, SpreadsConsecutiveIndices) {
     prev = cur;
   }
   EXPECT_LT(adjacent, 5);
+}
+
+// The sampler as it was before the rank-1 bound moved into the
+// constructor: 1 + 0.5^theta computed on every sample.
+uint64_t OldZipfNext(Rng& rng, uint64_t n, double theta) {
+  double zetan = 0, zeta2 = 0;
+  for (uint64_t i = 1; i <= n; ++i) zetan += 1.0 / std::pow(static_cast<double>(i), theta);
+  for (uint64_t i = 1; i <= 2; ++i) zeta2 += 1.0 / std::pow(static_cast<double>(i), theta);
+  double alpha = 1.0 / (1.0 - theta);
+  double eta = (1.0 - std::pow(2.0 / static_cast<double>(n), 1.0 - theta)) / (1.0 - zeta2 / zetan);
+  double u = rng.NextDouble();
+  double uz = u * zetan;
+  if (uz < 1.0) return 0;
+  if (uz < 1.0 + std::pow(0.5, theta)) return 1;
+  uint64_t v =
+      static_cast<uint64_t>(static_cast<double>(n) * std::pow(eta * u - eta + 1.0, alpha));
+  if (v >= n) v = n - 1;
+  return v;
+}
+
+TEST(ZipfTest, SamplesEqualThePerSampleFormula) {
+  for (uint64_t n : {3ULL, 100ULL, 4097ULL}) {
+    for (double theta : {0.0, 0.01, 0.4, 0.6, 0.85, 0.99}) {
+      for (uint64_t seed : {1ULL, 77ULL, 2024ULL}) {
+        Rng a(seed), b(seed);
+        ZipfGenerator zipf(n, theta);
+        for (int i = 0; i < 2000; ++i) {
+          ASSERT_EQ(zipf.Next(a), OldZipfNext(b, n, theta))
+              << "n=" << n << " theta=" << theta << " seed=" << seed << " sample " << i;
+        }
+      }
+    }
+  }
+}
+
+TEST(ZipfTest, RefusesThetaOutsideZeroToOneByName) {
+  for (double theta : {1.0, 1.5, -0.01, std::nan(""), static_cast<double>(INFINITY)}) {
+    try {
+      ZipfGenerator zipf(100, theta);
+      ADD_FAILURE() << "theta=" << theta << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("theta="), std::string::npos) << e.what();
+      EXPECT_NE(std::string(e.what()).find("must be in [0, 1)"), std::string::npos) << e.what();
+    }
+  }
 }
 
 }  // namespace

@@ -1,15 +1,21 @@
 // AppThread's access fast path: TryAccessPage either performs exactly one
-// awaited access's hit or refuses with no side effect, so a workload's plain
-// hit run can hand any miss to the awaited path without changing the run.
+// awaited access's hit or refuses with no side effect, and a hit run
+// (AppThread::RunHits) is the awaited loop, event for event: the
+// differential tests below run the old TryAccessPage loop, kept here as the
+// reference, beside the hit run on identical machines.
 #include "src/workloads/workload.h"
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <ostream>
 #include <utility>
 #include <vector>
 
+#include "src/core/farmem.h"
 #include "src/paging/kernels.h"
 #include "src/sim/engine.h"
+#include "src/trace/trace.h"
 
 namespace magesim {
 namespace {
@@ -138,6 +144,213 @@ TEST(AppThreadTest, TryAccessPageHitEqualsOneAwaitedAccess) {
     EXPECT_EQ(after.pending, before.pending);
   }
 }
+
+// --- Hit run vs. the awaited loop ---
+
+// One step of an app thread's access sequence: touch `vpn` (relative to
+// vpn_base), then compute for `ns`.
+struct Step {
+  uint64_t vpn;
+  bool write;
+  SimTime ns;
+};
+
+struct Scenario {
+  const char* name;
+  KernelConfig kernel;
+  int threads;
+  uint64_t region_pages;
+  uint64_t vpn_base;
+  size_t steps;
+  SimTime time_limit;  // 0: run every sequence to its end
+  uint64_t seed;
+};
+
+void PrintTo(const Scenario& sc, std::ostream* os) { *os << sc.name; }
+
+// Random sequences with sequential stretches (read-ahead fodder when the
+// kernel prefetches), random hops, writes, and the odd long compute step
+// that crosses the 20 us quantum between two accesses.
+std::vector<Step> MakeSequence(const Scenario& sc, int tid) {
+  Rng rng(sc.seed * 1000 + static_cast<uint64_t>(tid));
+  std::vector<Step> seq;
+  uint64_t vpn = rng.NextU64(sc.region_pages);
+  while (seq.size() < sc.steps) {
+    if (rng.NextBool(0.15)) {
+      uint64_t len = 1 + rng.NextU64(48);
+      for (uint64_t k = 0; k < len && seq.size() < sc.steps; ++k) {
+        vpn = (vpn + 1) % sc.region_pages;
+        seq.push_back({vpn, rng.NextBool(0.2), static_cast<SimTime>(20 + rng.NextU64(400))});
+      }
+      continue;
+    }
+    vpn = rng.NextU64(sc.region_pages);
+    SimTime ns = rng.NextBool(0.02) ? static_cast<SimTime>(4000 + rng.NextU64(20000))
+                                    : static_cast<SimTime>(rng.NextU64(900));
+    seq.push_back({vpn, rng.NextBool(0.3), ns});
+  }
+  return seq;
+}
+
+// `threads` app threads each run their sequence, through RunHits or
+// through the reference loop, checking for shutdown before every step and
+// logging logical_now() after every step; one more thread steals time from
+// the app cores at random instants, as flush IPIs do, so stolen time lands
+// between runs as well as inside awaited faults.
+class SequenceWorkload : public Workload {
+ public:
+  SequenceWorkload(const Scenario& sc, bool hit_run) : sc_(sc), hit_run_(hit_run) {
+    for (int tid = 0; tid < sc.threads; ++tid) seqs_.push_back(MakeSequence(sc, tid));
+    now_log_.resize(static_cast<size_t>(sc.threads));
+  }
+
+  std::string name() const override { return "sequence"; }
+  uint64_t wss_pages() const override { return sc_.vpn_base + sc_.region_pages; }
+  int num_threads() const override { return sc_.threads + 1; }
+
+  Task<> ThreadBody(AppThread& t, int tid) override {
+    Engine& eng = Engine::current();
+    if (tid == sc_.threads) {
+      for (int k = 0; k < 400 && !eng.shutdown_requested(); ++k) {
+        co_await Delay{static_cast<SimTime>(500 + t.rng().NextU64(20000))};
+        CoreId victim = static_cast<CoreId>(t.rng().NextU64(static_cast<uint64_t>(sc_.threads)));
+        t.kernel().topology().core(victim).AddStolenTime(
+            static_cast<SimTime>(1 + t.rng().NextU64(3000)));
+      }
+      co_return;
+    }
+    t.set_vpn_base(sc_.vpn_base);
+    const std::vector<Step>& seq = seqs_[static_cast<size_t>(tid)];
+    std::vector<SimTime>& log = now_log_[static_cast<size_t>(tid)];
+    if (hit_run_) {
+      if (seq.empty() || eng.shutdown_requested()) co_return;
+      size_t i = 0;
+      co_await t.RunHits([&](AppThread::HitRun& r) {
+        while (i < seq.size()) {
+          const Step& st = seq[i];
+          if (!r.Touch(st.vpn, st.write)) return;
+          r.Compute(st.ns);
+          ++r.ops;
+          log.push_back(r.logical_now());
+          if (++i < seq.size() && r.shutdown_requested()) return;
+        }
+      });
+    } else {
+      // The awaited loop as workloads wrote it before RunHits: a plain
+      // TryAccessPage per access, the awaited access on a refusal.
+      for (const Step& st : seq) {
+        if (eng.shutdown_requested()) co_return;
+        if (!t.TryAccessPage(st.vpn, st.write)) co_await t.AccessPage(st.vpn, st.write);
+        t.Compute(st.ns);
+        ++t.ops;
+        log.push_back(t.logical_now());
+      }
+    }
+  }
+
+  const std::vector<std::vector<SimTime>>& now_log() const { return now_log_; }
+
+ private:
+  Scenario sc_;
+  bool hit_run_;
+  std::vector<std::vector<Step>> seqs_;
+  std::vector<std::vector<SimTime>> now_log_;
+};
+
+// Everything the two loops could disagree on.
+struct Outcome {
+  uint64_t trace_hash = 0;
+  uint64_t trace_events = 0;
+  std::vector<uint64_t> kernel;          // KernelStats counters
+  std::vector<unsigned> pte_flags;       // per page, one bit per flag
+  std::vector<uint64_t> pending_bits;    // per thread, pending_compute()'s bits
+  std::vector<uint64_t> ops;             // per thread
+  std::vector<std::vector<SimTime>> now_log;
+  SimTime end_ns = 0;
+
+  bool operator==(const Outcome&) const = default;
+};
+
+Outcome RunScenario(const Scenario& sc, bool hit_run) {
+  Tracer tracer;
+  TraceHashSink hash;
+  tracer.AddSink(&hash);
+  tracer.Install();
+
+  SequenceWorkload wl(sc, hit_run);
+  FarMemoryMachine::Options opt;
+  opt.kernel = sc.kernel;
+  opt.local_mem_ratio = 0.5;
+  opt.seed = sc.seed;
+  opt.time_limit = sc.time_limit;
+  FarMemoryMachine m(opt, wl);
+  RunResult r = m.Run();
+  tracer.Uninstall();
+
+  Outcome o;
+  o.trace_hash = hash.hash();
+  o.trace_events = hash.total_events();
+  const KernelStats& ks = m.kernel().stats();
+  o.kernel = {ks.faults,         ks.fast_hits,        ks.dedup_waits,    ks.sync_evictions,
+              ks.free_page_waits, ks.evicted_pages,    ks.eviction_batches, ks.clean_reclaims,
+              ks.prefetched_pages, ks.prefetch_hits};
+  PageTable& pt = m.kernel().page_table();
+  for (uint64_t v = 0; v < pt.num_pages(); ++v) {
+    const Pte& pte = pt.At(v);
+    o.pte_flags.push_back(static_cast<unsigned>(pte.present | pte.accessed << 1 | pte.dirty << 2 |
+                                                pte.remote_valid << 3 | pte.prefetched << 4));
+  }
+  for (const auto& t : m.threads()) {
+    o.pending_bits.push_back(std::bit_cast<uint64_t>(t->pending_compute()));
+    o.ops.push_back(t->ops);
+  }
+  o.now_log = wl.now_log();
+  o.end_ns = static_cast<SimTime>(r.sim_seconds * 1e9 + 0.5);
+  return o;
+}
+
+KernelConfig Prefetching(KernelConfig c) {
+  c.prefetch = true;
+  return c;
+}
+
+class HitRunDifferentialTest : public ::testing::TestWithParam<Scenario> {};
+
+TEST_P(HitRunDifferentialTest, HitRunIsTheAwaitedLoop) {
+  const Scenario& sc = GetParam();
+  Outcome ref = RunScenario(sc, /*hit_run=*/false);
+  Outcome run = RunScenario(sc, /*hit_run=*/true);
+  // The scenario must exercise what it claims to: faults, prefetch hits,
+  // pending time with a fraction, and (with a time limit) a cut.
+  ASSERT_GT(ref.kernel[0], 0u) << "no faults";
+  ASSERT_GT(ref.kernel[1], 0u) << "no hits";
+  if (sc.kernel.prefetch) {
+    ASSERT_GT(ref.kernel[9], 0u) << "no prefetch hits";
+  }
+  if (sc.time_limit > 0) {
+    size_t done = 0;
+    for (const auto& log : ref.now_log) done += log.size();
+    ASSERT_LT(done, sc.steps * static_cast<size_t>(sc.threads)) << "the time limit cut nothing";
+  }
+  EXPECT_EQ(run.trace_hash, ref.trace_hash);
+  EXPECT_EQ(run.trace_events, ref.trace_events);
+  EXPECT_EQ(run.kernel, ref.kernel);
+  EXPECT_EQ(run.pte_flags, ref.pte_flags);
+  EXPECT_EQ(run.pending_bits, ref.pending_bits);
+  EXPECT_EQ(run.ops, ref.ops);
+  EXPECT_EQ(run.now_log, ref.now_log);
+  EXPECT_EQ(run.end_ns, ref.end_ns);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Scenarios, HitRunDifferentialTest,
+    ::testing::Values(
+        Scenario{"magelib_prefetch_base", Prefetching(MageLibConfig()), 4, 3000, 777, 4000, 0, 1},
+        Scenario{"hermit_base", HermitConfig(), 3, 2500, 4096, 4000, 0, 2},
+        Scenario{"dilos_prefetch_cut", Prefetching(DilosConfig()), 5, 2000, 123, 6000,
+                 2 * kMillisecond, 3},
+        Scenario{"magelnx_cut", MageLnxConfig(), 2, 1500, 64, 5000, 3 * kMillisecond, 4}),
+    [](const ::testing::TestParamInfo<Scenario>& info) { return std::string(info.param.name); });
 
 }  // namespace
 }  // namespace magesim
