@@ -34,7 +34,6 @@ const char* AwaitKindName(AwaitKind k) {
     case AwaitKind::kDelay: return "delay";
     case AwaitKind::kYield: return "yield";
     case AwaitKind::kEvent: return "event-wait";
-    case AwaitKind::kSemaphore: return "semaphore-wait";
     case AwaitKind::kChannel: return "channel-wait";
   }
   return "await";
@@ -71,13 +70,13 @@ void LockAnalyzer::Uninstall() {
 }
 
 void LockAnalyzer::OnAcquireTramp(void* ctx, const void* lock, const char* name,
-                                  TaskId task, bool shared) {
-  static_cast<LockAnalyzer*>(ctx)->OnAcquire(lock, name, task, shared);
+                                  TaskId task) {
+  static_cast<LockAnalyzer*>(ctx)->OnAcquire(lock, name, task);
 }
 
 void LockAnalyzer::OnUnlockTramp(void* ctx, const void* lock, const char* name,
-                                 TaskId task, bool shared, bool was_locked) {
-  static_cast<LockAnalyzer*>(ctx)->OnUnlock(lock, name, task, shared, was_locked);
+                                 TaskId task, bool was_locked) {
+  static_cast<LockAnalyzer*>(ctx)->OnUnlock(lock, name, task, was_locked);
 }
 
 void LockAnalyzer::OnAwaitTramp(void* ctx, const void* obj, const char* site,
@@ -139,7 +138,6 @@ std::string LockAnalyzer::HeldDesc(TaskId task) const {
   for (size_t i = 0; i < it->second.size(); ++i) {
     if (i > 0) out += ", ";
     out += LockLabel(it->second[i].lock_idx);
-    if (it->second[i].shared) out += " (shared)";
   }
   out += "]";
   return out;
@@ -217,26 +215,21 @@ std::vector<uint32_t> LockAnalyzer::FindPath(uint32_t from_cls, uint32_t to_cls)
   return {};
 }
 
-void LockAnalyzer::OnAcquire(const void* lock, const char* name, TaskId task,
-                             bool shared) {
+void LockAnalyzer::OnAcquire(const void* lock, const char* name, TaskId task) {
   uint32_t idx = RegisterLock(lock, name);
   uint32_t class_id = locks_[idx].class_id;
   std::vector<HeldEntry>& held = held_[task];
   for (const HeldEntry& e : held) {
     if (e.class_id != class_id) AddEdge(e.class_id, class_id, task);
   }
-  held.push_back(HeldEntry{idx, class_id, shared});
+  held.push_back(HeldEntry{idx, class_id});
   LockState& st = locks_[idx];
-  if (shared) {
-    st.shared_holders.push_back(task);
-  } else {
-    st.exclusive = true;
-    st.owner = task;
-  }
+  st.locked = true;
+  st.owner = task;
 }
 
 void LockAnalyzer::OnUnlock(const void* lock, const char* name, TaskId task,
-                            bool shared, bool was_locked) {
+                            bool was_locked) {
   uint32_t idx = RegisterLock(lock, name);
   LockState& st = locks_[idx];
   if (!was_locked) {
@@ -247,40 +240,21 @@ void LockAnalyzer::OnUnlock(const void* lock, const char* name, TaskId task,
     return;
   }
   TaskId holder = task;
-  if (shared) {
-    auto hit = std::find(st.shared_holders.begin(), st.shared_holders.end(), task);
-    if (hit != st.shared_holders.end()) {
-      st.shared_holders.erase(hit);
-    } else if (!st.shared_holders.empty()) {
-      // Holders are known and this task is not among them. (An empty holder
-      // list means the lock predates Install(); nothing to check.)
-      holder = st.shared_holders.front();
-      ReportViolation(AnalysisViolationKind::kUnlockNotOwner, task,
-                      "shared unlock of '" + LockLabel(idx) + "' by " +
-                          TaskLabel(task) + " which does not hold it (holder: " +
-                          TaskLabel(holder) + ") at t=" +
-                          std::to_string(Engine::NowOrZero()) + "ns");
-      st.shared_holders.erase(st.shared_holders.begin());
-    } else {
-      return;
-    }
-  } else {
-    if (st.exclusive && st.owner != task && st.owner != kNoTask && task != kNoTask) {
+  if (st.locked) {
+    if (st.owner != task && st.owner != kNoTask && task != kNoTask) {
       ReportViolation(AnalysisViolationKind::kUnlockNotOwner, task,
                       "unlock of '" + LockLabel(idx) + "' by " + TaskLabel(task) +
                           " which does not own it (owner: " + TaskLabel(st.owner) +
                           ") at t=" + std::to_string(Engine::NowOrZero()) + "ns");
-      // The primitive releases regardless; keep our state in sync with it.
-      holder = st.owner;
-    } else if (st.exclusive) {
-      holder = st.owner;
     }
-    st.exclusive = false;
-    st.owner = kNoTask;
+    // The primitive releases regardless; keep our state in sync with it.
+    holder = st.owner;
   }
+  st.locked = false;
+  st.owner = kNoTask;
   std::vector<HeldEntry>& held = held_[holder];
   for (auto it = held.rbegin(); it != held.rend(); ++it) {
-    if (it->lock_idx == idx && it->shared == shared) {
+    if (it->lock_idx == idx) {
       held.erase(std::next(it).base());
       break;
     }
@@ -321,19 +295,8 @@ void LockAnalyzer::OnAssertHeld(const void* lock, const char* name, TaskId task,
     return;
   }
   const LockState& st = locks_[it->second];
-  if (st.exclusive && st.owner == task) return;
-  if (std::find(st.shared_holders.begin(), st.shared_holders.end(), task) !=
-      st.shared_holders.end()) {
-    return;
-  }
-  std::string owner_desc;
-  if (st.exclusive) {
-    owner_desc = "owner: " + TaskLabel(st.owner);
-  } else if (!st.shared_holders.empty()) {
-    owner_desc = "shared holder: " + TaskLabel(st.shared_holders.front());
-  } else {
-    owner_desc = "owner: none";
-  }
+  if (st.locked && st.owner == task) return;
+  std::string owner_desc = st.locked ? "owner: " + TaskLabel(st.owner) : "owner: none";
   ReportViolation(AnalysisViolationKind::kGuardedAccess, task,
                   "guarded access (" + desc + ") without holding '" +
                       LockLabel(it->second) + "' by " + TaskLabel(task) + " (" +
@@ -391,14 +354,9 @@ std::vector<std::string> LockAnalyzer::QuiescenceReport() const {
   std::vector<std::string> out;
   for (uint32_t idx = 0; idx < locks_.size(); ++idx) {
     const LockState& st = locks_[idx];
-    if (st.exclusive) {
+    if (st.locked) {
       out.push_back("lock '" + LockLabel(idx) + "' still held by " +
                     TaskLabel(st.owner) + " at quiescence");
-    } else if (!st.shared_holders.empty()) {
-      out.push_back("lock '" + LockLabel(idx) + "' still shared-held by " +
-                    std::to_string(st.shared_holders.size()) +
-                    " task(s), first " + TaskLabel(st.shared_holders.front()) +
-                    ", at quiescence");
     }
   }
   return out;

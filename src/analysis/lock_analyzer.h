@@ -17,7 +17,7 @@
 //      manifests in this run, reported with each edge's first-acquisition
 //      backtrail. Same-class nesting is not tracked (classic lockdep limit).
 //   3. Held-across-await — holding a lock across a non-lock awaiter (RDMA
-//      completion, evictor wakeup, semaphore, channel) serializes
+//      completion, evictor wakeup, channel) serializes
 //      unrelated progress and is reported unless allowlisted. Delay{} under a
 //      lock is the repo's intended critical-section cost model and is only
 //      flagged when AnalysisOptions::flag_delay_awaits is set.
@@ -150,15 +150,13 @@ class LockAnalyzer {
   struct LockState {
     uint32_t class_id = 0;
     uint32_t instance = 0;  // ordinal within the class, registration order
-    bool exclusive = false;
+    bool locked = false;
     TaskId owner = kNoTask;
-    std::vector<TaskId> shared_holders;
   };
 
   struct HeldEntry {
     uint32_t lock_idx;
     uint32_t class_id;
-    bool shared;
   };
 
   struct TaskInfo {
@@ -176,17 +174,16 @@ class LockAnalyzer {
   };
 
   static void OnAcquireTramp(void* ctx, const void* lock, const char* name,
-                             TaskId task, bool shared);
+                             TaskId task);
   static void OnUnlockTramp(void* ctx, const void* lock, const char* name,
-                            TaskId task, bool shared, bool was_locked);
+                            TaskId task, bool was_locked);
   static void OnAwaitTramp(void* ctx, const void* obj, const char* site,
                            AwaitKind kind, TaskId task);
   static void OnAssertHeldTramp(void* ctx, const void* lock, const char* name,
                                 TaskId task, const char* what);
 
-  void OnAcquire(const void* lock, const char* name, TaskId task, bool shared);
-  void OnUnlock(const void* lock, const char* name, TaskId task, bool shared,
-                bool was_locked);
+  void OnAcquire(const void* lock, const char* name, TaskId task);
+  void OnUnlock(const void* lock, const char* name, TaskId task, bool was_locked);
   void OnAwait(const char* site, AwaitKind kind, TaskId task);
   void OnAssertHeld(const void* lock, const char* name, TaskId task,
                     const char* what);

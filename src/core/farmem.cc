@@ -414,7 +414,6 @@ RunResult FarMemoryMachine::Run() {
     if (sampler_ != nullptr) {
       WriteFileOrWarn(mo.csv_path, sampler_->ToCsv());
     }
-    WriteFileOrWarn(mo.prom_path, PrometheusText(*metrics_));
     profiler_->Uninstall();
   }
   return r;

@@ -162,7 +162,6 @@ class FarMemoryMachine {
       SimTime sample_interval = 0;
       std::string report_path;  // JSON run-report ("" = don't write)
       std::string csv_path;     // time-series CSV
-      std::string prom_path;    // Prometheus text exposition
       bool progress = false;
     };
     MetricsOptions metrics;

@@ -62,8 +62,6 @@ const Knob kKnobs[] = {
      [](O& o, const V& v) { o.metrics.report_path = v.text; o.metrics.enabled = true; }},
     {"metrics-csv", "MAGESIM_METRICS_CSV", kText, 0, 0, nullptr, "sampler time series CSV path",
      [](O& o, const V& v) { o.metrics.csv_path = v.text; o.metrics.enabled = true; }},
-    {"metrics-prom", "MAGESIM_METRICS_PROM", kText, 0, 0, nullptr, "Prometheus text path",
-     [](O& o, const V& v) { o.metrics.prom_path = v.text; o.metrics.enabled = true; }},
     {"sample-interval-us", "MAGESIM_METRICS_SAMPLE_INTERVAL_US", kWhole, 0, kMaxUs, nullptr,
      "metrics sampling period in simulated us (0: 1000)",
      [](O& o, const V& v) {

@@ -9,7 +9,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <vector>
 
 #include "src/hw/fault_hooks.h"
 #include "src/hw/machine_params.h"
@@ -87,21 +86,12 @@ class RdmaNic {
   Task<> Read(uint64_t bytes);
   Task<> Write(uint64_t bytes);
 
-  // Failure injection: between [from, until) the link runs at
-  // `bandwidth_factor` of its rate and ops pay `extra_latency_ns` —
-  // modeling congestion from a bursty neighbor, link retraining, or a
-  // struggling memory node. Multiple windows may be scheduled; overlapping
-  // windows are merged on insert (min factor, max extra latency).
-  void InjectBrownout(SimTime from, SimTime until, double bandwidth_factor,
-                      SimTime extra_latency_ns);
-
-  // Optional per-op failure model (scripted injection); nullptr disables.
+  // Optional per-op failure model (scripted injection: errors, drops and
+  // brownout windows); nullptr disables.
   void SetFaultModel(HwFaultModel* model) { fault_model_ = model; }
   HwFaultModel* fault_model() const { return fault_model_; }
 
   int node_id() const { return node_id_; }
-
-  size_t num_brownout_windows() const { return brownouts_.size(); }
 
   uint64_t bytes_read() const { return bytes_read_; }
   uint64_t bytes_written() const { return bytes_written_; }
@@ -118,17 +108,11 @@ class RdmaNic {
   // Queueing-only component (congestion).
   const Histogram& read_queueing() const { return read_queueing_; }
 
-  // Fraction of wall time the read/write channel was serializing data since
-  // the last ResetStats().
-  double ReadUtilization() const;
-  double WriteUtilization() const;
   // Cumulative channel-busy time since the last ResetStats — the metrics
   // sampler derives windowed utilization from deltas of these (with
   // counter-reset detection for the warmup reset).
   uint64_t read_busy_ns() const { return static_cast<uint64_t>(read_ch_.busy_ns); }
   uint64_t write_busy_ns() const { return static_cast<uint64_t>(write_ch_.busy_ns); }
-  double AchievedReadGbps() const;
-  double AchievedWriteGbps() const;
 
   void ResetStats();
 
@@ -140,18 +124,6 @@ class RdmaNic {
     SimTime busy_ns = 0;
   };
 
-  struct Brownout {
-    SimTime from;
-    SimTime until;
-    double bandwidth_factor;
-    SimTime extra_latency_ns;
-  };
-
-  // Effective rate/latency adjustments at time `now`. Windows are sorted and
-  // disjoint (merged on insert); post times are non-decreasing, so a cursor
-  // skips expired windows once — O(1) amortized per posted op.
-  const Brownout* ActiveBrownout(SimTime now) const;
-
   // Posts an op unarmed (see PostWriteUnarmed).
   std::shared_ptr<RdmaCompletion> Post(Channel& ch, uint64_t bytes, Histogram& lat,
                                        Histogram* queueing, bool is_write);
@@ -159,12 +131,9 @@ class RdmaNic {
 
   MachineParams params_;
   int node_id_;
-  std::vector<Brownout> brownouts_;
-  mutable size_t brownout_cursor_ = 0;
   HwFaultModel* fault_model_ = nullptr;
   Channel read_ch_;
   Channel write_ch_;
-  SimTime stats_epoch_ = 0;
 
   uint64_t bytes_read_ = 0;
   uint64_t bytes_written_ = 0;

@@ -3,10 +3,10 @@
 //
 // Names are interned once (at registration, off the hot path); after that all
 // updates go through index-based handles — no string hashing or map lookups
-// on hot paths. The registry is the single source every exporter reads: the
-// JSON run-report, the CSV time series, and the Prometheus text exposition
-// (src/metrics/run_report.h) all walk it in sorted-name order, so two
-// deterministic simulations produce byte-identical exports.
+// on hot paths. The registry is the single source the exporters read: the
+// JSON run-report and the CSV time series (src/metrics/run_report.h) walk it
+// in sorted-name order, so two deterministic simulations produce
+// byte-identical exports.
 //
 //   MetricsRegistry reg;
 //   auto faults = reg.Counter("kernel.faults");

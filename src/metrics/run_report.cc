@@ -253,53 +253,4 @@ void AppendTimeseriesJson(JsonWriter& w, const MetricsSampler& sampler) {
   w.EndObject();
 }
 
-namespace {
-std::string PromName(std::string_view name) {
-  std::string out = "magesim_";
-  for (char c : name) {
-    bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9') ||
-              c == '_' || c == ':';
-    out += ok ? c : '_';
-  }
-  return out;
-}
-}  // namespace
-
-std::string PrometheusText(const MetricsRegistry& reg) {
-  std::string out;
-  char buf[192];
-  for (const auto& e : reg.SortedEntries()) {
-    std::string name = PromName(*e.name);
-    switch (e.kind) {
-      case MetricsRegistry::Kind::kCounter:
-        out += "# TYPE " + name + " counter\n";
-        std::snprintf(buf, sizeof(buf), "%s %" PRIu64 "\n", name.c_str(),
-                      reg.counter_at(e.index));
-        out += buf;
-        break;
-      case MetricsRegistry::Kind::kGauge:
-        out += "# TYPE " + name + " gauge\n";
-        std::snprintf(buf, sizeof(buf), "%s %.17g\n", name.c_str(), reg.gauge_at(e.index));
-        out += buf;
-        break;
-      case MetricsRegistry::Kind::kHistogram: {
-        const Histogram& h = reg.histogram_at(e.index);
-        out += "# TYPE " + name + " summary\n";
-        const struct { const char* label; double p; } qs[] = {
-            {"0.5", 50.0}, {"0.9", 90.0}, {"0.99", 99.0}, {"0.999", 99.9}};
-        for (const auto& q : qs) {
-          std::snprintf(buf, sizeof(buf), "%s{quantile=\"%s\"} %lld\n", name.c_str(), q.label,
-                        static_cast<long long>(h.Percentile(q.p)));
-          out += buf;
-        }
-        std::snprintf(buf, sizeof(buf), "%s_sum %lld\n%s_count %" PRIu64 "\n", name.c_str(),
-                      static_cast<long long>(h.sum()), name.c_str(), h.count());
-        out += buf;
-        break;
-      }
-    }
-  }
-  return out;
-}
-
 }  // namespace magesim

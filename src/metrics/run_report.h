@@ -84,11 +84,6 @@ void AppendProfilerJson(JsonWriter& w, const SimProfiler& prof, SimTime end_time
 // Sampler series as {interval_ns, columns: [...], rows: [[...], ...]}.
 void AppendTimeseriesJson(JsonWriter& w, const MetricsSampler& sampler);
 
-// Prometheus text exposition of the registry: counters and gauges as-is,
-// histograms as _count/_sum plus quantile-labeled summary gauges. Metric
-// names are sanitized ('.' and '-' become '_').
-std::string PrometheusText(const MetricsRegistry& reg);
-
 }  // namespace magesim
 
 #endif  // MAGESIM_METRICS_RUN_REPORT_H_

@@ -26,7 +26,6 @@ enum class AwaitKind : int {
   kDelay = 0,   // Delay{} — modeled critical-section / device time
   kYield,       // YieldNow — cooperative yield at the same timestamp
   kEvent,       // SimEvent (RDMA completions, evictor wakeups, latches, ...)
-  kSemaphore,   // SimSemaphore::Acquire
   kChannel,     // Channel<T> push/pop waits
 };
 
@@ -34,13 +33,13 @@ struct SimAnalysisHooks {
   void* ctx = nullptr;
   // A lock was acquired (uncontended fast path, TryLock, or a FIFO handoff —
   // in the handoff case `task` is the new owner, not the unlocking task).
-  void (*on_acquire)(void* ctx, const void* lock, const char* name, TaskId task,
-                     bool shared) = nullptr;
+  void (*on_acquire)(void* ctx, const void* lock, const char* name,
+                     TaskId task) = nullptr;
   // An unlock was attempted by `task`. Fired before the primitive mutates its
   // state; `was_locked` is the primitive's own view, so double-unlocks are
   // observable even in capture (non-aborting) mode.
   void (*on_unlock)(void* ctx, const void* lock, const char* name, TaskId task,
-                    bool shared, bool was_locked) = nullptr;
+                    bool was_locked) = nullptr;
   // `task` suspended on a non-lock awaiter (`site` names it, e.g. the
   // SimEvent's name or "delay").
   void (*on_await)(void* ctx, const void* obj, const char* site, AwaitKind kind,

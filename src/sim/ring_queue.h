@@ -1,8 +1,8 @@
 // Flat ring-buffer FIFO replacing std::deque in the simulation hot path.
 //
 // std::deque allocates a map block plus ~512-byte node chunks per queue; the
-// sync primitives (mutex/semaphore waiter queues, channels) create
-// thousands of them and push/pop on every contended handoff. RingQueue keeps
+// sync primitives (mutex waiter queues, channels) create thousands of them
+// and push/pop on every contended handoff. RingQueue keeps
 // elements in one contiguous power-of-two buffer that grows by doubling and
 // is reused for the queue's whole lifetime: steady-state push/pop never
 // allocates. FIFO semantics (and therefore wakeup order and determinism) are

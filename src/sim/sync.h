@@ -84,7 +84,7 @@ class SimMutex {
   void Unlock() {
     if (const SimAnalysisHooks* hk = AnalysisHooks()) {
       hk->on_unlock(hk->ctx, this, name_.c_str(), Engine::CurrentTaskOrNone(),
-                    /*shared=*/false, /*was_locked=*/locked_);
+                    /*was_locked=*/locked_);
       // Capture-mode analyzers record the double unlock above; keep the
       // primitive's state sane instead of corrupting it.
       if (!locked_) return;
@@ -103,7 +103,7 @@ class SimMutex {
     ++stats_.acquisitions;
     owner_ = w.task;  // Lock ownership transfers directly to the waiter.
     if (const SimAnalysisHooks* hk = AnalysisHooks()) {
-      hk->on_acquire(hk->ctx, this, name_.c_str(), w.task, /*shared=*/false);
+      hk->on_acquire(hk->ctx, this, name_.c_str(), w.task);
     }
     if (internal::g_lock_wait_fn != nullptr) {
       internal::g_lock_wait_fn(internal::g_lock_wait_ctx, *this, waited);
@@ -173,222 +173,12 @@ class SimMutex {
     owner_ = task;
     ++stats_.acquisitions;
     if (const SimAnalysisHooks* hk = AnalysisHooks()) {
-      hk->on_acquire(hk->ctx, this, name_.c_str(), task, /*shared=*/false);
+      hk->on_acquire(hk->ctx, this, name_.c_str(), task);
     }
   }
 
   std::string name_;
   bool locked_ = false;
-  TaskId owner_ = kNoTask;
-  RingQueue<Waiter> waiters_;
-  LockStats stats_;
-};
-
-// In a discrete-event model a spinlock and a FIFO mutex behave identically
-// (waiters queue and acquire in order); the distinction we preserve is
-// statistical: spin-wait time is CPU burned, which callers may account.
-using SimSpinLock = SimMutex;
-
-// A reader-writer lock with FIFO fairness: shared and exclusive waiters queue
-// in arrival order, a release grants either the next writer or the next
-// contiguous batch of readers, and arriving readers never overtake a queued
-// writer. Not observed by the LockWaitObserver (which is typed on SimMutex);
-// contention still lands in stats().
-class SimSharedMutex {
- public:
-  explicit SimSharedMutex(std::string name = "") : name_(std::move(name)) {}
-  SimSharedMutex(const SimSharedMutex&) = delete;
-  SimSharedMutex& operator=(const SimSharedMutex&) = delete;
-
-  struct LockAwaiter {
-    SimSharedMutex& m;
-    SimTime enqueue_time = 0;
-    bool await_ready() {
-      if (m.CanGrantExclusive()) {
-        m.GrantExclusive(Engine::CurrentTaskOrNone());
-        return true;
-      }
-      return false;
-    }
-    void await_suspend(std::coroutine_handle<> h) {
-      Engine& e = Engine::current();
-      enqueue_time = e.now();
-      m.waiters_.push_back(Waiter{h, enqueue_time, e.current_task(), /*shared=*/false});
-      ++m.stats_.contended;
-    }
-    void await_resume() const noexcept {}
-  };
-
-  struct SharedAwaiter {
-    SimSharedMutex& m;
-    SimTime enqueue_time = 0;
-    bool await_ready() {
-      if (m.CanGrantShared()) {
-        m.GrantShared(Engine::CurrentTaskOrNone());
-        return true;
-      }
-      return false;
-    }
-    void await_suspend(std::coroutine_handle<> h) {
-      Engine& e = Engine::current();
-      enqueue_time = e.now();
-      m.waiters_.push_back(Waiter{h, enqueue_time, e.current_task(), /*shared=*/true});
-      ++m.stats_.contended;
-    }
-    void await_resume() const noexcept {}
-  };
-
-  LockAwaiter Lock() { return LockAwaiter{*this}; }
-  SharedAwaiter LockShared() { return SharedAwaiter{*this}; }
-
-  void Unlock() {
-    if (const SimAnalysisHooks* hk = AnalysisHooks()) {
-      hk->on_unlock(hk->ctx, this, name_.c_str(), Engine::CurrentTaskOrNone(),
-                    /*shared=*/false, /*was_locked=*/exclusive_);
-      if (!exclusive_) return;
-    }
-    assert(exclusive_);
-    exclusive_ = false;
-    owner_ = kNoTask;
-    GrantFromQueue();
-  }
-
-  void UnlockShared() {
-    if (const SimAnalysisHooks* hk = AnalysisHooks()) {
-      hk->on_unlock(hk->ctx, this, name_.c_str(), Engine::CurrentTaskOrNone(),
-                    /*shared=*/true, /*was_locked=*/shared_holders_ > 0);
-      if (shared_holders_ == 0) return;
-    }
-    assert(shared_holders_ > 0);
-    if (--shared_holders_ == 0) GrantFromQueue();
-  }
-
-  bool TryLock() {
-    if (!CanGrantExclusive()) return false;
-    GrantExclusive(Engine::CurrentTaskOrNone());
-    return true;
-  }
-
-  void AssertHeld(const char* what = "") const {
-    if (const SimAnalysisHooks* hk = AnalysisHooks()) {
-      hk->on_assert_held(hk->ctx, this, name_.c_str(), Engine::CurrentTaskOrNone(), what);
-    }
-  }
-
-  class Guard {
-   public:
-    explicit Guard(SimSharedMutex* m) : m_(m) {}
-    Guard(Guard&& o) noexcept : m_(o.m_) { o.m_ = nullptr; }
-    Guard(const Guard&) = delete;
-    Guard& operator=(const Guard&) = delete;
-    Guard& operator=(Guard&&) = delete;
-    ~Guard() {
-      if (m_) m_->Unlock();
-    }
-
-   private:
-    SimSharedMutex* m_;
-  };
-
-  class SharedGuard {
-   public:
-    explicit SharedGuard(SimSharedMutex* m) : m_(m) {}
-    SharedGuard(SharedGuard&& o) noexcept : m_(o.m_) { o.m_ = nullptr; }
-    SharedGuard(const SharedGuard&) = delete;
-    SharedGuard& operator=(const SharedGuard&) = delete;
-    SharedGuard& operator=(SharedGuard&&) = delete;
-    ~SharedGuard() {
-      if (m_) m_->UnlockShared();
-    }
-
-   private:
-    SimSharedMutex* m_;
-  };
-
-  struct ScopedAwaiter {
-    LockAwaiter inner;
-    bool await_ready() { return inner.await_ready(); }
-    void await_suspend(std::coroutine_handle<> h) { inner.await_suspend(h); }
-    Guard await_resume() { return Guard(&inner.m); }
-  };
-
-  struct ScopedSharedAwaiter {
-    SharedAwaiter inner;
-    bool await_ready() { return inner.await_ready(); }
-    void await_suspend(std::coroutine_handle<> h) { inner.await_suspend(h); }
-    SharedGuard await_resume() { return SharedGuard(&inner.m); }
-  };
-
-  // `auto g = co_await m.Scoped();` / `auto g = co_await m.ScopedShared();`
-  ScopedAwaiter Scoped() { return ScopedAwaiter{LockAwaiter{*this}}; }
-  ScopedSharedAwaiter ScopedShared() { return ScopedSharedAwaiter{SharedAwaiter{*this}}; }
-
-  bool locked_exclusive() const { return exclusive_; }
-  int shared_holders() const { return shared_holders_; }
-  TaskId owner() const { return owner_; }
-  const LockStats& stats() const { return stats_; }
-  const std::string& name() const { return name_; }
-
- private:
-  struct Waiter {
-    std::coroutine_handle<> h;
-    SimTime enqueue_time;
-    TaskId task;
-    bool shared;
-  };
-
-  // FIFO fairness: never barge past queued waiters.
-  bool CanGrantExclusive() const {
-    return !exclusive_ && shared_holders_ == 0 && waiters_.empty();
-  }
-  bool CanGrantShared() const { return !exclusive_ && waiters_.empty(); }
-
-  void GrantExclusive(TaskId task) {
-    exclusive_ = true;
-    owner_ = task;
-    ++stats_.acquisitions;
-    if (const SimAnalysisHooks* hk = AnalysisHooks()) {
-      hk->on_acquire(hk->ctx, this, name_.c_str(), task, /*shared=*/false);
-    }
-  }
-
-  void GrantShared(TaskId task) {
-    ++shared_holders_;
-    ++stats_.acquisitions;
-    if (const SimAnalysisHooks* hk = AnalysisHooks()) {
-      hk->on_acquire(hk->ctx, this, name_.c_str(), task, /*shared=*/true);
-    }
-  }
-
-  void AccountWait(const Waiter& w) {
-    SimTime waited = Engine::current().now() - w.enqueue_time;
-    stats_.total_wait_ns += waited;
-    if (waited > stats_.max_wait_ns) stats_.max_wait_ns = waited;
-  }
-
-  void GrantFromQueue() {
-    if (waiters_.empty()) return;
-    Engine& e = Engine::current();
-    if (!waiters_.front().shared) {
-      Waiter w = waiters_.front();
-      waiters_.pop_front();
-      AccountWait(w);
-      GrantExclusive(w.task);
-      e.ScheduleAfter(0, w.h, w.task);
-      return;
-    }
-    while (!waiters_.empty() && waiters_.front().shared) {
-      Waiter w = waiters_.front();
-      waiters_.pop_front();
-      AccountWait(w);
-      GrantShared(w.task);
-      e.ScheduleAfter(0, w.h, w.task);
-    }
-  }
-
-  std::string name_;
-  bool exclusive_ = false;
-  int shared_holders_ = 0;
   TaskId owner_ = kNoTask;
   RingQueue<Waiter> waiters_;
   LockStats stats_;
@@ -469,57 +259,6 @@ class CountdownLatch {
  private:
   int count_;
   SimEvent event_;
-};
-
-// Counting semaphore with FIFO waiters.
-class SimSemaphore {
- public:
-  explicit SimSemaphore(int64_t initial, const char* name = "semaphore")
-      : count_(initial), name_(name) {}
-
-  struct Awaiter {
-    SimSemaphore& s;
-    bool await_ready() {
-      if (s.count_ > 0) {
-        --s.count_;
-        return true;
-      }
-      return false;
-    }
-    void await_suspend(std::coroutine_handle<> h) {
-      Engine& e = Engine::current();
-      if (const SimAnalysisHooks* hk = AnalysisHooks()) {
-        hk->on_await(hk->ctx, &s, s.name_, AwaitKind::kSemaphore, e.current_task());
-      }
-      s.waiters_.push_back(Waiter{h, e.current_task()});
-    }
-    void await_resume() const noexcept {}
-  };
-
-  Awaiter Acquire() { return Awaiter{*this}; }
-
-  void Release(int64_t n = 1) {
-    while (n > 0 && !waiters_.empty()) {
-      Waiter w = waiters_.front();
-      waiters_.pop_front();
-      Engine::current().ScheduleAfter(0, w.h, w.task);
-      --n;
-    }
-    count_ += n;
-  }
-
-  int64_t count() const { return count_; }
-  const char* name() const { return name_; }
-
- private:
-  struct Waiter {
-    std::coroutine_handle<> h;
-    TaskId task;
-  };
-
-  int64_t count_;
-  const char* name_;
-  RingQueue<Waiter> waiters_;
 };
 
 // Tracks a set of spawned tasks; `co_await wg.Wait()` resumes when all

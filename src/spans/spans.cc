@@ -141,16 +141,9 @@ SpanTracer::SpanTracer(const Options& opt) : opt_(opt), hash_(kFnvOffset) {
 
 SpanTracer::~SpanTracer() {
   Uninstall();
-  // Operations still open at teardown (threads parked mid-fault at
-  // shutdown) never finalized; reclaim their records.
-  for (auto& [task, stack] : ctx_) {
-    // Stacks hold nested open spans of one tree; freeing the outermost
-    // root frees the whole tree, and any detached roots adopted via
-    // PushContext appear as their own stack base.
-    for (SpanRecord* rec : stack) {
-      if (rec->parent == nullptr) FreeOp(rec);
-    }
-  }
+  // Operations still open at teardown (threads parked mid-op at shutdown)
+  // never finalized; reclaim their records.
+  for (SpanRecord* root : open_roots_) FreeOp(root);
 }
 
 void SpanTracer::Install() {
@@ -203,72 +196,13 @@ void SpanTracer::Adopt(SpanRecord* parent, SpanRecord* child) {
   parent->last_child = child;
 }
 
-SpanTracer::Stack* SpanTracer::FindStack() {
-  TaskId t = Engine::CurrentTaskOrNone();
-  if (t == cached_task_ && cached_stack_ != nullptr) return cached_stack_;
-  auto it = ctx_.find(t);
-  if (it == ctx_.end()) return nullptr;
-  cached_task_ = t;
-  cached_stack_ = &it->second;
-  return cached_stack_;
-}
-
-SpanTracer::Stack& SpanTracer::EnsureStack() {
-  TaskId t = Engine::CurrentTaskOrNone();
-  if (t == cached_task_ && cached_stack_ != nullptr) return *cached_stack_;
-  Stack& s = ctx_[t];
-  cached_task_ = t;
-  cached_stack_ = &s;
-  return s;
-}
-
-void SpanTracer::ReleaseStackIfEmpty(TaskId task, Stack& s) {
-  if (!s.empty()) return;
-  // Keep the empty stack: the same task opens its next operation shortly,
-  // and map erase+reinsert per op costs more than an idle entry. Trim only
-  // if the task population outgrows any plausible steady state.
-  if (ctx_.size() <= 64) return;
-  cached_task_ = kNoTask;
-  cached_stack_ = nullptr;
-  ctx_.erase(task);
-}
-
-SpanHandle SpanTracer::Begin(SpanKind k, int32_t actor, uint64_t page, int tenant,
-                             SimTime t0) {
-  Stack& s = EnsureStack();
-  // A sampled-out root suppresses its whole tree: nested Begins push the
-  // sentinel again so the pops stay balanced.
-  if (s.empty() ? !SampleRoot(k) : s.back() == &suppress_) {
-    s.push_back(&suppress_);
-    return SpanHandle{&suppress_};
-  }
-  if (t0 < 0) t0 = Engine::NowOrZero();
-  SpanRecord* rec =
-      NewRecord(s.empty() ? nullptr : RootOf(s.back()), k, actor, page, tenant, t0);
-  if (!s.empty()) Adopt(s.back(), rec);
-  s.push_back(rec);
-  return SpanHandle{rec};
-}
-
-void SpanTracer::End(SpanHandle h, uint64_t arg) {
-  if (h.rec == nullptr) return;
-  SpanRecord* rec = h.rec;
-  TaskId task = Engine::CurrentTaskOrNone();
-  if (Stack* s = FindStack(); s != nullptr && !s->empty() && s->back() == rec) {
-    s->pop_back();
-    ReleaseStackIfEmpty(task, *s);
-  }
-  if (rec == &suppress_) return;
-  rec->t1 = Engine::NowOrZero();
-  rec->arg = arg;
-  Seal(rec);
-  if (rec->parent == nullptr) FinalizeOp(rec);
-}
-
 SpanHandle SpanTracer::BeginDetachedSampled(SpanKind k, int32_t actor, uint64_t page,
                                             int tenant, SimTime t0) {
   if (t0 < 0) t0 = Engine::NowOrZero();
-  return SpanHandle{NewRecord(nullptr, k, actor, page, tenant, t0)};
+  SpanRecord* rec = NewRecord(nullptr, k, actor, page, tenant, t0);
+  rec->open_slot = static_cast<uint32_t>(open_roots_.size());
+  open_roots_.push_back(rec);
+  return SpanHandle{rec};
 }
 
 SpanHandle SpanTracer::BeginChildSampled(SpanHandle parent, SpanKind k, int32_t actor,
@@ -280,22 +214,23 @@ SpanHandle SpanTracer::BeginChildSampled(SpanHandle parent, SpanKind k, int32_t 
 }
 
 void SpanTracer::EndDetachedSampled(SpanHandle h, uint64_t arg) {
-  h.rec->t1 = Engine::NowOrZero();
-  h.rec->arg = arg;
-  Seal(h.rec);
-  if (h.rec->parent == nullptr) FinalizeOp(h.rec);
+  SpanRecord* rec = h.rec;
+  rec->t1 = Engine::NowOrZero();
+  rec->arg = arg;
+  Seal(rec);
+  if (rec->parent != nullptr) return;
+  SpanRecord* last = open_roots_.back();
+  last->open_slot = rec->open_slot;
+  open_roots_[rec->open_slot] = last;
+  open_roots_.pop_back();
+  FinalizeOp(rec);
 }
 
 uint64_t SpanTracer::Leaf(SpanKind k, SimTime t0, int32_t actor, uint64_t page,
                           SpanCausalPoint link, uint64_t arg) {
   SimTime now = Engine::NowOrZero();
-  if (now <= t0) return 0;
-  Stack* s = FindStack();
-  SpanRecord* parent = (s != nullptr && !s->empty()) ? s->back() : nullptr;
-  if (parent == &suppress_) return 0;
-  if (parent == nullptr && !SampleRoot(k)) return 0;
-  SpanRecord* rec =
-      NewRecord(parent != nullptr ? RootOf(parent) : nullptr, k, actor, page, -1, t0);
+  if (now <= t0 || !SampleRoot(k)) return 0;
+  SpanRecord* rec = NewRecord(nullptr, k, actor, page, -1, t0);
   rec->t1 = now;
   rec->arg = arg;
   if (link.id != 0) {
@@ -305,13 +240,7 @@ uint64_t SpanTracer::Leaf(SpanKind k, SimTime t0, int32_t actor, uint64_t page,
   }
   uint64_t id = rec->id;
   Seal(rec);
-  if (parent != nullptr) {
-    Adopt(parent, rec);
-  } else {
-    // No operation open in this task: the wait *is* the operation
-    // (evictor backpressure between batches).
-    FinalizeOp(rec);
-  }
+  FinalizeOp(rec);
   return id;
 }
 
@@ -329,25 +258,6 @@ uint64_t SpanTracer::LeafUnderSampled(SpanHandle parent, SpanKind k, SimTime t0,
   Seal(rec);
   Adopt(parent.rec, rec);
   return rec->id;
-}
-
-void SpanTracer::PushContext(SpanHandle h) {
-  if (h.rec == nullptr) return;
-  EnsureStack().push_back(h.rec);
-}
-
-void SpanTracer::PopContext() {
-  TaskId task = Engine::CurrentTaskOrNone();
-  Stack* s = FindStack();
-  if (s == nullptr || s->empty()) return;
-  s->pop_back();
-  ReleaseStackIfEmpty(task, *s);
-}
-
-SpanHandle SpanTracer::CurrentContext() {
-  Stack* s = FindStack();
-  if (s == nullptr || s->empty() || s->back() == &suppress_) return SpanHandle{};
-  return SpanHandle{s->back()};
 }
 
 void SpanTracer::NoteHeadroomPublisherSampled(SpanHandle h) {
@@ -595,12 +505,6 @@ std::vector<int> SpanTracer::ActiveTenants() const {
 
 const std::vector<SpanExemplar>& SpanTracer::Exemplars(SpanKind root_kind) const {
   return exemplars_[static_cast<size_t>(root_kind)];
-}
-
-uint64_t SpanTracer::open_spans() const {
-  uint64_t n = 0;
-  for (const auto& [task, stack] : ctx_) n += stack.size();
-  return n;
 }
 
 std::string SpanTracer::FingerprintSummary() const {

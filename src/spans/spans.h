@@ -121,6 +121,7 @@ struct SpanRecord {
   int32_t link_actor = -1;  // actor of the linked span
   SpanKind kind = SpanKind::kFault;
   int8_t tenant = -1;
+  uint32_t open_slot = 0;  // root only: index in the tracer's open-root list
 };
 
 // Opaque reference to an open span. Null handle (default) = disabled/no-op.
@@ -221,36 +222,26 @@ class SpanTracer {
   static SpanTracer* Get() { return current_; }
 
   // --- Instrumentation hooks (hot while installed) ---
-  // Opens a span as a child of the current task's innermost open span (a
-  // root operation if there is none) and pushes it on that task's context
-  // stack. `t0` < 0 means "now"; a root may backdate t0 to cover work done
-  // before the decision to open it (e.g. trap entry before fault dedup).
-  SpanHandle Begin(SpanKind k, int32_t actor, uint64_t page, int tenant = -1,
-                   SimTime t0 = -1);
-  // Closes `h`. Pops the context stack if `h` is on top; finalizes the
-  // operation if `h` is a root.
-  void End(SpanHandle h, uint64_t arg = 0);
-
-  // Detached span: not tied to any task's context stack. The hot paths
-  // (fault, pipelined eviction, prefetch) use detached roots and propagate
-  // the handle explicitly — a sampled-out op then costs a few inlined
-  // compares per hook instead of a context-map probe or an out-of-line
-  // call. `t0` < 0 means "now".
+  // Opens a root operation. Spans are not tied to any task: the hot paths
+  // (fault, pipelined eviction, prefetch) propagate the handle explicitly,
+  // so a sampled-out op costs a few inlined compares per hook. `t0` < 0
+  // means "now"; a root may backdate t0 to cover work done before the
+  // decision to open it (e.g. trap entry before fault dedup).
   SpanHandle BeginDetached(SpanKind k, int32_t actor, uint64_t page, int tenant = -1,
                            SimTime t0 = -1) {
     if (!SampleRoot(k)) return SpanHandle{&suppress_};
     return BeginDetachedSampled(k, actor, page, tenant, t0);
   }
-  // Opens a detached span nested under `parent` (sync eviction runs its
-  // batch under the faulting op). Null parent = detached root; a suppressed
-  // parent suppresses the child.
+  // Opens a span nested under `parent` (sync eviction runs its batch under
+  // the faulting op). Null parent = root op; a suppressed parent suppresses
+  // the child.
   SpanHandle BeginChild(SpanHandle parent, SpanKind k, int32_t actor, uint64_t page,
                         int tenant = -1) {
     if (parent.rec == &suppress_) return SpanHandle{&suppress_};
     if (parent.rec == nullptr) return BeginDetached(k, actor, page, tenant);
     return BeginChildSampled(parent, k, actor, page, tenant);
   }
-  // Closes a detached span; finalizes the operation when `h` is a root.
+  // Closes a span; finalizes the operation when `h` is a root.
   void EndDetached(SpanHandle h, uint64_t arg = 0) {
     if (h.rec == nullptr || h.rec == &suppress_) return;
     EndDetachedSampled(h, arg);
@@ -259,31 +250,20 @@ class SpanTracer {
   // work (page-span registration/erase) that only matters for traced ops.
   bool Sampled(SpanHandle h) const { return h.rec != nullptr && h.rec != &suppress_; }
 
-  // Retro-emits a completed wait [t0, now] as a leaf under the current
-  // task's innermost open span. Returns the leaf's id, or 0 when skipped
-  // (zero duration, or no tracer state). With no open span the leaf becomes
-  // a self-contained root operation of its own kind (evictor backpressure).
+  // Retro-emits a completed wait [t0, now] as a self-contained root
+  // operation of its own kind (evictor backpressure between batches), subject
+  // to the root sampler. Returns the span's id, or 0 when skipped (zero
+  // duration or sampled out).
   uint64_t Leaf(SpanKind k, SimTime t0, int32_t actor, uint64_t page,
                 SpanCausalPoint link = {}, uint64_t arg = 0);
-  // As Leaf, but parented explicitly (IPI fan-out, pipelined batch stages)
-  // and with an explicit end time.
+  // A completed wait [t0, t1] as a leaf under `parent` (IPI fan-out,
+  // pipelined batch stages).
   uint64_t LeafUnder(SpanHandle parent, SpanKind k, SimTime t0, SimTime t1,
                      int32_t actor, uint64_t page, SpanCausalPoint link = {},
                      uint64_t arg = 0) {
     if (parent.rec == nullptr || parent.rec == &suppress_ || t1 <= t0) return 0;
     return LeafUnderSampled(parent, k, t0, t1, actor, page, link, arg);
   }
-
-  // Adopts `h` as the current task's innermost open span (and releases it).
-  // Lets a detached batch span parent leaves emitted from helper code
-  // (PrepareVictims, the spawned writeback ticket) that only consults the
-  // context stack.
-  void PushContext(SpanHandle h);
-  void PopContext();
-
-  // Innermost open span of the current engine task (null handle if none or
-  // if the current operation is sampled out).
-  SpanHandle CurrentContext();
 
   // --- Causal registries ---
   // Inline suppressed-handle guards for the same reason as the hot hooks
@@ -333,8 +313,9 @@ class SpanTracer {
   uint64_t spans_total() const { return spans_total_; }
   uint64_t links_total() const { return links_total_; }
   uint64_t exemplar_trunc_spans() const { return exemplar_trunc_spans_; }
-  // Operations still open (contexts live) — nonzero after shutdown drains.
-  uint64_t open_spans() const;
+  // Root operations opened and not yet closed: nonzero when threads are
+  // parked mid-op as the run ends. Their records are freed at teardown.
+  uint64_t open_spans() const { return open_roots_.size(); }
   uint64_t hash() const { return hash_; }
   int top_k() const { return opt_.top_k; }
   int sample_every() const { return opt_.sample_every; }
@@ -361,8 +342,6 @@ class SpanTracer {
     std::vector<std::array<SimTime, kNumSpanKinds>> slot_phase;
     void Fold(int64_t latency_ns, const SimTime* phase);
   };
-
-  using Stack = std::vector<SpanRecord*, SlabStdAllocator<SpanRecord*>>;
 
   // True when the next root op of kind `k` is selected by the sampler: the
   // first op of each kind, then every `sample_every`th after it. Runs on
@@ -396,9 +375,6 @@ class SpanTracer {
                         uint64_t page, int tenant, SimTime t0);
   static SpanRecord* RootOf(SpanRecord* s);
   void Adopt(SpanRecord* parent, SpanRecord* child);
-  Stack* FindStack();    // current task's stack, nullptr when none
-  Stack& EnsureStack();  // current task's stack, created on demand
-  void ReleaseStackIfEmpty(TaskId task, Stack& s);
   // Fingerprint + counters, called once per record when its fields go final.
   void Seal(const SpanRecord* s);
   void FinalizeOp(SpanRecord* root);
@@ -415,9 +391,9 @@ class SpanTracer {
   Options opt_;
   std::ofstream out_;
   ChromeTraceSink* chrome_ = nullptr;
-  // Sentinel stack entry marking a sampled-out operation: Begin pushes it
-  // instead of a record, every other hook tests against it and bails, End
-  // pops it. Never allocated from, never finalized.
+  // Sentinel handle target marking a sampled-out operation: BeginDetached
+  // returns it instead of a record, every other hook tests against it and
+  // bails. Never allocated from, never finalized.
   SpanRecord suppress_;
   std::array<uint64_t, kNumSpanKinds> sample_left_{};  // ops until next sample
   uint64_t next_id_ = 1;
@@ -428,15 +404,9 @@ class SpanTracer {
   std::array<uint64_t, kNumSpanKinds> ops_{};
   std::array<uint64_t, kNumSpanKinds> span_counts_{};
 
-  // Open-span context per engine task. Emptied stacks stay in place for the
-  // task's next operation (erase+reinsert per op is hot-path churn); the map
-  // is trimmed only if the task population outgrows any plausible steady
-  // state. Map nodes and stacks recycle through the slab allocator.
-  std::unordered_map<TaskId, Stack, std::hash<TaskId>, std::equal_to<TaskId>,
-                     SlabStdAllocator<std::pair<const TaskId, Stack>>>
-      ctx_;
-  TaskId cached_task_ = kNoTask;
-  Stack* cached_stack_ = nullptr;
+  // Open root operations, each record holding its own index (open_slot) so
+  // closing one is a swap-remove, not a lookup.
+  std::vector<SpanRecord*> open_roots_;
 
   SpanCausalPoint headroom_;
   std::array<SpanCausalPoint, 2> breaker_open_{};

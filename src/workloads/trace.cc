@@ -4,6 +4,8 @@
 #include <cstdio>
 #include <cstring>
 #include <memory>
+#include <stdexcept>
+#include <string>
 
 namespace magesim {
 
@@ -118,6 +120,12 @@ Trace GenerateZipfTrace(const TraceGenOptions& opt, double theta) {
 
 Trace GenerateMixedTrace(const TraceGenOptions& opt, double theta, double scan_fraction) {
   RequireShards("mixed trace", opt);
+  if (!(scan_fraction >= 0.0 && scan_fraction <= 1.0)) {
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%g", scan_fraction);
+    throw std::invalid_argument(std::string("mixed trace: scan=") + buf +
+                                " must be in [0, 1]");
+  }
   Trace t;
   t.wss_pages = opt.wss_pages;
   t.streams.resize(static_cast<size_t>(opt.threads));

@@ -374,27 +374,6 @@ TEST(LockAnalyzerTest, QuiescenceReportNamesHeldLocks) {
   EXPECT_NE(held[0].find("(parker)"), std::string::npos) << held[0];
 }
 
-TEST(LockAnalyzerTest, SharedUnlockByNonHolderIsReported) {
-  Engine e;
-  LockAnalyzer la(CaptureMode());
-  la.Install();
-  SimSharedMutex rw("rw");
-  auto reader = [](SimSharedMutex& rw) -> Task<> {
-    co_await rw.LockShared();
-    co_await Delay{100};
-    rw.UnlockShared();
-  };
-  auto rogue = [](SimSharedMutex& rw) -> Task<> {
-    co_await Delay{50};
-    rw.UnlockShared();  // seeded bug: never acquired
-  };
-  e.Spawn(reader(rw));
-  e.Spawn(rogue(rw));
-  e.Run();
-  EXPECT_EQ(la.count(AnalysisViolationKind::kUnlockNotOwner), 1u);
-  EXPECT_NE(la.violations().front().message.find("'rw'"), std::string::npos);
-}
-
 TEST(LockAnalyzerTest, TryLockAcquisitionsAreTracked) {
   Engine e;
   LockAnalyzer la(CaptureMode());

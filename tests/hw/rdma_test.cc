@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "src/hw/memnode.h"
+#include "src/resilience/fault_injector.h"
+#include "src/resilience/fault_plan.h"
 #include "src/sim/engine.h"
 
 namespace magesim {
@@ -79,7 +81,7 @@ TEST(RdmaTest, ThroughputCapsAtConfiguredBandwidth) {
   double achieved_mops = kOps / (NsToSec(done) * 1e6);
   // Ideal limit from the paper: 5.83 M pages/s at 192 Gbps.
   EXPECT_NEAR(achieved_mops, 5.83, 0.1);
-  EXPECT_GT(nic.ReadUtilization(), 0.95);
+  EXPECT_GT(static_cast<double>(nic.read_busy_ns()) / static_cast<double>(done), 0.95);
 }
 
 TEST(RdmaTest, CongestionShowsUpInQueueingHistogram) {
@@ -113,44 +115,64 @@ TEST(RdmaTest, StatsTrackBytesAndOps) {
   EXPECT_EQ(nic.bytes_written(), 2 * kPageSize);
 }
 
-TEST(RdmaTest, OverlappingBrownoutsMergeToWorstOfBoth) {
+// Brownouts come from the fault plan: the NIC asks its fault model for each
+// op's fate at post time.
+FaultWindow Brownout(SimTime from, SimTime until, double bw, SimTime lat) {
+  FaultWindow w;
+  w.kind = FaultKind::kBrownout;
+  w.from = from;
+  w.until = until;
+  w.bandwidth_factor = bw;
+  w.extra_latency_ns = lat;
+  return w;
+}
+
+SimTime WireAt(double factor) {
+  return static_cast<SimTime>(kPageSize * 8.0 / (BareMetalParams().nic_gbps * factor));
+}
+
+TEST(RdmaTest, OverlappingBrownoutsCompose) {
   Engine e;
   RdmaNic nic(BareMetalParams());
-  nic.InjectBrownout(1000, 5000, 0.5, 100);
-  nic.InjectBrownout(3000, 8000, 0.25, 50);   // overlaps the first
-  nic.InjectBrownout(20000, 30000, 0.1, 0);   // disjoint
-  nic.InjectBrownout(9000, 9000, 0.9, 0);     // empty: rejected
-  EXPECT_EQ(nic.num_brownout_windows(), 2u);
-
-  // Inside the merged window [1000, 8000): min factor 0.25, max extra 100.
-  MachineParams p = BareMetalParams();
-  SimTime slow_done = -1, fast_done = -1;
-  auto body = [](RdmaNic& nic, SimTime& slow, SimTime& fast) -> Task<> {
-    co_await Delay{4000};
-    SimTime t0 = Engine::current().now();
-    co_await nic.Read(kPageSize);
-    slow = Engine::current().now() - t0;
-    co_await Delay{8000};  // past the merged window, before the disjoint one
-    t0 = Engine::current().now();
-    co_await nic.Read(kPageSize);
-    fast = Engine::current().now() - t0;
+  FaultPlan plan;
+  plan.Add(Brownout(10 * kMicrosecond, 50 * kMicrosecond, 0.5, 100));
+  plan.Add(Brownout(30 * kMicrosecond, 80 * kMicrosecond, 0.5, 50));  // overlaps the first
+  FaultInjector inj(plan, /*seed=*/1);
+  nic.SetFaultModel(&inj);
+  std::vector<SimTime> lat;
+  auto body = [](RdmaNic& nic, std::vector<SimTime>& lat) -> Task<> {
+    // One read each: in the first window only, in the overlap, in the second
+    // only, and after both (each read finishes well before the next probe).
+    for (SimTime at : {20, 40, 60, 100}) {
+      Engine& eng = Engine::current();
+      co_await Delay{at * kMicrosecond - eng.now()};
+      SimTime t0 = eng.now();
+      co_await nic.Read(kPageSize);
+      lat.push_back(eng.now() - t0);
+    }
   };
-  e.Spawn(body(nic, slow_done, fast_done));
+  e.Spawn(body(nic, lat));
   e.Run();
-  SimTime slow_wire =
-      static_cast<SimTime>(kPageSize * 8.0 / (p.nic_gbps * 0.25));  // min factor wins
-  EXPECT_EQ(fast_done, p.PageWireTime() + p.rdma_base_ns);
-  EXPECT_EQ(slow_done, slow_wire + p.rdma_base_ns + 100);  // max extra latency wins
+  MachineParams p = BareMetalParams();
+  ASSERT_EQ(lat.size(), 4u);
+  EXPECT_EQ(lat[0], WireAt(0.5) + p.rdma_base_ns + 100);
+  // Overlap: bandwidth factors multiply, extra latencies add.
+  EXPECT_EQ(lat[1], WireAt(0.25) + p.rdma_base_ns + 150);
+  EXPECT_EQ(lat[2], WireAt(0.5) + p.rdma_base_ns + 50);
+  EXPECT_EQ(lat[3], p.PageWireTime() + p.rdma_base_ns);
 }
 
 TEST(RdmaTest, BrownoutCursorHandlesManySequentialWindows) {
   Engine e;
   RdmaNic nic(BareMetalParams());
   // Many disjoint windows; posts at increasing times must pick the right one.
+  FaultPlan plan;
   for (int i = 0; i < 64; ++i) {
-    nic.InjectBrownout(i * 100000, i * 100000 + 50000, 0.5, i);
+    plan.Add(Brownout(i * 100000, i * 100000 + 50000, 0.5, i));
   }
-  EXPECT_EQ(nic.num_brownout_windows(), 64u);
+  ASSERT_EQ(plan.windows().size(), 64u);
+  FaultInjector inj(plan, /*seed=*/1);
+  nic.SetFaultModel(&inj);
   std::vector<SimTime> lat;
   auto body = [](RdmaNic& nic, std::vector<SimTime>& lat) -> Task<> {
     for (int i = 0; i < 64; ++i) {
@@ -166,10 +188,9 @@ TEST(RdmaTest, BrownoutCursorHandlesManySequentialWindows) {
   e.Spawn(body(nic, lat));
   e.Run();
   MachineParams p = BareMetalParams();
-  SimTime halved_wire = static_cast<SimTime>(kPageSize * 8.0 / (p.nic_gbps * 0.5));
   ASSERT_EQ(lat.size(), 64u);
   for (int i = 0; i < 64; ++i) {
-    EXPECT_EQ(lat[static_cast<size_t>(i)], halved_wire + p.rdma_base_ns + i)
+    EXPECT_EQ(lat[static_cast<size_t>(i)], WireAt(0.5) + p.rdma_base_ns + i)
         << "window " << i;
   }
 }

@@ -1,6 +1,6 @@
-// Tests for the JSON writer, Prometheus exposition, and the end-to-end run
-// report: same-seed determinism (modulo wall-clock fields) and the profiler's
-// exact core-time attribution guarantee.
+// Tests for the JSON writer and the end-to-end run report: same-seed
+// determinism (modulo wall-clock fields) and the profiler's exact core-time
+// attribution guarantee.
 #include "src/metrics/run_report.h"
 
 #include <gtest/gtest.h>
@@ -63,25 +63,6 @@ TEST(RunReportTest, HistogramJsonSummarizes) {
   EXPECT_NE(s.find("\"max\":1000"), std::string::npos);
   EXPECT_NE(s.find("\"p50\":"), std::string::npos);
   EXPECT_NE(s.find("\"p999\":"), std::string::npos);
-}
-
-TEST(RunReportTest, PrometheusTextExposition) {
-  MetricsRegistry reg;
-  reg.Counter("kernel.faults").Add(42);
-  reg.Gauge("run.ops_per_sec").Set(1.5e6);
-  reg.Hist("fault_latency_ns").Record(1000);
-  std::string text = PrometheusText(reg);
-  EXPECT_NE(text.find("# TYPE magesim_kernel_faults counter"), std::string::npos);
-  EXPECT_NE(text.find("magesim_kernel_faults 42"), std::string::npos);
-  EXPECT_NE(text.find("magesim_run_ops_per_sec"), std::string::npos);
-  EXPECT_NE(text.find("magesim_fault_latency_ns_count 1"), std::string::npos);
-  EXPECT_NE(text.find("quantile=\"0.99\""), std::string::npos);
-  // Names are fully sanitized: no '.' survives in any metric name line.
-  for (size_t pos = 0; (pos = text.find("magesim_", pos)) != std::string::npos; ++pos) {
-    size_t end = text.find_first_of(" {", pos);
-    ASSERT_NE(end, std::string::npos);
-    EXPECT_EQ(text.substr(pos, end - pos).find('.'), std::string::npos);
-  }
 }
 
 // Minimal structural JSON check: balanced braces/brackets outside strings.

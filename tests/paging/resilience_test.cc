@@ -1,9 +1,11 @@
-// Failure injection: NIC brownouts and degraded backends. The systems must
+// Failure injection: fault-plan brownouts and degraded backends. The systems must
 // stay correct (work conservation, no deadlock) and MAGE must degrade
 // gracefully (backpressure instead of sync-eviction storms).
 #include <gtest/gtest.h>
 
 #include "src/core/farmem.h"
+#include "src/resilience/fault_injector.h"
+#include "src/resilience/fault_plan.h"
 #include "src/workloads/dataframe.h"
 #include "src/workloads/seqscan.h"
 
@@ -13,7 +15,11 @@ namespace {
 TEST(BrownoutTest, NicBrownoutSlowsOpsInsideWindowOnly) {
   Engine e;
   RdmaNic nic(BareMetalParams());
-  nic.InjectBrownout(10 * kMicrosecond, 20 * kMicrosecond, 0.25, 5 * kMicrosecond);
+  FaultPlan plan;
+  std::string err;
+  ASSERT_TRUE(FaultPlan::Parse("brownout@10us-20us:bw=0.25,lat=5us", &plan, &err)) << err;
+  FaultInjector inj(plan, /*seed=*/1);
+  nic.SetFaultModel(&inj);
   std::vector<SimTime> latencies;
   auto body = [](RdmaNic& nic, std::vector<SimTime>& out) -> Task<> {
     for (int i = 0; i < 3; ++i) {
@@ -39,9 +45,9 @@ TEST(BrownoutTest, WorkloadSurvivesBrownoutWithWorkConservation) {
     FarMemoryMachine::Options opt;
     opt.kernel = cfg;
     opt.local_mem_ratio = 0.5;
-    FarMemoryMachine m(opt, wl);
     // A severe brownout right in the middle of the run.
-    m.nic().InjectBrownout(2 * kMillisecond, 6 * kMillisecond, 0.1, 30 * kMicrosecond);
+    opt.fault_plan = "brownout@2ms-6ms:bw=0.1,lat=30us";
+    FarMemoryMachine m(opt, wl);
     RunResult r = m.Run();
     EXPECT_EQ(r.total_ops, 2u * 12288u) << cfg.name;  // everything still served
     EXPECT_GT(r.fault_latency.max(), 30 * kMicrosecond) << cfg.name;
@@ -54,8 +60,8 @@ TEST(BrownoutTest, MageDegradesWithoutSyncEvictionStorm) {
   FarMemoryMachine::Options opt;
   opt.kernel = MageLibConfig();
   opt.local_mem_ratio = 0.4;
+  opt.fault_plan = "brownout@1ms-8ms:bw=0.15,lat=20us";
   FarMemoryMachine m(opt, wl);
-  m.nic().InjectBrownout(1 * kMillisecond, 8 * kMillisecond, 0.15, 20 * kMicrosecond);
   RunResult r = m.Run();
   // P1 holds even under backend failure: the fault path never evicts.
   EXPECT_EQ(r.sync_evictions, 0u);

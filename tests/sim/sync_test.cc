@@ -169,30 +169,6 @@ TEST(CountdownLatchTest, ReleasesAtZero) {
   EXPECT_EQ(released_at, 300);
 }
 
-TEST(SemaphoreTest, LimitsConcurrency) {
-  Engine e;
-  SimSemaphore sem(2);
-  int inside = 0;
-  int max_inside = 0;
-  WaitGroup wg;
-  auto worker = [](SimSemaphore& s, int& inside, int& max_inside, WaitGroup& wg) -> Task<> {
-    co_await s.Acquire();
-    ++inside;
-    max_inside = std::max(max_inside, inside);
-    co_await Delay{100};
-    --inside;
-    s.Release();
-    wg.Done();
-  };
-  for (int i = 0; i < 6; ++i) {
-    wg.Add();
-    e.Spawn(worker(sem, inside, max_inside, wg));
-  }
-  e.Run();
-  EXPECT_EQ(max_inside, 2);
-  EXPECT_EQ(sem.count(), 2);
-}
-
 TEST(ChannelTest, BoundedPushPop) {
   Engine e;
   Channel<int> ch(2);

@@ -1,6 +1,6 @@
 // Unit tests for the span tracer: critical-path attribution on hand-built
-// span trees, Histogram latency-slot helpers, tracer mechanics (context
-// stacks, detached roots, leaves, causal registries), band aggregation, and
+// span trees, Histogram latency-slot helpers, tracer mechanics (root ops,
+// leaves, open-root accounting, causal registries), band aggregation, and
 // the exemplar reservoir. Tree tests run without an engine; tests that need
 // real latencies drive a small Engine with Delays.
 #include <gtest/gtest.h>
@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "src/sim/engine.h"
+#include "src/sim/slab_alloc.h"
 #include "src/sim/stats.h"
 #include "src/sim/task.h"
 #include "src/spans/spans.h"
@@ -186,12 +187,12 @@ TEST(SpanTracerTest, DisabledHooksAreNoOps) {
 }
 
 Task<> OneFault(SpanTracer& st, uint64_t page, SimTime read_ns, SimTime tail_ns) {
-  SpanHandle root = st.Begin(SpanKind::kFault, /*actor=*/0, page);
+  SpanHandle root = st.BeginDetached(SpanKind::kFault, /*actor=*/0, page);
   SimTime r0 = Engine::current().now();
   co_await Delay{read_ns};
-  st.Leaf(SpanKind::kRdmaRead, r0, 0, page);
+  st.LeafUnder(root, SpanKind::kRdmaRead, r0, Engine::current().now(), 0, page);
   co_await Delay{tail_ns};
-  st.End(root);
+  st.EndDetached(root);
 }
 
 TEST(SpanTracerTest, RootOpFinalizesIntoAggregates) {
@@ -212,36 +213,10 @@ TEST(SpanTracerTest, RootOpFinalizesIntoAggregates) {
   EXPECT_EQ(tail.latency.max(), 100);
 }
 
-Task<> NestedOps(SpanTracer& st) {
-  SpanHandle root = st.Begin(SpanKind::kEvictBatch, 0, kTraceNoPage);
-  co_await Delay{10};
-  SpanHandle inner = st.Begin(SpanKind::kRdmaWrite, 0, kTraceNoPage);
-  EXPECT_EQ(st.CurrentContext().rec, inner.rec);
-  co_await Delay{40};
-  st.End(inner);
-  EXPECT_EQ(st.CurrentContext().rec, root.rec);
-  co_await Delay{30};
-  st.End(root);
-}
-
-TEST(SpanTracerTest, NestedSpansPopInOrder) {
-  SpanTracer st(SpanTracer::Options{});
-  st.Install();
-  Engine eng;
-  eng.Spawn(NestedOps(st));
-  eng.Run();
-  st.Uninstall();
-  EXPECT_EQ(st.ops(SpanKind::kEvictBatch), 1u);
-  EXPECT_EQ(st.open_spans(), 0u);
-  SpanTailSummary tail = st.Tail(SpanKind::kEvictBatch);
-  EXPECT_EQ(Phase(tail.phase_ns, SpanKind::kRdmaWrite), 40);
-  EXPECT_EQ(Phase(tail.phase_ns, SpanKind::kEvictBatch), 40);
-}
-
 Task<> BackpressurePause(SpanTracer& st) {
   SimTime b0 = Engine::current().now();
   co_await Delay{25};
-  // No operation open in this task: the leaf becomes its own root op.
+  // The wait is the operation: the leaf becomes its own root op.
   st.Leaf(SpanKind::kBackpressure, b0, /*actor=*/1, kTraceNoPage);
 }
 
@@ -261,50 +236,63 @@ TEST(SpanTracerTest, ZeroDurationLeavesSkipped) {
   // No engine: now == 0, so a leaf "ending now" at t0=0 has zero duration.
   SpanTracer st(SpanTracer::Options{});
   st.Install();
-  SpanHandle root = st.Begin(SpanKind::kFault, 0, 7);
-  EXPECT_EQ(st.Leaf(SpanKind::kMmLocks, 0, 0, 7), 0u);
+  SpanHandle root = st.BeginDetached(SpanKind::kFault, 0, 7);
+  EXPECT_EQ(st.Leaf(SpanKind::kBackpressure, 0, 0, 7), 0u);
   EXPECT_EQ(st.LeafUnder(root, SpanKind::kAlloc, 20, 20, 0, 7), 0u);
-  st.End(root);
+  st.EndDetached(root);
   st.Uninstall();
   EXPECT_EQ(st.spans_total(), 1u);  // just the root
 }
 
-TEST(SpanTracerTest, DetachedRootWithPushedContext) {
-  SpanTracer st(SpanTracer::Options{});
-  st.Install();
-  SpanHandle batch = st.BeginDetached(SpanKind::kEvictBatch, 9, kTraceNoPage);
-  ASSERT_TRUE(batch);
-  EXPECT_FALSE(st.CurrentContext());  // detached: not on the context stack
-  st.PushContext(batch);
-  EXPECT_EQ(st.CurrentContext().rec, batch.rec);
-  st.LeafUnder(batch, SpanKind::kUnmapVictims, 0, 40, 9, kTraceNoPage);
-  st.PopContext();
-  EXPECT_FALSE(st.CurrentContext());
-  st.EndDetached(batch, /*arg=*/32);
-  st.Uninstall();
-  EXPECT_EQ(st.ops(SpanKind::kEvictBatch), 1u);
-  EXPECT_EQ(st.spans_total(), 2u);
-  EXPECT_EQ(st.open_spans(), 0u);
+TEST(SpanTracerTest, OpenRootsAreCountedAndFreedAtTeardown) {
+  auto live_blocks = [] {
+    const SlabStats& s = SlabAllocator::stats();
+    return s.allocs - s.frees;
+  };
+  const uint64_t baseline = live_blocks();
+  {
+    SpanTracer st(SpanTracer::Options{});
+    st.Install();
+    SpanHandle a = st.BeginDetached(SpanKind::kFault, 0, 1);
+    SpanHandle b = st.BeginDetached(SpanKind::kEvictBatch, 1, kTraceNoPage);
+    SpanHandle c = st.BeginDetached(SpanKind::kPrefetch, 2, 3);
+    SpanHandle child = st.BeginChild(b, SpanKind::kRdmaWrite, 1, kTraceNoPage);
+    // Enough leaves to spill the batch past its first arena block.
+    for (SimTime t = 0; t < 64; ++t) {
+      st.LeafUnder(b, SpanKind::kUnmapVictims, t, t + 1, 1, kTraceNoPage);
+    }
+    EXPECT_EQ(st.open_spans(), 3u);
+    st.EndDetached(child);  // a child closing leaves its op open
+    EXPECT_EQ(st.open_spans(), 3u);
+    st.EndDetached(a);  // swap-removes: c takes a's slot
+    st.EndDetached(c);
+    EXPECT_EQ(st.open_spans(), 1u);
+    EXPECT_EQ(st.ops(SpanKind::kFault), 1u);
+    EXPECT_EQ(st.ops(SpanKind::kEvictBatch), 0u);
+    EXPECT_GT(live_blocks(), baseline);  // the open batch's arena chain
+    st.Uninstall();
+  }
+  EXPECT_EQ(live_blocks(), baseline);
 }
 
 TEST(SpanTracerTest, CausalRegistriesCaptureAndLink) {
   SpanTracer st(SpanTracer::Options{});
   st.Install();
-  SpanHandle batch = st.Begin(SpanKind::kEvictBatch, 2, kTraceNoPage);
+  SpanHandle batch = st.BeginDetached(SpanKind::kEvictBatch, 2, kTraceNoPage);
   uint64_t batch_id = batch.rec->id;
   st.NoteHeadroomPublisher(batch);
   st.NoteTenantRelease(5, batch);
   EXPECT_EQ(st.headroom_publisher().id, batch_id);
   EXPECT_EQ(st.tenant_release(5).id, batch_id);
   EXPECT_EQ(st.tenant_release(4).id, 0u);  // untouched tenant: no link
-  st.End(batch);
+  st.EndDetached(batch);
 
-  SpanHandle fault = st.Begin(SpanKind::kFault, 0, 11);
+  SpanHandle fault = st.BeginDetached(SpanKind::kFault, 0, 11);
   uint64_t leaf = st.LeafUnder(fault, SpanKind::kFreeWait, 0, 30, 0, 11,
                                st.headroom_publisher());
   EXPECT_NE(leaf, 0u);
   EXPECT_EQ(fault.rec->last_child->link, batch_id);
-  st.End(fault);
+  st.EndDetached(fault);
   st.Uninstall();
   EXPECT_EQ(st.links_total(), 1u);
 }
@@ -312,31 +300,31 @@ TEST(SpanTracerTest, CausalRegistriesCaptureAndLink) {
 TEST(SpanTracerTest, PageSpanRegistryTracksInFlightFaults) {
   SpanTracer st(SpanTracer::Options{});
   st.Install();
-  SpanHandle fault = st.Begin(SpanKind::kFault, 0, 77);
+  SpanHandle fault = st.BeginDetached(SpanKind::kFault, 0, 77);
   st.NotePageSpan(77, fault);
   EXPECT_EQ(st.page_span(77).id, fault.rec->id);
   st.ErasePageSpan(77);
   EXPECT_EQ(st.page_span(77).id, 0u);
-  st.End(fault);
+  st.EndDetached(fault);
   st.Uninstall();
 }
 
 TEST(SpanTracerTest, BreakerRegistryPerChannel) {
   SpanTracer st(SpanTracer::Options{});
   st.Install();
-  SpanHandle op = st.Begin(SpanKind::kFault, 1, 3);
+  SpanHandle op = st.BeginDetached(SpanKind::kFault, 1, 3);
   st.NoteBreakerOpen(1, op);
   EXPECT_EQ(st.breaker_open(1).id, op.rec->id);
   EXPECT_EQ(st.breaker_open(0).id, 0u);
-  st.End(op);
+  st.EndDetached(op);
   st.Uninstall();
 }
 
 Task<> TimedFaults(SpanTracer& st, std::vector<SimTime> latencies) {
   for (SimTime lat : latencies) {
-    SpanHandle h = st.Begin(SpanKind::kFault, 0, 1);
+    SpanHandle h = st.BeginDetached(SpanKind::kFault, 0, 1);
     co_await Delay{lat};
-    st.End(h);
+    st.EndDetached(h);
   }
 }
 
@@ -376,23 +364,23 @@ Task<> BandedFaults(SpanTracer& st) {
   // distinct histogram slots: the p50 band is made of fast ops, the p99
   // band of slow ones.
   for (int i = 0; i < 1000; ++i) {
-    SpanHandle h = st.Begin(SpanKind::kFault, 0, 1);
+    SpanHandle h = st.BeginDetached(SpanKind::kFault, 0, 1);
     SimTime r0 = Engine::current().now();
     co_await Delay{3000 + i * 4};
-    st.Leaf(SpanKind::kRdmaRead, r0, 0, 1);
+    st.LeafUnder(h, SpanKind::kRdmaRead, r0, Engine::current().now(), 0, 1);
     co_await Delay{1000};
-    st.End(h);
+    st.EndDetached(h);
   }
   for (int i = 0; i < 12; ++i) {
-    SpanHandle h = st.Begin(SpanKind::kFault, 0, 2);
+    SpanHandle h = st.BeginDetached(SpanKind::kFault, 0, 2);
     SimTime r0 = Engine::current().now();
     co_await Delay{4000};
-    st.Leaf(SpanKind::kRdmaRead, r0, 0, 2);
+    st.LeafUnder(h, SpanKind::kRdmaRead, r0, Engine::current().now(), 0, 2);
     SimTime b0 = Engine::current().now();
     co_await Delay{88000 + i * 8000};
-    st.Leaf(SpanKind::kRetryBackoff, b0, 0, 2);
+    st.LeafUnder(h, SpanKind::kRetryBackoff, b0, Engine::current().now(), 0, 2);
     co_await Delay{8000};
-    st.End(h);
+    st.EndDetached(h);
   }
 }
 

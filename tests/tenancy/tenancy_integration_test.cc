@@ -120,7 +120,8 @@ TEST(TenancyIntegrationTest, RunReportCarriesPerTenantSection) {
 
   ASSERT_NE(m.metrics(), nullptr);
   // Per-tenant counters land in the registry under tenancy.<name>.*.
-  EXPECT_NE(PrometheusText(*m.metrics()).find("tenancy"), std::string::npos);
+  EXPECT_TRUE(m.metrics()->Has("tenancy.lat.faults"));
+  EXPECT_TRUE(m.metrics()->Has("tenancy.bg.ops"));
 }
 
 }  // namespace

@@ -64,7 +64,7 @@ LONG_LIVED_TYPES = {
     "Engine", "Topology", "TlbShootdownManager", "RdmaNic", "Kernel",
     "FarMemoryMachine", "TenancyManager", "ResilienceManager", "MemoryNode",
     "FleetManager", "RebuildDriver", "AppThread", "Workload",
-    "MachineParams", "KernelConfig", "SimMutex", "SimEvent", "SimSemaphore",
+    "MachineParams", "KernelConfig", "SimMutex", "SimEvent",
     "MetricsRegistry", "MetricsSampler", "SpanTracer",
     "PageFrame", "PageTable", "PageAccounting", "PageAllocator", "FramePool",
     "BuddyAllocator", "SwapAllocator", "VmaResolver", "Prefetcher",
