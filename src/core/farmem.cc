@@ -25,7 +25,7 @@ void WriteFileOrWarn(const std::string& path, const std::string& contents) {
 }
 
 // Resolves a fault-plan option: "@path" loads the file, anything else is the
-// plan text itself (compact spec or JSON).
+// plan spec itself.
 std::string LoadFaultPlanText(const std::string& opt) {
   if (opt.empty() || opt[0] != '@') return opt;
   std::string path = opt.substr(1);
@@ -106,9 +106,7 @@ FarMemoryMachine::FarMemoryMachine(Options options, Workload& workload)
   if (fleet_->num_nodes() > 1) {
     // A one-server fleet has nothing to rebuild from (see
     // FleetManager::OnNodeCrash), so it gets no driver.
-    RebuildOptions rbo;
-    rbo.rebuild_gbps = options_.fleet.rebuild_gbps;
-    rebuild_ = std::make_unique<RebuildDriver>(*fleet_, rbo);
+    rebuild_ = std::make_unique<RebuildDriver>(*fleet_, options_.fleet.rebuild_gbps, ro.retry);
   }
   if (options_.tenancy.enabled && !options_.tenancy.tenants.empty()) {
     tenancy_ = std::make_unique<TenancyManager>(options_.tenancy, local_pages, wss,

@@ -194,11 +194,11 @@ class FarMemoryMachine {
     };
     AnalysisConfig analysis;
 
-    // Deterministic fault injection: a FaultPlan spec/JSON string, or
-    // "@path" to load one from a file. Parse errors throw
-    // std::invalid_argument from the constructor. A non-empty plan attaches
-    // the injector as every server NIC's fault model, which puts remote ops
-    // under deadlines, retries and circuit breakers.
+    // Deterministic fault injection: a FaultPlan spec, or "@path" to load
+    // one from a file. Parse errors throw std::invalid_argument from the
+    // constructor. A non-empty plan attaches the injector as every server
+    // NIC's fault model, which puts remote ops under deadlines, retries and
+    // circuit breakers.
     std::string fault_plan;
     // Retry/breaker/terminal-policy tuning. `resilience.seed == 0` derives a
     // stream from Options::seed.

@@ -31,7 +31,7 @@ const Knob kKnobs[] = {
            v.text == "fail" ? TerminalPolicy::kFailRun : TerminalPolicy::kPoisonPage;
      }},
     {"fault-plan", "MAGESIM_FAULT_PLAN", kText, 0, 0, nullptr,
-     "fault injection: spec, JSON or @file, e.g. 'brownout@2ms-6ms:bw=0.2;crash@10ms-12ms'",
+     "fault injection: spec or @file, e.g. 'brownout@2ms-6ms:bw=0.2;crash@10ms-12ms'",
      [](O& o, const V& v) { o.fault_plan = v.text; }},
     {"fleet-nodes", "MAGESIM_FLEET_NODES", kWhole, 1, kMaxFleetNodes, nullptr,
      "memory servers in the fleet",

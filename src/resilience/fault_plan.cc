@@ -1,10 +1,8 @@
 #include "src/resilience/fault_plan.h"
 
 #include <algorithm>
-#include <cctype>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 
 #include "src/sim/parse.h"
 
@@ -134,139 +132,6 @@ bool SetWindowKey(FaultWindow* w, const std::string& key, const std::string& val
   return true;
 }
 
-bool ValidateWindow(const FaultWindow& w, std::string* error) {
-  if (w.until <= w.from) {
-    SetError(error, "window must satisfy until > from");
-    return false;
-  }
-  return true;
-}
-
-// --- minimal JSON reader for an array of flat objects ---
-// Values are strings or numbers; that is all the plan schema needs.
-
-struct JsonCursor {
-  const char* p;
-  const char* end;
-
-  void SkipWs() {
-    while (p < end && std::isspace(static_cast<unsigned char>(*p))) ++p;
-  }
-  bool Eat(char c) {
-    SkipWs();
-    if (p < end && *p == c) {
-      ++p;
-      return true;
-    }
-    return false;
-  }
-  bool Peek(char c) {
-    SkipWs();
-    return p < end && *p == c;
-  }
-};
-
-bool ReadJsonString(JsonCursor* c, std::string* out, std::string* error) {
-  if (!c->Eat('"')) {
-    SetError(error, "expected string");
-    return false;
-  }
-  out->clear();
-  while (c->p < c->end && *c->p != '"') {
-    char ch = *c->p++;
-    if (ch == '\\' && c->p < c->end) {
-      char esc = *c->p++;
-      switch (esc) {
-        case 'n': ch = '\n'; break;
-        case 't': ch = '\t'; break;
-        default: ch = esc; break;
-      }
-    }
-    out->push_back(ch);
-  }
-  if (c->p >= c->end) {
-    SetError(error, "unterminated string");
-    return false;
-  }
-  ++c->p;  // closing quote
-  return true;
-}
-
-// Reads a string or number value; numbers are rendered back to text so the
-// caller can reuse the spec-side field parsers.
-bool ReadJsonScalar(JsonCursor* c, std::string* out, std::string* error) {
-  c->SkipWs();
-  if (c->Peek('"')) return ReadJsonString(c, out, error);
-  const char* start = c->p;
-  while (c->p < c->end &&
-         (std::isalnum(static_cast<unsigned char>(*c->p)) || *c->p == '.' || *c->p == '-' ||
-          *c->p == '+')) {
-    ++c->p;
-  }
-  if (c->p == start) {
-    SetError(error, "expected value");
-    return false;
-  }
-  out->assign(start, static_cast<size_t>(c->p - start));
-  return true;
-}
-
-bool ParseJsonWindow(JsonCursor* c, FaultWindow* w, std::string* error) {
-  if (!c->Eat('{')) {
-    SetError(error, "expected '{'");
-    return false;
-  }
-  // Kind must be applied before its defaults, and defaults before overrides,
-  // so collect key/value pairs first.
-  std::vector<std::pair<std::string, std::string>> kvs;
-  if (!c->Peek('}')) {
-    do {
-      std::string key, value;
-      if (!ReadJsonString(c, &key, error)) return false;
-      if (!c->Eat(':')) {
-        SetError(error, "expected ':' after key '" + key + "'");
-        return false;
-      }
-      if (!ReadJsonScalar(c, &value, error)) return false;
-      kvs.emplace_back(std::move(key), std::move(value));
-    } while (c->Eat(','));
-  }
-  if (!c->Eat('}')) {
-    SetError(error, "expected '}'");
-    return false;
-  }
-
-  bool have_kind = false;
-  for (const auto& [key, value] : kvs) {
-    if (key == "kind") {
-      if (!KindFromName(value, &w->kind)) {
-        SetError(error, "unknown fault kind '" + value + "'");
-        return false;
-      }
-      have_kind = true;
-    }
-  }
-  if (!have_kind) {
-    SetError(error, "window missing \"kind\"");
-    return false;
-  }
-  ApplyKindDefaults(w);
-  for (const auto& [key, value] : kvs) {
-    if (key == "kind") continue;
-    if (key == "from" || key == "until") {
-      SimTime t;
-      if (!ParseTimeNs(value, &t)) {
-        SetError(error, "bad time '" + value + "' for '" + key + "'");
-        return false;
-      }
-      (key == "from" ? w->from : w->until) = t;
-    } else if (!SetWindowKey(w, key, value, error)) {
-      return false;
-    }
-  }
-  return ValidateWindow(*w, error);
-}
-
 }  // namespace
 
 const char* FaultKindName(FaultKind k) {
@@ -322,12 +187,6 @@ std::string FormatTimeNs(SimTime ns) {
 }
 
 bool FaultPlan::Parse(const std::string& text, FaultPlan* out, std::string* error) {
-  std::string t = Trim(text);
-  if (!t.empty() && t[0] == '[') return ParseJson(t, out, error);
-  return ParseSpec(t, out, error);
-}
-
-bool FaultPlan::ParseSpec(const std::string& text, FaultPlan* out, std::string* error) {
   FaultPlan plan;
   size_t pos = 0;
   while (pos <= text.size()) {
@@ -381,35 +240,11 @@ bool FaultPlan::ParseSpec(const std::string& text, FaultPlan* out, std::string* 
         }
       }
     }
-    if (!ValidateWindow(w, error)) return false;
+    if (w.until <= w.from) {
+      SetError(error, "window must satisfy until > from");
+      return false;
+    }
     plan.Add(w);
-  }
-  *out = std::move(plan);
-  return true;
-}
-
-bool FaultPlan::ParseJson(const std::string& text, FaultPlan* out, std::string* error) {
-  FaultPlan plan;
-  JsonCursor c{text.data(), text.data() + text.size()};
-  if (!c.Eat('[')) {
-    SetError(error, "expected '['");
-    return false;
-  }
-  if (!c.Peek(']')) {
-    do {
-      FaultWindow w;
-      if (!ParseJsonWindow(&c, &w, error)) return false;
-      plan.Add(w);
-    } while (c.Eat(','));
-  }
-  if (!c.Eat(']')) {
-    SetError(error, "expected ']'");
-    return false;
-  }
-  c.SkipWs();
-  if (c.p != c.end) {
-    SetError(error, "trailing characters after plan");
-    return false;
   }
   *out = std::move(plan);
   return true;
@@ -443,28 +278,6 @@ std::string FaultPlan::ToSpec() const {
       s += (i == 0 ? ":" : ",") + kvs[i];
     }
   }
-  return s;
-}
-
-std::string FaultPlan::ToJson() const {
-  std::string s = "[";
-  for (size_t i = 0; i < windows_.size(); ++i) {
-    const FaultWindow& w = windows_[i];
-    if (i > 0) s += ",";
-    s += "{\"kind\":\"";
-    s += FaultKindName(w.kind);
-    s += "\",\"from\":" + std::to_string(w.from);
-    s += ",\"until\":" + std::to_string(w.until);
-    s += ",\"p\":" + FormatDouble(w.probability);
-    s += ",\"bw\":" + FormatDouble(w.bandwidth_factor);
-    s += ",\"lat\":" + std::to_string(w.extra_latency_ns);
-    s += ",\"ch\":\"";
-    s += ChannelName(w.channel);
-    s += "\"";
-    if (w.node >= 0) s += ",\"node\":" + std::to_string(w.node);
-    s += "}";
-  }
-  s += "]";
   return s;
 }
 

@@ -1,20 +1,17 @@
 // Declarative fault schedules. A FaultPlan is an ordered list of failure
 // windows targeting the simulated hardware; the FaultInjector executes it.
 //
-// Two interchangeable surface syntaxes parse into the same plan:
+// A plan has one syntax, a compact one-line spec; the `@path` form of the
+// fault-plan option loads the same text from a file:
 //
-//   Compact spec (one line, CLI-friendly):
-//     brownout@2ms-6ms:bw=0.2,lat=20us;drop@3ms-4ms:p=0.05,ch=read
+//   brownout@2ms-6ms:bw=0.2,lat=20us;drop@3ms-4ms:p=0.05,ch=read
 //
-//     plan   := event (';' event)*
-//     event  := kind '@' time '-' time [':' key '=' value (',' key=value)*]
-//     kind   := brownout | degrade | drop | error | spike | crash | ipidelay
-//     key    := p (probability) | bw (bandwidth factor) | lat (extra latency)
-//               | ch (read|write|both) | node (memory-server id; default all)
-//     time   := decimal with optional ns/us/ms/s suffix (default ns)
-//
-//   JSON (auto-detected by a leading '['):
-//     [{"kind":"brownout","from":"2ms","until":"6ms","bw":0.2,"lat":"20us"}]
+//   plan   := event (';' event)*
+//   event  := kind '@' time '-' time [':' key '=' value (',' key=value)*]
+//   kind   := brownout | degrade | drop | error | spike | crash | ipidelay
+//   key    := p (probability) | bw (bandwidth factor) | lat (extra latency)
+//             | ch (read|write|both) | node (memory-server id; default all)
+//   time   := decimal with optional ns/us/ms/s suffix (default ns)
 //
 // Window semantics (active over [from, until)):
 //   brownout  RDMA link at bw x rate, +lat per op, both channels
@@ -70,16 +67,12 @@ struct FaultWindow {
 
 class FaultPlan {
  public:
-  // Auto-detects the syntax (leading '[' selects JSON). On failure returns
-  // false and, if non-null, fills `error` with a human-readable reason.
+  // Parses the compact spec. On failure returns false and, if non-null,
+  // fills `error` with a human-readable reason.
   static bool Parse(const std::string& text, FaultPlan* out, std::string* error);
-  static bool ParseSpec(const std::string& text, FaultPlan* out, std::string* error);
-  static bool ParseJson(const std::string& text, FaultPlan* out, std::string* error);
 
-  // Round-trippable renderings: Parse(ToSpec()) and Parse(ToJson()) rebuild
-  // an equal plan.
+  // Round-trippable rendering: Parse(ToSpec()) rebuilds an equal plan.
   std::string ToSpec() const;
-  std::string ToJson() const;
 
   // Inserts keeping windows sorted by start time (stable for equal starts).
   void Add(const FaultWindow& w);

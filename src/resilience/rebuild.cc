@@ -1,42 +1,43 @@
 #include "src/resilience/rebuild.h"
 
-#include <algorithm>
-
+#include "src/resilience/resilient_rdma.h"
 #include "src/trace/trace.h"
 
 namespace magesim {
 
-RebuildDriver::RebuildDriver(FleetManager& fleet, const RebuildOptions& opt)
-    : fleet_(fleet), opt_(opt) {
-  if (opt_.rebuild_gbps > 0.0) {
-    pace_gap_ns_ = static_cast<SimTime>(kPageSize * 8.0 / opt_.rebuild_gbps);
+namespace {
+// Attempts per slot per burst before the slot is re-queued for a later burst,
+// with a backoff so a dirty window doesn't spin the queue.
+constexpr int kMaxAttempts = 4;
+constexpr SimTime kRequeueBackoffNs = 100 * kMicrosecond;
+}  // namespace
+
+RebuildDriver::RebuildDriver(FleetManager& fleet, double rebuild_gbps,
+                             const RetryPolicy& retry)
+    : fleet_(fleet), op_grace_ns_(retry.op_grace_ns) {
+  if (rebuild_gbps > 0.0) {
+    pace_gap_ns_ = static_cast<SimTime>(kPageSize * 8.0 / rebuild_gbps);
   }
 }
 
 void RebuildDriver::Start(Engine& eng) { eng.Spawn(Main()); }
 
-Task<bool> RebuildDriver::AwaitOp(std::shared_ptr<RdmaCompletion> c) {
-  // Background repair has no retry machinery of its own: sleep until the op
-  // is overdue, then judge it. A dropped completion (crash/drop window)
-  // simply never arrives.
-  Engine& eng = Engine::current();
-  SimTime deadline = std::max(eng.now(), c->completes_at()) + opt_.op_grace_ns;
-  if (deadline > eng.now()) co_await Delay{deadline - eng.now()};
-  co_return c->done() && c->ok();
-}
-
 // magesim-lint: allow(coroutine-ref-capture): burst_pages points into the
-// driver's RunRebuild frame, which co_awaits every RepairOne before exiting.
+// driver's Main frame, which co_awaits every RepairOne before exiting.
 Task<> RebuildDriver::RepairOne(uint64_t slot, SpanHandle span,
                                 uint64_t* burst_pages) {
-  for (int attempt = 0; attempt < opt_.max_attempts; ++attempt) {
+  for (int attempt = 0; attempt < kMaxAttempts; ++attempt) {
     // Re-resolve each attempt: a crash mid-repair moves source and target.
     int target = fleet_.RebuildTargetFor(slot);
     int source = fleet_.SourceFor(slot);
     if (target < 0 || source < 0) co_return;  // fully placed, or data gone
     SimTime t0 = Engine::current().now();
-    bool ok = co_await AwaitOp(fleet_.nic(source).PostRead(kPageSize));
-    if (ok) ok = co_await AwaitOp(fleet_.nic(target).PostWrite(kPageSize));
+    bool ok = co_await DeadlineWait(fleet_.nic(source).PostRead(kPageSize),
+                                    op_grace_ns_) == OpOutcome::kOk;
+    if (ok) {
+      ok = co_await DeadlineWait(fleet_.nic(target).PostWrite(kPageSize),
+                                 op_grace_ns_) == OpOutcome::kOk;
+    }
     SpanLeafUnder(span, SpanKind::kRebuild, t0, Engine::current().now(), target,
                   slot, {}, static_cast<uint64_t>(attempt) + 1);
     if (ok) {
@@ -52,7 +53,7 @@ Task<> RebuildDriver::RepairOne(uint64_t slot, SpanHandle span,
   }
   // A dirty window outlasted the attempt budget: give the link a breather
   // and put the slot back for a later burst.
-  co_await Delay{opt_.requeue_backoff_ns};
+  co_await Delay{kRequeueBackoffNs};
   fleet_.EnqueueRepair(slot);
 }
 

@@ -1,43 +1,34 @@
 // Online re-replication for a memory-server fleet. A single background
-// coroutine drains the FleetManager's repair queue: each under-replicated
-// slot is read from a surviving holder and written to the first live desired
-// server missing a copy, paced to a configurable rebuild bandwidth so repair
-// traffic doesn't starve the foreground fault path. Transient op failures
-// (drop/error windows) back off and re-queue the slot; a slot whose data is
-// gone is skipped — the fleet already surfaced it as lost. Each burst (first
-// repair after idle until the queue drains) is a detached kRebuild root span,
-// so rebuild time shows up in the critical-path tail attribution.
+// coroutine drains the FleetManager's repair queue, one repair at a time:
+// each under-replicated slot is read from a surviving holder and written to
+// the first live desired server missing a copy, and a pace gap of
+// page_bits / rebuild_gbps follows each repair so repair traffic doesn't
+// starve the foreground fault path. Both ops are awaited through the data
+// path's DeadlineWait with the RetryPolicy's op grace: a completed op ends
+// its wait at its completion, and a lost one fails once overdue by the
+// grace. Transient op failures (drop/error windows) back off and re-queue
+// the slot; a slot whose data is gone is skipped — the fleet already
+// surfaced it as lost. Each burst (first repair after idle until the queue
+// drains) is a detached kRebuild root span, so rebuild time shows up in the
+// critical-path tail attribution.
 #ifndef MAGESIM_RESILIENCE_REBUILD_H_
 #define MAGESIM_RESILIENCE_REBUILD_H_
 
 #include <cstdint>
-#include <memory>
 
 #include "src/fleet/fleet.h"
-#include "src/hw/rdma.h"
+#include "src/resilience/retry.h"
 #include "src/sim/engine.h"
 #include "src/sim/task.h"
 #include "src/spans/spans.h"
 
 namespace magesim {
 
-struct RebuildOptions {
-  // Sustained re-replication rate; the driver spaces page repairs
-  // page_bits / rebuild_gbps apart. <= 0 disables pacing (repair at link
-  // speed).
-  double rebuild_gbps = 10.0;
-  // An op is declared failed once it is overdue by this grace (the same
-  // notion the resilient data path uses).
-  SimTime op_grace_ns = 30 * kMicrosecond;
-  // Attempts per slot per burst before the slot is re-queued for a later
-  // burst (with a backoff, so a dirty window doesn't spin the queue).
-  int max_attempts = 4;
-  SimTime requeue_backoff_ns = 100 * kMicrosecond;
-};
-
 class RebuildDriver {
  public:
-  RebuildDriver(FleetManager& fleet, const RebuildOptions& opt);
+  // `rebuild_gbps` <= 0 disables pacing (repair at link speed); the op grace
+  // is `retry.op_grace_ns`, the one the fault path's reads and writes use.
+  RebuildDriver(FleetManager& fleet, double rebuild_gbps, const RetryPolicy& retry);
 
   // Spawns the repair coroutine; call once, before Engine::Run.
   void Start(Engine& eng);
@@ -51,10 +42,9 @@ class RebuildDriver {
   Task<> Main();
   // One repair attempt chain for `slot`; bumps *burst_pages on success.
   Task<> RepairOne(uint64_t slot, SpanHandle span, uint64_t* burst_pages);
-  Task<bool> AwaitOp(std::shared_ptr<RdmaCompletion> c);
 
   FleetManager& fleet_;
-  RebuildOptions opt_;
+  SimTime op_grace_ns_;
   SimTime pace_gap_ns_ = 0;
 
   uint64_t pages_rebuilt_ = 0;

@@ -61,7 +61,8 @@ enum class OpOutcome : uint8_t { kOk, kError, kTimeout };
 // (> 0) past its scheduled completion, or past now for one already due, and
 // yields the op's outcome. Queueing delay alone never trips it; a dropped op
 // always does. `c` comes from RdmaNic::PostRead/PostWrite, so it is armed
-// unless dropped.
+// unless dropped. It is the one wait that judges a posted remote op: the
+// fault path's reads and writes and the RebuildDriver's copies all use it.
 //
 // The wait spawns no task. An op's fate and completion time are fixed when
 // it is posted, so the wait knows at its start which case it is in, and

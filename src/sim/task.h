@@ -79,24 +79,38 @@ class TaskPromiseBase {
   std::exception_ptr exception_ = nullptr;
 };
 
+// The one difference between Task<T> and Task<void>: a value-returning
+// promise stores its co_return value for the awaiter to take.
+template <typename T>
+class TaskPromise : public TaskPromiseBase {
+ public:
+  template <typename U>
+  void return_value(U&& v) {
+    value_ = std::forward<U>(v);
+  }
+  T TakeValue() { return std::move(value_); }
+
+ private:
+  T value_{};
+};
+
+template <>
+class TaskPromise<void> : public TaskPromiseBase {
+ public:
+  void return_void() noexcept {}
+  void TakeValue() noexcept {}
+};
+
 }  // namespace detail
 
 template <typename T>
 class [[nodiscard]] Task {
  public:
-  class promise_type : public detail::TaskPromiseBase {
+  class promise_type : public detail::TaskPromise<T> {
    public:
     Task get_return_object() {
       return Task(std::coroutine_handle<promise_type>::from_promise(*this));
     }
-    template <typename U>
-    void return_value(U&& v) {
-      value_ = std::forward<U>(v);
-    }
-    T TakeValue() { return std::move(value_); }
-
-   private:
-    T value_{};
   };
 
   Task() = default;
@@ -137,65 +151,6 @@ class [[nodiscard]] Task {
         h.promise().RethrowIfException();
         return h.promise().TakeValue();
       }
-    };
-    return Awaiter{handle_};
-  }
-
- private:
-  void DestroyFrame() {
-    if (handle_) {
-      handle_.destroy();
-      handle_ = nullptr;
-    }
-  }
-
-  std::coroutine_handle<promise_type> handle_ = nullptr;
-};
-
-template <>
-class [[nodiscard]] Task<void> {
- public:
-  class promise_type : public detail::TaskPromiseBase {
-   public:
-    Task get_return_object() {
-      return Task(std::coroutine_handle<promise_type>::from_promise(*this));
-    }
-    void return_void() noexcept {}
-  };
-
-  Task() = default;
-  explicit Task(std::coroutine_handle<promise_type> h) : handle_(h) {}
-  Task(Task&& other) noexcept : handle_(std::exchange(other.handle_, nullptr)) {}
-  Task& operator=(Task&& other) noexcept {
-    if (this != &other) {
-      DestroyFrame();
-      handle_ = std::exchange(other.handle_, nullptr);
-    }
-    return *this;
-  }
-  Task(const Task&) = delete;
-  Task& operator=(const Task&) = delete;
-  ~Task() { DestroyFrame(); }
-
-  bool valid() const { return handle_ != nullptr; }
-
-  std::coroutine_handle<> Detach() {
-    assert(handle_);
-    handle_.promise().Detach();
-    auto h = handle_;
-    handle_ = nullptr;
-    return h;
-  }
-
-  auto operator co_await() && noexcept {
-    struct Awaiter {
-      std::coroutine_handle<promise_type> h;
-      bool await_ready() const noexcept { return !h || h.done(); }
-      std::coroutine_handle<> await_suspend(std::coroutine_handle<> cont) noexcept {
-        h.promise().set_continuation(cont);
-        return h;
-      }
-      void await_resume() { h.promise().RethrowIfException(); }
     };
     return Awaiter{handle_};
   }

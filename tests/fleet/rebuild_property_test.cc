@@ -2,16 +2,22 @@
 // landing mid-rebuild — no slot is ever left with zero live replicas
 // unreported. Loss is allowed (crash both holders of a k=2 slot), silence is
 // not: the replica-safety sweep must stay clean at every step and the repair
-// queue must fully drain once the chaos stops.
+// queue must fully drain once the chaos stops. The timing tests pin what a
+// repair costs: its read, its write and the pace gap, with a lost op failing
+// only once it is overdue by the retry grace.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "src/fleet/fleet.h"
 #include "src/hw/machine_params.h"
 #include "src/hw/memnode.h"
 #include "src/hw/rdma.h"
+#include "src/resilience/fault_injector.h"
+#include "src/resilience/fault_plan.h"
 #include "src/resilience/rebuild.h"
 #include "src/sim/engine.h"
 #include "src/sim/random.h"
@@ -33,7 +39,7 @@ struct ChaosRig {
               FleetManager::Options{.num_nodes = nodes,
                                     .replication = replicas,
                                     .seed = seed}),
-        rebuild(fleet, RebuildOptions{.rebuild_gbps = 100.0}) {
+        rebuild(fleet, /*rebuild_gbps=*/100.0, RetryPolicy{}) {
     node0.RegisterSetup();
     fleet.Prepopulate(kSlots);
   }
@@ -116,6 +122,70 @@ TEST(RebuildPropertyTest, DoubleCrashSurfacesLossAndConverges) {
   for (uint64_t s = 0; s < kSlots; ++s) {
     ASSERT_TRUE(rig.fleet.HasLiveCopy(s) || rig.fleet.IsLostReported(s)) << s;
   }
+}
+
+// Leaves only each slot's primary holding a copy, which queues one repair
+// per slot.
+void QueuePrimaryOnly(FleetManager& fleet, uint64_t slots) {
+  for (uint64_t s = 0; s < slots; ++s) {
+    fleet.CommitWrite(s, static_cast<uint16_t>(1u << fleet.DesiredReplicas(s).node[0]));
+  }
+}
+
+// The driver awaits its ops through DeadlineWait: a completed op is done at
+// its completion, so one repair after another costs read + write + pace gap
+// each, and the grace is spent only on an op that never completes.
+TEST(RebuildTimingTest, RepairsCostTheirOpsAndThePaceGap) {
+  constexpr uint64_t kRepairs = 64;
+  ChaosRig rig(4, 2, 5);
+  Engine eng;
+  QueuePrimaryOnly(rig.fleet, kRepairs);
+  ASSERT_EQ(rig.fleet.rebuild_pending(), kRepairs);
+  rig.rebuild.Start(eng);
+  eng.Run();
+
+  EXPECT_EQ(rig.rebuild.pages_rebuilt(), kRepairs);
+  EXPECT_EQ(rig.rebuild.repair_failures(), 0u);
+  EXPECT_EQ(rig.fleet.rebuild_pending(), 0u);
+  // Idle links: each op takes the unloaded latency; 100 Gbps paces 4 KB
+  // pages 327 ns apart, and the gap follows every repair.
+  const SimTime gap = static_cast<SimTime>(kPageSize * 8.0 / 100.0);
+  const SimTime per_repair = 2 * rig.params.UnloadedRdmaNs() + gap;
+  EXPECT_GE(eng.now(), static_cast<SimTime>(kRepairs) * per_repair);
+  EXPECT_LE(eng.now(), static_cast<SimTime>(kRepairs) * per_repair + kMicrosecond);
+}
+
+TEST(RebuildTimingTest, DroppedOpFailsAtItsDeadlineAndRequeuesTheSlot) {
+  ChaosRig rig(4, 2, 5);
+  FaultPlan plan;
+  std::string err;
+  ASSERT_TRUE(FaultPlan::Parse("drop@0-200us:p=1", &plan, &err)) << err;
+  FaultInjector injector(std::move(plan), 1);
+  rig.fleet.SetFaultModelAll(&injector);
+  Engine eng;
+  QueuePrimaryOnly(rig.fleet, 1);
+  rig.rebuild.Start(eng);
+  // The first read, posted at 0, is lost: it fails once overdue by the grace.
+  const SimTime deadline = rig.params.UnloadedRdmaNs() + RetryPolicy{}.op_grace_ns;
+  uint64_t failures_before = 0;
+  uint64_t failures_after = 0;
+  eng.Spawn([](ChaosRig* r, SimTime at, uint64_t* before, uint64_t* after) -> Task<> {
+    co_await Delay{at - 1};
+    *before = r->rebuild.repair_failures();
+    co_await Delay{2};
+    *after = r->rebuild.repair_failures();
+  }(&rig, deadline, &failures_before, &failures_after));
+  eng.Run();
+
+  EXPECT_EQ(failures_before, 0u);
+  EXPECT_EQ(failures_after, 1u);
+  // The window outlasts the burst's four attempts, so the slot goes back on
+  // the queue and is repaired once the window has closed.
+  EXPECT_EQ(rig.rebuild.repair_failures(), 4u);
+  EXPECT_EQ(rig.fleet.repairs_queued(), 2u);
+  EXPECT_EQ(rig.rebuild.pages_rebuilt(), 1u);
+  EXPECT_EQ(rig.fleet.RebuildTargetFor(0), -1);
+  EXPECT_GT(injector.drops_injected(), 0u);
 }
 
 }  // namespace
