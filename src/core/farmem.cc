@@ -321,16 +321,10 @@ RunResult FarMemoryMachine::Run() {
   r.fault_latency = ks.fault_latency;
   r.fault_breakdown = ks.fault_breakdown;
   r.sync_evict_latency = ks.sync_evict_latency;
-  uint64_t nic_bytes_read = 0;
-  uint64_t nic_bytes_written = 0;
-  for (int i = 0; i < fleet_->num_nodes(); ++i) {
-    nic_bytes_read += fleet_->nic(i).bytes_read();
-    nic_bytes_written += fleet_->nic(i).bytes_written();
-  }
-  r.nic_read_gbps =
-      static_cast<double>(nic_bytes_read) * 8.0 / static_cast<double>(measured_ns);
-  r.nic_write_gbps =
-      static_cast<double>(nic_bytes_written) * 8.0 / static_cast<double>(measured_ns);
+  r.nic_read_gbps = static_cast<double>(SumOverNics(&RdmaNic::bytes_read)) * 8.0 /
+                    static_cast<double>(measured_ns);
+  r.nic_write_gbps = static_cast<double>(SumOverNics(&RdmaNic::bytes_written)) * 8.0 /
+                     static_cast<double>(measured_ns);
   r.tlb_shootdown_latency = tlb_->shootdown_latency();
   r.ipi_delivery_latency = tlb_->ipi_delivery_latency();
   r.ipis_sent = tlb_->ipis_sent();
@@ -417,6 +411,12 @@ RunResult FarMemoryMachine::Run() {
   return r;
 }
 
+uint64_t FarMemoryMachine::SumOverNics(uint64_t (RdmaNic::*stat)() const) {
+  uint64_t total = 0;
+  for (int i = 0; i < fleet_->num_nodes(); ++i) total += (fleet_->nic(i).*stat)();
+  return total;
+}
+
 void FarMemoryMachine::PublishMetrics(const RunResult& r) {
   MetricsRegistry& m = *metrics_;
   const KernelStats& ks = kernel_->stats();
@@ -433,10 +433,11 @@ void FarMemoryMachine::PublishMetrics(const RunResult& r) {
   m.Counter("kernel.free_wait_time_ns").Set(static_cast<uint64_t>(ks.free_wait_time_total));
   m.Counter("kernel.free_pages_final").Set(kernel_->free_pages());
   m.Counter("app.total_ops").Set(r.total_ops);
-  m.Counter("nic.bytes_read").Set(nic_->bytes_read());
-  m.Counter("nic.bytes_written").Set(nic_->bytes_written());
-  m.Counter("nic.reads_posted").Set(nic_->reads_posted());
-  m.Counter("nic.writes_posted").Set(nic_->writes_posted());
+  // The nic.* counters and rdma latency histograms cover every server.
+  m.Counter("nic.bytes_read").Set(SumOverNics(&RdmaNic::bytes_read));
+  m.Counter("nic.bytes_written").Set(SumOverNics(&RdmaNic::bytes_written));
+  m.Counter("nic.reads_posted").Set(SumOverNics(&RdmaNic::reads_posted));
+  m.Counter("nic.writes_posted").Set(SumOverNics(&RdmaNic::writes_posted));
   m.Counter("tlb.ipis_sent").Set(tlb_->ipis_sent());
   m.Counter("tlb.shootdowns").Set(tlb_->shootdowns());
   if (checker_ != nullptr) {
@@ -490,10 +491,10 @@ void FarMemoryMachine::PublishMetrics(const RunResult& r) {
     m.Counter("inject.spikes").Set(injector_->spikes_injected());
     m.Counter("inject.fault_windows").Set(r.fault_windows);
     m.Counter("inject.memnode_crashes").Set(r.memnode_crashes);
-    m.Counter("nic.reads_dropped").Set(nic_->reads_dropped());
-    m.Counter("nic.writes_dropped").Set(nic_->writes_dropped());
-    m.Counter("nic.reads_errored").Set(nic_->reads_errored());
-    m.Counter("nic.writes_errored").Set(nic_->writes_errored());
+    m.Counter("nic.reads_dropped").Set(SumOverNics(&RdmaNic::reads_dropped));
+    m.Counter("nic.writes_dropped").Set(SumOverNics(&RdmaNic::writes_dropped));
+    m.Counter("nic.reads_errored").Set(SumOverNics(&RdmaNic::reads_errored));
+    m.Counter("nic.writes_errored").Set(SumOverNics(&RdmaNic::writes_errored));
   }
   if (tenancy_ != nullptr) {
     for (const TenantRunResult& t : r.tenants) {
@@ -542,8 +543,10 @@ void FarMemoryMachine::PublishMetrics(const RunResult& r) {
   m.Hist("sync_evict_latency_ns").histogram().Merge(ks.sync_evict_latency);
   m.Hist("tlb_shootdown_ns").histogram().Merge(tlb_->shootdown_latency());
   m.Hist("ipi_delivery_ns").histogram().Merge(tlb_->ipi_delivery_latency());
-  m.Hist("rdma_read_latency_ns").histogram().Merge(nic_->read_latency());
-  m.Hist("rdma_write_latency_ns").histogram().Merge(nic_->write_latency());
+  for (int i = 0; i < fleet_->num_nodes(); ++i) {
+    m.Hist("rdma_read_latency_ns").histogram().Merge(fleet_->nic(i).read_latency());
+    m.Hist("rdma_write_latency_ns").histogram().Merge(fleet_->nic(i).write_latency());
+  }
 }
 
 std::string FarMemoryMachine::BuildRunReportJson(const RunResult& r) const {

@@ -268,6 +268,8 @@ class FarMemoryMachine {
   // Copies end-of-run statistics (kernel, NIC, TLB, checker, breakdown) into
   // the registry, then renders the JSON run-report.
   void PublishMetrics(const RunResult& r);
+  // `stat` summed over every server's NIC.
+  uint64_t SumOverNics(uint64_t (RdmaNic::*stat)() const);
   std::string BuildRunReportJson(const RunResult& r) const;
 
   Options options_;

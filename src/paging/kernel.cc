@@ -478,38 +478,72 @@ uint64_t Kernel::FleetSlotOf(uint64_t vpn) const {
   return slot == kNoSwapSlot ? vpn : slot;
 }
 
-MAGESIM_HOT_PATH Task<size_t> Kernel::EvictBatchSequential(int evictor_id, CoreId core,
-                                                           size_t batch, StageOp runner) {
-  std::vector<PageFrame*> victims;
+// magesim-lint: allow(coroutine-ref-capture): b points at the caller's batch;
+// every caller co_awaits this task inline and keeps the batch past it.
+MAGESIM_HOT_PATH Task<size_t> Kernel::OpenBatch(int evictor_id, CoreId core, size_t batch,
+                                                StageOp runner, EvictionBatch* b) {
   // magesim-lint: allow(hotpath-alloc): batch-local scratch, one exact-sized
   // reserve per batch (IsolateBatch fills it in place, never grows it).
-  victims.reserve(batch);
+  b->victims.reserve(batch);
   // Open before victim prep so the unmap/uncharge leaves (and the tenant
   // headroom releases inside them) land under this batch span. Run inline by
   // a fault or prefetch, the span nests as a child of that op's.
-  StageOp op{.core = core,
-             .actor = evictor_id,
-             .breakdown = runner.breakdown,
-             .beside_app = runner.beside_app};
+  b->op = StageOp{.core = core,
+                  .actor = evictor_id,
+                  .breakdown = runner.breakdown,
+                  .beside_app = runner.beside_app};
   if (SpanTracer* st = SpanTracer::Get(); st != nullptr) {
-    op.span = st->BeginChild(runner.span, SpanKind::kEvictBatch, evictor_id, kTraceNoPage);
+    b->op.span = st->BeginChild(runner.span, SpanKind::kEvictBatch, evictor_id, kTraceNoPage);
   }
-  size_t got = co_await PrepareVictims(op, batch, &victims);
+  size_t got = co_await PrepareVictims(b->op, batch, &b->victims);
   if (got == 0) {
-    SpanEndDetached(op.span, 0);
+    SpanEndDetached(b->op.span, 0);  // empty scan: close the attempt at once
     co_return 0;
   }
   TraceEmit(TraceEventType::kEvictBatchStart, evictor_id, kTraceNoPage, kTraceNoFrame, got);
+  co_return got;
+}
+
+// magesim-lint: allow(coroutine-ref-capture): b is the caller's batch; every
+// caller co_awaits this task inline and keeps the batch past it.
+MAGESIM_HOT_PATH Task<> Kernel::CloseBatch(EvictionBatch& b) {
+  const size_t n = b.victims.size();
+  // Reclaim frames into the allocator and release waiting fault paths.
+  if (Tracer::Get() != nullptr) {
+    for (PageFrame* f : b.victims) {
+      TraceEmit(TraceEventType::kFrameFree, b.op.actor, f->vpn, f->pfn);
+    }
+  }
+  {
+    StageScope s(Stage::kReclaim, b.op);
+    s.arg = n;
+    co_await allocator_->FreeBatch(b.op.core, b.victims);
+  }
+  stats_.evicted_pages += n;
+  ++stats_.eviction_batches;
+  if (SpanTracer* st = SpanTracer::Get(); st != nullptr) {
+    st->NoteHeadroomPublisher(b.op.span);
+  }
+  free_pages_available_.Set();
+  TraceEmit(TraceEventType::kEvictBatchEnd, b.op.actor, kTraceNoPage, kTraceNoFrame, n);
+  SpanEndDetached(b.op.span, n);
+}
+
+MAGESIM_HOT_PATH Task<size_t> Kernel::EvictBatchSequential(int evictor_id, CoreId core,
+                                                           size_t batch, StageOp runner) {
+  EvictionBatch b;
+  size_t got = co_await OpenBatch(evictor_id, core, batch, runner, &b);
+  if (got == 0) co_return 0;
 
   // EP2: invalidate victim translations everywhere — or, in lazy-TLB mode,
   // wait for the next reconciliation tick instead of sending IPIs.
   {
-    StageScope s(config_.lazy_tlb ? Stage::kLazyTlbWait : Stage::kShootdownWait, op);
+    StageScope s(config_.lazy_tlb ? Stage::kLazyTlbWait : Stage::kShootdownWait, b.op);
     s.arg = got;
     if (config_.lazy_tlb) {
       co_await lazy_epoch_.Wait();
     } else {
-      co_await tlb_.Shootdown(core, static_cast<int>(got), op.span);
+      co_await tlb_.Shootdown(core, static_cast<int>(got), b.op.span);
     }
   }
 
@@ -517,29 +551,10 @@ MAGESIM_HOT_PATH Task<size_t> Kernel::EvictBatchSequential(int evictor_id, CoreI
   // surfaced by the fleet and their frames still reclaimed, so eviction
   // always makes progress.
   {
-    StageScope s(Stage::kWriteback, op);
-    co_await resilience_.WriteBack(evictor_id, CollectWritebackSlots(victims), op.span);
+    StageScope s(Stage::kWriteback, b.op);
+    co_await resilience_.WriteBack(evictor_id, CollectWritebackSlots(b.victims), b.op.span);
   }
-
-  // Reclaim frames into the allocator and release waiting fault paths.
-  if (Tracer::Get() != nullptr) {
-    for (PageFrame* f : victims) {
-      TraceEmit(TraceEventType::kFrameFree, evictor_id, f->vpn, f->pfn);
-    }
-  }
-  {
-    StageScope s(Stage::kReclaim, op);
-    s.arg = got;
-    co_await allocator_->FreeBatch(core, victims);
-  }
-  stats_.evicted_pages += got;
-  ++stats_.eviction_batches;
-  if (SpanTracer* st = SpanTracer::Get(); st != nullptr) {
-    st->NoteHeadroomPublisher(op.span);
-  }
-  free_pages_available_.Set();
-  TraceEmit(TraceEventType::kEvictBatchEnd, evictor_id, kTraceNoPage, kTraceNoFrame, got);
-  SpanEndDetached(op.span, got);
+  co_await CloseBatch(b);
   co_return got;
 }
 
@@ -571,11 +586,7 @@ void Kernel::Start(int num_app_cores) {
   for (int i = 0; i < config_.num_evictors; ++i) {
     CoreId core = total_cores - 1 - i;
     if (core < num_app_cores) core = num_app_cores % total_cores;  // degenerate small configs
-    if (config_.pipelined_eviction) {
-      eng.Spawn(PipelinedEvictorMain(i, core));
-    } else {
-      eng.Spawn(SequentialEvictorMain(i, core));
-    }
+    eng.Spawn(EvictorMain(i, core));
   }
   if (config_.feedback_evictors) {
     eng.Spawn(FeedbackControllerMain());

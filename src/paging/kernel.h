@@ -121,9 +121,14 @@ class Kernel {
   Task<size_t> EvictBatchSequential(int evictor_id, CoreId core, size_t batch,
                                     StageOp runner = {});
 
-  // Evictor main loops (implemented in evictor.cc / pipelined_evictor.cc).
-  Task<> SequentialEvictorMain(int evictor_id, CoreId core);
-  Task<> PipelinedEvictorMain(int evictor_id, CoreId core);
+  // The one evictor loop (evictor.cc). It parks while its pipeline is empty
+  // and either the feedback controller parked it or there is no pressure,
+  // paying `evictor_wake_cost_ns` on resume; backs off while the write
+  // channel is degraded; then takes one step of the config's batch schedule:
+  // a whole EvictBatchSequential, or one turn of MAGE's cross-batch pipeline.
+  // After an empty scan it retries in 2 us while faulters are blocked on free
+  // pages (they cannot signal again), else parks until signaled.
+  Task<> EvictorMain(int evictor_id, CoreId core);
   Task<> FeedbackControllerMain();
   // Per-tenant fault/eviction balance controller (tenancy only): squeezes the
   // effective soft limit of tenants faulting far beyond their weighted share.
@@ -198,15 +203,29 @@ class Kernel {
   // Records a completed demand fault's latency and, with it, its stage tally.
   void CompleteFault(SimTime t0, const Breakdown& stages);
 
-  // Batch state for the pipelined evictor.
+  // One eviction batch from open to close. Every schedule opens it with
+  // OpenBatch, shoots down its victims' translations, writes them back and
+  // closes it with CloseBatch; the pipelined one overlaps those steps across
+  // batches, so `shootdown` and `writeback` hold its in-flight halves.
   struct EvictionBatch {
     std::vector<PageFrame*> victims;
+    // Actor = evictor id; span = the batch span, closed by CloseBatch (it
+    // outlives any one co_await chain in the pipeline).
+    StageOp op;
     std::shared_ptr<ShootdownOp> shootdown;
     Writeback writeback;
-    // Detached batch span: the batch outlives any single co_await chain, so
-    // its span is closed explicitly when the frames are reclaimed (stage 3).
-    SpanHandle span;
   };
+
+  // Opens a batch of up to `batch` victims into `*b`: opens its span (nested
+  // under `runner`'s, a root when `runner` has none), isolates and unmaps the
+  // victims, and emits evict_batch_start. Returns the victim count; on an
+  // empty scan the span is closed again and 0 returned.
+  Task<size_t> OpenBatch(int evictor_id, CoreId core, size_t batch, StageOp runner,
+                         EvictionBatch* b);
+  // Closes a batch whose writeback is done: frees its frames (the reclaim
+  // stage), counts it, publishes the headroom to waiting faults, emits
+  // evict_batch_end and closes its span.
+  Task<> CloseBatch(EvictionBatch& b);
 
   // Wakes sleeping evictors when free pages dip below the low watermark.
   void MaybeWakeEvictors();

@@ -73,6 +73,11 @@ Task<> RebuildDriver::Main() {
     uint64_t burst_pages = 0;
     uint64_t slot = 0;
     while (fleet_.PopRepair(&slot)) {
+      // A stale entry (slot already healed, or its target or data gone) posts
+      // no op, so it gets no pace gap. It is skipped here, not in RepairOne:
+      // thousands of awaits that complete in place nest the stack when the
+      // compiler does not make their resumption a tail call (asan builds).
+      if (fleet_.RebuildTargetFor(slot) < 0 || fleet_.SourceFor(slot) < 0) continue;
       co_await RepairOne(slot, span, &burst_pages);
       if (pace_gap_ns_ > 0) co_await Delay{pace_gap_ns_};
     }

@@ -3,7 +3,8 @@
 // each under-replicated slot is read from a surviving holder and written to
 // the first live desired server missing a copy, and a pace gap of
 // page_bits / rebuild_gbps follows each repair so repair traffic doesn't
-// starve the foreground fault path. Both ops are awaited through the data
+// starve the foreground fault path; a stale entry (slot healed, or target or
+// data gone) is dropped at no cost. Both ops are awaited through the data
 // path's DeadlineWait with the RetryPolicy's op grace: a completed op ends
 // its wait at its completion, and a lost one fails once overdue by the
 // grace. Transient op failures (drop/error windows) back off and re-queue

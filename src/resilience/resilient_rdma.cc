@@ -191,10 +191,9 @@ Task<> ResilienceManager::WriteBack(int evictor_id, std::vector<uint64_t> slots,
     co_await WriteSlots(evictor_id, std::move(slots), op);
     co_return;
   }
-  SimTime w0 = Engine::current().now();
-  if (auto last = PostWrites(slots); last != nullptr) co_await last->Wait();
-  SpanLeafUnder(op, SpanKind::kRdmaWrite, w0, Engine::current().now(), evictor_id,
-                kTraceNoPage);
+  // Nothing can fail: the pipelined split, awaited in place. The retrying
+  // path above stays inline; spawning its writer would reorder events.
+  co_await FinishWriteback(StartWriteback(evictor_id, std::move(slots), op), evictor_id, op);
 }
 
 Writeback ResilienceManager::StartWriteback(int evictor_id, std::vector<uint64_t> slots,

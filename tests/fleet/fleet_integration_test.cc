@@ -151,6 +151,38 @@ TEST(FleetIntegrationTest, DegradedTimeCoversPerServerBreakers) {
   EXPECT_EQ(r.invariant_violations, 0u);
 }
 
+// The run report's nic.* counters and rdma latency histograms sum every
+// server's NIC, as nic.read_gbps does, not server 0's alone.
+TEST(FleetIntegrationTest, NicCountersCoverEveryServer) {
+  GupsWorkload wl(SmallGups());
+  FarMemoryMachine::Options opt = FleetOptions(5, 4, 2);
+  opt.fault_plan = "error@1ms-4ms:p=0.05";
+  opt.metrics.enabled = true;
+  FarMemoryMachine m(opt, wl);
+  m.Run();
+  MetricsRegistry& reg = *m.metrics();
+  uint64_t bytes_read = 0, bytes_written = 0, posted = 0, errored = 0, read_ops = 0;
+  for (int i = 0; i < 4; ++i) {
+    bytes_read += reg.Counter("fleet.node" + std::to_string(i) + ".bytes_read").value();
+    bytes_written +=
+        reg.Counter("fleet.node" + std::to_string(i) + ".bytes_written").value();
+    const RdmaNic& nic = m.fleet()->nic(i);
+    posted += nic.reads_posted() + nic.writes_posted();
+    errored += nic.reads_errored() + nic.writes_errored();
+    read_ops += nic.read_latency().count();
+  }
+  EXPECT_GT(reg.Counter("fleet.node1.bytes_read").value(), 0u);
+  EXPECT_GT(errored, 0u);
+  EXPECT_EQ(reg.Counter("nic.bytes_read").value(), bytes_read);
+  EXPECT_EQ(reg.Counter("nic.bytes_written").value(), bytes_written);
+  EXPECT_EQ(reg.Counter("nic.reads_posted").value() + reg.Counter("nic.writes_posted").value(),
+            posted);
+  EXPECT_EQ(reg.Counter("nic.reads_errored").value() +
+                reg.Counter("nic.writes_errored").value(),
+            errored);
+  EXPECT_EQ(reg.Hist("rdma_read_latency_ns").histogram().count(), read_ops);
+}
+
 // Every fleet surface rejects a server count above the 16-server limit, and
 // the text surfaces reject anything but a whole number > 0.
 TEST(FleetIntegrationTest, OptionsRejectServerCountOutsideLimit) {

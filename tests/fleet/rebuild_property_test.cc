@@ -4,7 +4,7 @@
 // not: the replica-safety sweep must stay clean at every step and the repair
 // queue must fully drain once the chaos stops. The timing tests pin what a
 // repair costs: its read, its write and the pace gap, with a lost op failing
-// only once it is overdue by the retry grace.
+// only once it is overdue by the retry grace; a stale entry costs nothing.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -34,14 +34,14 @@ struct ChaosRig {
   FleetManager fleet;
   RebuildDriver rebuild;
 
-  ChaosRig(int nodes, int replicas, uint64_t seed)
+  ChaosRig(int nodes, int replicas, uint64_t seed, uint64_t slots = kSlots)
       : fleet(nic0, node0, params,
               FleetManager::Options{.num_nodes = nodes,
                                     .replication = replicas,
                                     .seed = seed}),
         rebuild(fleet, /*rebuild_gbps=*/100.0, RetryPolicy{}) {
     node0.RegisterSetup();
-    fleet.Prepopulate(kSlots);
+    fleet.Prepopulate(slots);
   }
 };
 
@@ -153,6 +153,31 @@ TEST(RebuildTimingTest, RepairsCostTheirOpsAndThePaceGap) {
   const SimTime per_repair = 2 * rig.params.UnloadedRdmaNs() + gap;
   EXPECT_GE(eng.now(), static_cast<SimTime>(kRepairs) * per_repair);
   EXPECT_LE(eng.now(), static_cast<SimTime>(kRepairs) * per_repair + kMicrosecond);
+}
+
+// A stale entry (its slot healed before the driver reached it) posts no op
+// and so costs no pace gap: a long run of them drains in zero simulated time
+// (and, awaiting nothing, in constant stack), and the real repairs queued
+// behind them cost what they always do.
+TEST(RebuildTimingTest, StaleEntriesDrainWithoutPaceGaps) {
+  constexpr uint64_t kStale = 1 << 16;
+  constexpr uint64_t kReal = 32;
+  ChaosRig rig(4, 2, 5, kStale + kReal);
+  Engine eng;
+  QueuePrimaryOnly(rig.fleet, kStale + kReal);
+  for (uint64_t s = 0; s < kStale; ++s) {
+    rig.fleet.CommitWrite(s, rig.fleet.DesiredReplicas(s).Mask());  // healed
+  }
+  ASSERT_EQ(rig.fleet.rebuild_pending(), kStale + kReal);
+  rig.rebuild.Start(eng);
+  eng.Run();
+
+  EXPECT_EQ(rig.rebuild.pages_rebuilt(), kReal);
+  EXPECT_EQ(rig.fleet.rebuild_pending(), 0u);
+  const SimTime gap = static_cast<SimTime>(kPageSize * 8.0 / 100.0);
+  const SimTime per_repair = 2 * rig.params.UnloadedRdmaNs() + gap;
+  EXPECT_GE(eng.now(), static_cast<SimTime>(kReal) * per_repair);
+  EXPECT_LE(eng.now(), static_cast<SimTime>(kReal) * per_repair + kMicrosecond);
 }
 
 TEST(RebuildTimingTest, DroppedOpFailsAtItsDeadlineAndRequeuesTheSlot) {

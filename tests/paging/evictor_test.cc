@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "src/core/farmem.h"
+#include "src/trace/trace.h"
 #include "src/workloads/seqscan.h"
 
 namespace magesim {
@@ -137,6 +138,34 @@ TEST(EvictorTest, FeedbackControllerScalesEvictors) {
   RunResult r = RunScan(HermitConfig(), 0.6, 8, 8192, 2, 3000);
   EXPECT_GT(r.evicted_pages, 500u);
   EXPECT_GT(r.total_ops, 0u);
+}
+
+// The trace hash of a small MageLib read scan under `cfg`'s evictors.
+uint64_t ScanTraceHash(const KernelConfig& cfg) {
+  Tracer tracer;
+  TraceHashSink hash;
+  tracer.AddSink(&hash);
+  tracer.Install();
+  RunScan(cfg, 0.5, 8, 8192, 2, 1000);
+  tracer.Uninstall();
+  return hash.hash();
+}
+
+// One evictor loop serves both batch schedules, so its knobs act under both:
+// the wake cost delays every resume, and the feedback controller parks
+// evictors.
+TEST(EvictorTest, EvictorKnobsActUnderBothSchedules) {
+  for (bool pipelined : {false, true}) {
+    KernelConfig base = MageLibConfig();
+    base.pipelined_eviction = pipelined;
+    KernelConfig wake = base;
+    wake.evictor_wake_cost_ns = 2200;
+    KernelConfig feedback = base;
+    feedback.feedback_evictors = true;
+    const uint64_t h = ScanTraceHash(base);
+    EXPECT_NE(ScanTraceHash(wake), h) << "wake cost ignored, pipelined=" << pipelined;
+    EXPECT_NE(ScanTraceHash(feedback), h) << "feedback ignored, pipelined=" << pipelined;
+  }
 }
 
 TEST(EvictorTest, WatermarksBoundFreePages) {

@@ -1,6 +1,9 @@
 // Integration tests for span tracing on full machine runs:
 //  - spans_synthetic.golden pins the span stream (fingerprint + per-kind
 //    counts) of the canonical two-tenant scenario;
+//  - spans_sync_evict.golden pins it for a Fastswap write scan under a
+//    drop/error window: the sequential evictor's and sync eviction's batches
+//    and the retrying inline writeback;
 //  - two same-seed runs produce identical span streams (deterministic ids);
 //  - enabling spans does not perturb the simulation: the event-trace hash is
 //    byte-identical with spans on and off;
@@ -11,6 +14,7 @@
 //
 // Intentional behavior changes: regenerate with
 //   MAGESIM_UPDATE_GOLDEN=1 ./build/tests/spans_integration_test
+// and commit the updated goldens.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -19,6 +23,7 @@
 #include <string>
 
 #include "src/core/farmem.h"
+#include "src/paging/kernels.h"
 #include "src/tenancy/tenant_spec.h"
 #include "src/trace/trace.h"
 #include "src/workloads/seqscan.h"
@@ -26,8 +31,8 @@
 namespace magesim {
 namespace {
 
-std::string GoldenPath() {
-  return std::string(MAGESIM_GOLDEN_DIR) + "/spans_synthetic.golden";
+std::string GoldenPath(const std::string& name) {
+  return std::string(MAGESIM_GOLDEN_DIR) + "/" + name + ".golden";
 }
 
 constexpr const char* kTenants =
@@ -80,30 +85,59 @@ SpanRun RunCanonical(bool spans, const std::string& fault_plan = "") {
   return out;
 }
 
-TEST(SpansGoldenTest, CanonicalScenarioMatchesGolden) {
-  SpanRun r = RunCanonical(/*spans=*/true);
-  ASSERT_FALSE(r.fingerprint.empty());
-
+// Compares `fingerprint` with the golden `name`, or rewrites the golden (and
+// skips) under MAGESIM_UPDATE_GOLDEN.
+void CheckSpansGolden(const std::string& name, const std::string& what,
+                      const std::string& fingerprint) {
+  ASSERT_FALSE(fingerprint.empty());
+  const std::string path = GoldenPath(name);
   if (std::getenv("MAGESIM_UPDATE_GOLDEN") != nullptr) {
-    std::ofstream out(GoldenPath());
-    out << "# Span-stream fingerprint for the canonical two-tenant scenario.\n"
+    std::ofstream out(path);
+    out << "# Span-stream fingerprint for the " << what << " scenario.\n"
         << "# Regenerate: MAGESIM_UPDATE_GOLDEN=1 "
            "./build/tests/spans_integration_test\n"
-        << r.fingerprint << "\n";
-    GTEST_SKIP() << "golden regenerated at " << GoldenPath();
+        << fingerprint << "\n";
+    GTEST_SKIP() << "golden regenerated at " << path;
   }
 
-  std::ifstream in(GoldenPath());
-  ASSERT_TRUE(in.good()) << "missing golden file " << GoldenPath()
+  std::ifstream in(path);
+  ASSERT_TRUE(in.good()) << "missing golden file " << path
                          << " — generate it with MAGESIM_UPDATE_GOLDEN=1";
   std::string line, want;
   while (std::getline(in, line)) {
     if (!line.empty() && line[0] != '#') want = line;
   }
-  EXPECT_EQ(r.fingerprint, want)
-      << "span stream diverged from golden (" << GoldenPath() << ").\n"
+  EXPECT_EQ(fingerprint, want)
+      << "span stream diverged from golden (" << path << ").\n"
       << "If this change is intentional, regenerate with "
          "MAGESIM_UPDATE_GOLDEN=1 and commit the new golden.";
+}
+
+TEST(SpansGoldenTest, CanonicalScenarioMatchesGolden) {
+  CheckSpansGolden("spans_synthetic", "canonical two-tenant",
+                   RunCanonical(/*spans=*/true).fingerprint);
+}
+
+// A Fastswap write scan (one sequential evictor, eager sync eviction) under a
+// drop window and an error window: the golden pins the span stream of the
+// sequential batch, run both by the evictor and inline by faults, and of its
+// retrying writeback.
+TEST(SpansGoldenTest, SyncEvictionUnderRetriesMatchesGolden) {
+  SeqScanWorkload wl(SeqScanWorkload::Options{
+      .region_pages = 2048, .threads = 2, .passes = 2, .write = true});
+  FarMemoryMachine::Options opt;
+  opt.kernel = FastswapConfig();
+  opt.local_mem_ratio = 0.6;
+  opt.seed = 1;
+  opt.fault_plan = "drop@1ms-2ms:p=0.05;error@3ms-4ms:p=0.1";
+  opt.spans.enabled = true;
+  opt.spans.sample_every = 1;
+  FarMemoryMachine m(opt, wl);
+  RunResult r = m.Run();
+  ASSERT_GT(r.sync_evictions, 0u) << "no batch ran inline in a fault";
+  ASSERT_GT(r.rdma_retries, 0u) << "fault plan injected nothing";
+  CheckSpansGolden("spans_sync_evict", "fastswap write scan under drops/errors",
+                   m.spans()->FingerprintSummary());
 }
 
 TEST(SpansGoldenTest, SameSeedRunsProduceIdenticalSpanStreams) {
