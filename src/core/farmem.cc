@@ -52,7 +52,6 @@ FarMemoryMachine::FarMemoryMachine(Options options, Workload& workload)
   engine_ = std::make_unique<Engine>();
   topo_ = std::make_unique<Topology>(hw);
   tlb_ = std::make_unique<TlbShootdownManager>(*topo_);
-  nic_ = std::make_unique<RdmaNic>(hw);
 
   // Multi-tenant memory control groups: a non-empty tenant list replaces the
   // passed workload with a machine-built composite running one workload per
@@ -83,14 +82,7 @@ FarMemoryMachine::FarMemoryMachine(Options options, Workload& workload)
     local_pages = std::max<uint64_t>(local_raw, 512);
   }
 
-  memnode_ = std::make_unique<MemoryNode>(static_cast<uint64_t>(wss) * kPageSize * 2);
-  memnode_->RegisterSetup();
-  bool reserved = memnode_->ReserveDirect(wss * kPageSize);
-  assert(reserved);
-  (void)reserved;
-
-  // Memory-server fleet. Server 0 is the machine's own NIC/memnode pair; the
-  // fleet owns servers 1..N-1.
+  // Memory-server fleet: every server's NIC, server 0 included.
   if (options_.fleet.num_nodes < 1 || options_.fleet.num_nodes > kMaxFleetNodes) {
     throw std::invalid_argument("fleet.num_nodes=" + std::to_string(options_.fleet.num_nodes) +
                                 ": expected 1.." + std::to_string(kMaxFleetNodes));
@@ -99,7 +91,7 @@ FarMemoryMachine::FarMemoryMachine(Options options, Workload& workload)
   fo.num_nodes = options_.fleet.num_nodes;
   fo.replication = options_.fleet.replication;
   fo.seed = options_.seed;
-  fleet_ = std::make_unique<FleetManager>(*nic_, *memnode_, hw, fo);
+  fleet_ = std::make_unique<FleetManager>(hw, fo);
   ResilienceOptions ro = options_.resilience;
   if (ro.seed == 0) ro.seed = options_.seed * 0x9e3779b97f4a7c15ULL + 1;
   resilience_ = std::make_unique<ResilienceManager>(*fleet_, ro);
@@ -205,8 +197,9 @@ FarMemoryMachine::FarMemoryMachine(Options options, Workload& workload)
       return present == 0 ? 0.0 : static_cast<double>(dirty) / static_cast<double>(present);
     };
     src.ipi_queue_depth = [this] { return tlb_->pending_ipis(); };
-    src.nic_read_busy_ns = [this] { return nic_->read_busy_ns(); };
-    src.nic_write_busy_ns = [this] { return nic_->write_busy_ns(); };
+    src.nic_read_busy_ns = [this] { return fleet_->SumOverNics(&RdmaNic::read_busy_ns); };
+    src.nic_write_busy_ns = [this] { return fleet_->SumOverNics(&RdmaNic::write_busy_ns); };
+    src.nic_links = fleet_->num_nodes();
     sampler_ = std::make_unique<MetricsSampler>(std::move(src), mo.sample_interval);
   }
 }
@@ -266,18 +259,9 @@ RunResult FarMemoryMachine::Run() {
   }
   kernel_->Start(threads);
   if (injector_ != nullptr) {
-    // Crash/recover windows flip the targeted server and drive the fleet's
-    // replica table (degraded reads + repair queueing) via the listener.
-    injector_->SetAvailabilityListener([this](int node, bool up) {
-      if (up) {
-        fleet_->OnNodeRecover(node);
-      } else {
-        fleet_->OnNodeCrash(node);
-      }
-    });
-    std::vector<MemoryNode*> nodes;
-    for (int i = 0; i < fleet_->num_nodes(); ++i) nodes.push_back(&fleet_->node(i));
-    injector_->Start(*engine_, std::move(nodes));
+    // Crash/recover windows take the targeted server down and back up and
+    // drive the fleet's replica table (degraded reads + repair queueing).
+    injector_->Start(*engine_, *fleet_);
   }
   if (rebuild_ != nullptr) {
     rebuild_->Start(*engine_);
@@ -321,9 +305,9 @@ RunResult FarMemoryMachine::Run() {
   r.fault_latency = ks.fault_latency;
   r.fault_breakdown = ks.fault_breakdown;
   r.sync_evict_latency = ks.sync_evict_latency;
-  r.nic_read_gbps = static_cast<double>(SumOverNics(&RdmaNic::bytes_read)) * 8.0 /
+  r.nic_read_gbps = static_cast<double>(fleet_->SumOverNics(&RdmaNic::bytes_read)) * 8.0 /
                     static_cast<double>(measured_ns);
-  r.nic_write_gbps = static_cast<double>(SumOverNics(&RdmaNic::bytes_written)) * 8.0 /
+  r.nic_write_gbps = static_cast<double>(fleet_->SumOverNics(&RdmaNic::bytes_written)) * 8.0 /
                      static_cast<double>(measured_ns);
   r.tlb_shootdown_latency = tlb_->shootdown_latency();
   r.ipi_delivery_latency = tlb_->ipi_delivery_latency();
@@ -411,12 +395,6 @@ RunResult FarMemoryMachine::Run() {
   return r;
 }
 
-uint64_t FarMemoryMachine::SumOverNics(uint64_t (RdmaNic::*stat)() const) {
-  uint64_t total = 0;
-  for (int i = 0; i < fleet_->num_nodes(); ++i) total += (fleet_->nic(i).*stat)();
-  return total;
-}
-
 void FarMemoryMachine::PublishMetrics(const RunResult& r) {
   MetricsRegistry& m = *metrics_;
   const KernelStats& ks = kernel_->stats();
@@ -434,10 +412,10 @@ void FarMemoryMachine::PublishMetrics(const RunResult& r) {
   m.Counter("kernel.free_pages_final").Set(kernel_->free_pages());
   m.Counter("app.total_ops").Set(r.total_ops);
   // The nic.* counters and rdma latency histograms cover every server.
-  m.Counter("nic.bytes_read").Set(SumOverNics(&RdmaNic::bytes_read));
-  m.Counter("nic.bytes_written").Set(SumOverNics(&RdmaNic::bytes_written));
-  m.Counter("nic.reads_posted").Set(SumOverNics(&RdmaNic::reads_posted));
-  m.Counter("nic.writes_posted").Set(SumOverNics(&RdmaNic::writes_posted));
+  m.Counter("nic.bytes_read").Set(fleet_->SumOverNics(&RdmaNic::bytes_read));
+  m.Counter("nic.bytes_written").Set(fleet_->SumOverNics(&RdmaNic::bytes_written));
+  m.Counter("nic.reads_posted").Set(fleet_->SumOverNics(&RdmaNic::reads_posted));
+  m.Counter("nic.writes_posted").Set(fleet_->SumOverNics(&RdmaNic::writes_posted));
   m.Counter("tlb.ipis_sent").Set(tlb_->ipis_sent());
   m.Counter("tlb.shootdowns").Set(tlb_->shootdowns());
   if (checker_ != nullptr) {
@@ -481,7 +459,7 @@ void FarMemoryMachine::PublishMetrics(const RunResult& r) {
   }
   for (int i = 0; i < fleet_->num_nodes(); ++i) {
     std::string p = "fleet.node" + std::to_string(i) + ".";
-    m.Counter(p + "crash_episodes").Set(fleet_->node(i).crash_episodes());
+    m.Counter(p + "crash_episodes").Set(fleet_->crash_episodes(i));
     m.Counter(p + "bytes_read").Set(fleet_->nic(i).bytes_read());
     m.Counter(p + "bytes_written").Set(fleet_->nic(i).bytes_written());
   }
@@ -491,10 +469,10 @@ void FarMemoryMachine::PublishMetrics(const RunResult& r) {
     m.Counter("inject.spikes").Set(injector_->spikes_injected());
     m.Counter("inject.fault_windows").Set(r.fault_windows);
     m.Counter("inject.memnode_crashes").Set(r.memnode_crashes);
-    m.Counter("nic.reads_dropped").Set(SumOverNics(&RdmaNic::reads_dropped));
-    m.Counter("nic.writes_dropped").Set(SumOverNics(&RdmaNic::writes_dropped));
-    m.Counter("nic.reads_errored").Set(SumOverNics(&RdmaNic::reads_errored));
-    m.Counter("nic.writes_errored").Set(SumOverNics(&RdmaNic::writes_errored));
+    m.Counter("nic.reads_dropped").Set(fleet_->SumOverNics(&RdmaNic::reads_dropped));
+    m.Counter("nic.writes_dropped").Set(fleet_->SumOverNics(&RdmaNic::writes_dropped));
+    m.Counter("nic.reads_errored").Set(fleet_->SumOverNics(&RdmaNic::reads_errored));
+    m.Counter("nic.writes_errored").Set(fleet_->SumOverNics(&RdmaNic::writes_errored));
   }
   if (tenancy_ != nullptr) {
     for (const TenantRunResult& t : r.tenants) {

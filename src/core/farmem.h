@@ -20,7 +20,6 @@
 #include "src/analysis/lock_analyzer.h"
 #include "src/check/invariant_checker.h"
 #include "src/fleet/fleet.h"
-#include "src/hw/memnode.h"
 #include "src/metrics/metrics.h"
 #include "src/metrics/profiler.h"
 #include "src/metrics/sampler.h"
@@ -233,7 +232,7 @@ class FarMemoryMachine {
   // Accessors valid during/after Run (used by tests and custom harnesses).
   Kernel& kernel() { return *kernel_; }
   Engine& engine() { return *engine_; }
-  RdmaNic& nic() { return *nic_; }
+  RdmaNic& nic() { return fleet_->nic(0); }  // server 0's link
   // With tenancy attached this is the machine-built MultiTenantWorkload, not
   // the workload passed to the constructor.
   Workload& workload() { return *workload_; }
@@ -249,7 +248,6 @@ class FarMemoryMachine {
   FleetManager* fleet() { return fleet_.get(); }
   // Null unless a fault plan was set.
   FaultInjector* injector() { return injector_.get(); }
-  MemoryNode& memnode() { return *memnode_; }
   // Null unless the fleet has more than one server.
   RebuildDriver* rebuild() { return rebuild_.get(); }
   // Null unless metrics were enabled.
@@ -268,8 +266,6 @@ class FarMemoryMachine {
   // Copies end-of-run statistics (kernel, NIC, TLB, checker, breakdown) into
   // the registry, then renders the JSON run-report.
   void PublishMetrics(const RunResult& r);
-  // `stat` summed over every server's NIC.
-  uint64_t SumOverNics(uint64_t (RdmaNic::*stat)() const);
   std::string BuildRunReportJson(const RunResult& r) const;
 
   Options options_;
@@ -278,9 +274,7 @@ class FarMemoryMachine {
   std::unique_ptr<Engine> engine_;
   std::unique_ptr<Topology> topo_;
   std::unique_ptr<TlbShootdownManager> tlb_;
-  std::unique_ptr<RdmaNic> nic_;
-  std::unique_ptr<MemoryNode> memnode_;
-  std::unique_ptr<FleetManager> fleet_;  // server 0 is nic_/memnode_
+  std::unique_ptr<FleetManager> fleet_;
   std::unique_ptr<ResilienceManager> resilience_;
   std::unique_ptr<TenancyManager> tenancy_;  // destroyed after kernel_
   std::unique_ptr<Kernel> kernel_;

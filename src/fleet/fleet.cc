@@ -4,28 +4,16 @@
 
 namespace magesim {
 
-FleetManager::FleetManager(RdmaNic& nic0, MemoryNode& node0,
-                           const MachineParams& params, const Options& opt)
-    : placement_(opt.seed, opt.num_nodes, opt.replication,
-                 opt.vnodes_per_node) {
+FleetManager::FleetManager(const MachineParams& params, const Options& opt)
+    : placement_(opt.seed, opt.num_nodes, opt.replication) {
   int n = placement_.num_nodes();
-  nodes_.push_back(&node0);
-  nics_.push_back(&nic0);
-  for (int i = 1; i < n; ++i) {
-    owned_nodes_.push_back(std::make_unique<MemoryNode>(
-        opt.capacity_bytes_per_node != 0 ? opt.capacity_bytes_per_node
-                                         : node0.capacity_bytes(),
-        i));
-    owned_nodes_.back()->RegisterSetup();
-    owned_nics_.push_back(std::make_unique<RdmaNic>(params, i));
-    nodes_.push_back(owned_nodes_.back().get());
-    nics_.push_back(owned_nics_.back().get());
-  }
+  for (int i = 0; i < n; ++i) nics_.push_back(std::make_unique<RdmaNic>(params, i));
+  crash_episodes_.assign(static_cast<size_t>(n), 0);
   live_mask_ = static_cast<uint16_t>((1u << n) - 1);
 }
 
 void FleetManager::SetFaultModelAll(HwFaultModel* model) {
-  for (RdmaNic* nic : nics_) nic->SetFaultModel(model);
+  for (auto& nic : nics_) nic->SetFaultModel(model);
 }
 
 void FleetManager::Prepopulate(uint64_t num_slots) {
@@ -102,10 +90,12 @@ void FleetManager::NoteDegradedRead(uint64_t slot, int served_node,
 }
 
 void FleetManager::OnNodeCrash(int node) {
+  ++crash_episodes_[static_cast<size_t>(node)];
+  TraceEmit(TraceEventType::kMemnodeCrash, node);
   // A one-server fleet has no replica to rebuild from, so its crash window
   // is an outage, not data loss: it acts only through the NIC fault model
   // (dropped completions, then retries) and the replica table stays as is.
-  if (node < 0 || node >= num_nodes() || num_nodes() == 1) return;
+  if (num_nodes() == 1) return;
   live_mask_ &= static_cast<uint16_t>(~(1u << node));
   uint16_t bit = static_cast<uint16_t>(1u << node);
   for (uint64_t slot = 0; slot < copies_.size(); ++slot) {
@@ -126,7 +116,8 @@ void FleetManager::OnNodeCrash(int node) {
 }
 
 void FleetManager::OnNodeRecover(int node) {
-  if (node < 0 || node >= num_nodes() || num_nodes() == 1) return;
+  TraceEmit(TraceEventType::kMemnodeRecover, node);
+  if (num_nodes() == 1) return;
   live_mask_ |= static_cast<uint16_t>(1u << node);
   // The server rejoins empty — re-replicate every slot that wants a copy on
   // it (or anywhere else) back up to its desired set.
@@ -183,7 +174,7 @@ void FleetManager::AddCopy(uint64_t slot, int node) {
 
 uint64_t FleetManager::crash_episodes() const {
   uint64_t total = 0;
-  for (const MemoryNode* n : nodes_) total += n->crash_episodes();
+  for (uint64_t n : crash_episodes_) total += n;
   return total;
 }
 

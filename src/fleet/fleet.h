@@ -1,6 +1,8 @@
-// Memory-server fleet: N MemoryNodes, each behind its own RdmaNic, a
-// deterministic PlacementMap assigning every swap slot a k-replica desired
-// set, and the live replica table the data path and the rebuild driver share.
+// Memory-server fleet: N passive memory servers, each reached over its own
+// RdmaNic (one-sided RDMA only, so a server is its link plus whether it is
+// up, §5.2), a deterministic PlacementMap assigning every swap slot a
+// k-replica desired set, and the live replica table the data path and the
+// rebuild driver share.
 //
 // The fleet tracks, per slot, which servers currently hold a copy (a bitmask)
 // and whether the slot's data has been surfaced as lost. Reads resolve to the
@@ -12,9 +14,10 @@
 // server comes back *empty* (crash = data loss), so recovery also queues
 // re-replication toward it.
 //
-// Every machine has a fleet: node 0 is the machine's own NIC/memnode pair
-// (owned by FarMemoryMachine) and the fleet owns servers 1..N-1, so the
-// default single-server machine is a fleet of one.
+// Every machine has a fleet, and the fleet owns every server's NIC, server 0
+// included: the default single-server machine is a fleet of one. The fleet
+// is also the one record of a server's state: which servers are live and
+// how many crash episodes each has had.
 #ifndef MAGESIM_FLEET_FLEET_H_
 #define MAGESIM_FLEET_FLEET_H_
 
@@ -25,7 +28,6 @@
 
 #include "src/fleet/placement.h"
 #include "src/hw/machine_params.h"
-#include "src/hw/memnode.h"
 #include "src/hw/rdma.h"
 #include "src/sim/sync.h"
 
@@ -39,21 +41,22 @@ class FleetManager {
   struct Options {
     int num_nodes = 1;  // [1, kMaxFleetNodes]
     int replication = 2;  // clamped to [1, min(num_nodes, kMaxReplicas)]
-    int vnodes_per_node = 64;
     uint64_t seed = 1;
-    uint64_t capacity_bytes_per_node = 0;
   };
 
-  // `nic0` / `node0` are the machine's existing node-0 hardware (not owned);
-  // servers 1..num_nodes-1 are created and owned here, each with the same
-  // MachineParams (a full-rate link per server).
-  FleetManager(RdmaNic& nic0, MemoryNode& node0, const MachineParams& params,
-               const Options& opt);
+  // Builds every server's NIC, each with the same MachineParams (a full-rate
+  // link per server).
+  FleetManager(const MachineParams& params, const Options& opt);
 
-  int num_nodes() const { return static_cast<int>(nodes_.size()); }
+  int num_nodes() const { return static_cast<int>(nics_.size()); }
   int replication() const { return placement_.replication(); }
-  MemoryNode& node(int i) { return *nodes_[static_cast<size_t>(i)]; }
   RdmaNic& nic(int i) { return *nics_[static_cast<size_t>(i)]; }
+  // `stat` summed over every server's NIC.
+  uint64_t SumOverNics(uint64_t (RdmaNic::*stat)() const) const {
+    uint64_t total = 0;
+    for (const auto& nic : nics_) total += (nic.get()->*stat)();
+    return total;
+  }
   const PlacementMap& placement() const { return placement_; }
 
   // Wires the per-op fault model into every server's NIC.
@@ -62,7 +65,7 @@ class FleetManager {
   // op (drop or error) only on its fault model's say, so without one no
   // remote op can fail.
   bool ops_can_fail() const {
-    for (const RdmaNic* nic : nics_) {
+    for (const auto& nic : nics_) {
       if (nic->fault_model() != nullptr) return true;
     }
     return false;
@@ -105,9 +108,12 @@ class FleetManager {
   // read actually served off-primary): counter + kFleetDegradedRead.
   void NoteDegradedRead(uint64_t slot, int served_node, int primary_node);
 
-  // --- crash / recover (driven by the FaultInjector's episode listener) ---
-  // With N > 1 servers a crash loses the server's copies and recovery
-  // rebuilds them. A one-server fleet ignores both (see fleet.cc).
+  // --- crash / recover (driven by the FaultInjector's episode driver) ---
+  // `node` is in [0, num_nodes()). Each call is one episode edge: it counts
+  // (crash) and traces kMemnodeCrash / kMemnodeRecover with the server as
+  // actor. With N > 1 servers a crash then loses the server's copies and
+  // recovery rebuilds them; a one-server fleet leaves its replica table
+  // alone (see fleet.cc).
   void OnNodeCrash(int node);
   void OnNodeRecover(int node);
 
@@ -128,6 +134,9 @@ class FleetManager {
   uint64_t degraded_reads() const { return degraded_reads_; }
   uint64_t repairs_queued() const { return repairs_queued_; }
   uint64_t slots_rebuilt() const { return slots_rebuilt_; }
+  uint64_t crash_episodes(int node) const {
+    return crash_episodes_[static_cast<size_t>(node)];
+  }
   uint64_t crash_episodes() const;  // summed over all servers
 
   // Replica-safety sweep for tests/invariants: every slot that ever held
@@ -144,10 +153,8 @@ class FleetManager {
   }
 
   PlacementMap placement_;
-  std::vector<MemoryNode*> nodes_;  // [0] borrowed, rest own via owned_*
-  std::vector<RdmaNic*> nics_;
-  std::vector<std::unique_ptr<MemoryNode>> owned_nodes_;
-  std::vector<std::unique_ptr<RdmaNic>> owned_nics_;
+  std::vector<std::unique_ptr<RdmaNic>> nics_;  // [n] = server n's link
+  std::vector<uint64_t> crash_episodes_;         // [n] = server n's crashes
 
   // copies_[slot] bit n set = server n holds the slot's current data.
   // lost_[slot] = the slot's data became unreachable and was surfaced.

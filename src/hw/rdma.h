@@ -62,9 +62,8 @@ class RdmaCompletion {
 class RdmaNic {
  public:
   // `node_id` identifies the memory server this NIC's channels reach (the
-  // machine's own NIC is server 0; the fleet runs one RdmaNic per server).
-  // It is forwarded to the fault model so injection windows
-  // can target individual nodes.
+  // fleet runs one RdmaNic per server). It is forwarded to the fault model
+  // so injection windows can target individual nodes.
   explicit RdmaNic(const MachineParams& params, int node_id = 0);
 
   // Posts a one-sided op; completion time is computed at post (FIFO channel).

@@ -1,10 +1,11 @@
-// Remote ("swap") space allocation strategies (§3.3.3 EP3, §4.2.3).
+// Remote ("swap") space allocation (§3.3.3 EP3, §4.2.3).
 //
 // SwapAllocator models the Linux swap-slot allocator Hermit inherits: a slot
 // bitmap behind one global spinlock with per-CPU cluster hints — the lock is
-// the EP3 bottleneck the paper measures. DirectMapping models the VMA-level
-// direct mapping DiLOS and MAGE use instead: local_addr + X maps to
-// remote_addr + X, so "allocation" is a pure computation with no shared state.
+// the EP3 bottleneck the paper measures. The VMA-level direct mapping DiLOS
+// and MAGE use instead (local_addr + X maps to remote_addr + X) needs no
+// allocator: the kernel then uses the page number as the slot
+// (KernelConfig::direct_remote_map).
 #ifndef MAGESIM_MEM_SWAP_ALLOCATOR_H_
 #define MAGESIM_MEM_SWAP_ALLOCATOR_H_
 
@@ -51,17 +52,6 @@ class SwapAllocator {
   std::vector<uint64_t> used_;  // bit (s % 64) of word s / 64: slot s is taken
   std::vector<uint64_t> cluster_hint_;  // per-core next-fit hints
   SimMutex lock_{"swap-info"};
-};
-
-// VMA-level direct mapping (zero-cost remote allocator).
-class DirectMapping {
- public:
-  explicit DirectMapping(uint64_t remote_base = 0) : remote_base_(remote_base) {}
-
-  uint64_t RemoteOffsetFor(uint64_t vpn) const { return remote_base_ + vpn; }
-
- private:
-  uint64_t remote_base_;
 };
 
 }  // namespace magesim

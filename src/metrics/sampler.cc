@@ -40,12 +40,11 @@ void MetricsSampler::SampleNow() {
       s.evict_rate_per_s =
           static_cast<double>(Delta(s.evicted_pages, prev.evicted_pages)) / dt_s;
       s.ops_rate_per_s = static_cast<double>(Delta(s.ops, prev.ops)) / dt_s;
-      s.nic_read_util = std::clamp(
-          static_cast<double>(Delta(read_busy, prev_read_busy_)) / static_cast<double>(dt),
-          0.0, 1.0);
-      s.nic_write_util = std::clamp(
-          static_cast<double>(Delta(write_busy, prev_write_busy_)) / static_cast<double>(dt),
-          0.0, 1.0);
+      double link_ns = static_cast<double>(dt * sources_.nic_links);
+      s.nic_read_util =
+          std::clamp(static_cast<double>(Delta(read_busy, prev_read_busy_)) / link_ns, 0.0, 1.0);
+      s.nic_write_util =
+          std::clamp(static_cast<double>(Delta(write_busy, prev_write_busy_)) / link_ns, 0.0, 1.0);
     }
   }
   prev_read_busy_ = read_busy;

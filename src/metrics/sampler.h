@@ -29,8 +29,11 @@ struct SamplerSources {
   std::function<uint64_t()> total_ops;         // cumulative app operations
   std::function<double()> dirty_ratio;         // instantaneous, [0,1]
   std::function<uint64_t()> ipi_queue_depth;   // instantaneous in-flight IPIs
-  std::function<uint64_t()> nic_read_busy_ns;  // cumulative channel-busy ns
-  std::function<uint64_t()> nic_write_busy_ns; // cumulative channel-busy ns
+  // Cumulative channel-busy ns summed over `nic_links` links; the
+  // utilization columns are the links' mean busy share per window.
+  std::function<uint64_t()> nic_read_busy_ns;
+  std::function<uint64_t()> nic_write_busy_ns;
+  int nic_links = 1;
 };
 
 class MetricsSampler {
@@ -47,8 +50,8 @@ class MetricsSampler {
     double fault_rate_per_s = 0.0;
     double evict_rate_per_s = 0.0;
     double ops_rate_per_s = 0.0;
-    double nic_read_util = 0.0;   // [0,1]
-    double nic_write_util = 0.0;  // [0,1]
+    double nic_read_util = 0.0;   // [0,1], mean over the links
+    double nic_write_util = 0.0;  // [0,1], mean over the links
   };
 
   MetricsSampler(SamplerSources sources, SimTime interval)

@@ -72,11 +72,10 @@ struct KernelConfig {
   VmaMode vma_mode = VmaMode::kNone;
 
   // LATR/EcoTLB-style lazy TLB coherence (cited in §7): eviction defers
-  // invalidation to a periodic reconciliation tick instead of sending IPIs;
-  // freed frames only recirculate after the next tick. Trades reclaim
-  // latency for zero shootdown traffic.
+  // invalidation to a periodic reconciliation tick (Kernel::LazyTlbTickerMain)
+  // instead of sending IPIs; freed frames only recirculate after the next
+  // tick. Trades reclaim latency for zero shootdown traffic.
   bool lazy_tlb = false;
-  SimTime lazy_tlb_period_ns = 50 * kMicrosecond;
 
   // --- Prefetching (pattern matching on fault addresses, §6.2) ---
   bool prefetch = false;

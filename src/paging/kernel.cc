@@ -34,7 +34,6 @@ Kernel::Kernel(const KernelConfig& config, Topology& topo, TlbShootdownManager& 
       resilience_(resilience),
       local_pages_(local_pages),
       wss_pages_(wss_pages),
-      direct_map_(0),
       tenancy_(tenancy) {
   low_wm_ = static_cast<uint64_t>(static_cast<double>(local_pages) * config.low_watermark);
   high_wm_ = static_cast<uint64_t>(static_cast<double>(local_pages) * config.high_watermark);
@@ -562,13 +561,14 @@ Task<> Kernel::LazyTlbTickerMain() {
   // Scheduler-tick reconciliation (LATR-style): each tick performs a local
   // full flush on every application core (charged as stolen time) and
   // releases eviction batches parked on the epoch.
+  constexpr SimTime kLazyTlbPeriodNs = 50 * kMicrosecond;
   Engine& eng = Engine::current();
   if (LockAnalyzer* la = LockAnalyzer::Active()) {
     la->NameCurrentTask("lazy-tlb-ticker");
   }
   const MachineParams& hw = topo_.params();
   while (!eng.shutdown_requested()) {
-    co_await Delay{config_.lazy_tlb_period_ns};
+    co_await Delay{kLazyTlbPeriodNs};
     ++lazy_epochs_;
     for (CoreId c : tlb_.target_cores()) {
       topo_.core(c).AddStolenTime(hw.full_flush_ns);

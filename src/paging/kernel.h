@@ -259,7 +259,6 @@ class Kernel {
   std::unique_ptr<PageAccounting> accounting_;
   std::unique_ptr<VmaResolver> vma_;
   std::unique_ptr<SwapAllocator> swap_;  // null when direct-mapped
-  DirectMapping direct_map_;
   std::unique_ptr<Prefetcher> prefetcher_;
   TenancyManager* tenancy_ = nullptr;  // owned by FarMemoryMachine
 

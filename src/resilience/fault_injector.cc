@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <vector>
 
+#include "src/fleet/fleet.h"
 #include "src/trace/trace.h"
 
 namespace magesim {
@@ -87,9 +88,9 @@ SimTime FaultInjector::ExtraIpiDelayNs(SimTime now) {
   return extra;
 }
 
-void FaultInjector::Start(Engine& eng, std::vector<MemoryNode*> nodes) {
+void FaultInjector::Start(Engine& eng, FleetManager& fleet) {
   if (plan_.empty()) return;
-  nodes_ = std::move(nodes);
+  fleet_ = &fleet;
   eng.Spawn(EpisodeMain());
 }
 
@@ -112,30 +113,24 @@ Task<> FaultInjector::EpisodeMain() {
     return a.idx < b.idx;
   });
 
-  // Overlapping crash windows on the same node stack: the node comes back
-  // only when its last crash window closes. An untargeted crash flips node 0.
-  std::vector<int> active_crashes(nodes_.size(), 0);
+  // Overlapping crash windows on the same node stack: one episode, and the
+  // node comes back only when its last crash window closes. An untargeted
+  // crash hits node 0.
+  std::vector<int> active_crashes(static_cast<size_t>(fleet_->num_nodes()), 0);
   for (const Marker& m : marks) {
     Engine& eng = Engine::current();
     if (m.t > eng.now()) co_await Delay{m.t - eng.now()};
     const FaultWindow& w = ws[m.idx];
     if (w.kind == FaultKind::kCrash) {
-      size_t target = w.node >= 0 ? static_cast<size_t>(w.node) : 0;
+      int target = w.node >= 0 ? w.node : 0;
+      int& open = active_crashes[static_cast<size_t>(target)];
       if (m.type == 0) {
         ++windows_opened_;
         TraceEmit(TraceEventType::kFaultWindow, -1, kTraceNoPage, kTraceNoFrame,
                   static_cast<uint64_t>(w.kind));
-        if (active_crashes[target]++ == 0) {
-          nodes_[target]->SetAvailable(false);
-          if (availability_listener_) {
-            availability_listener_(static_cast<int>(target), false);
-          }
-        }
-      } else if (--active_crashes[target] == 0) {
-        nodes_[target]->SetAvailable(true);
-        if (availability_listener_) {
-          availability_listener_(static_cast<int>(target), true);
-        }
+        if (open++ == 0) fleet_->OnNodeCrash(target);
+      } else if (--open == 0) {
+        fleet_->OnNodeRecover(target);
       }
     } else {
       ++windows_opened_;

@@ -7,17 +7,16 @@
 #define MAGESIM_RESILIENCE_FAULT_INJECTOR_H_
 
 #include <cstdint>
-#include <functional>
-#include <vector>
 
 #include "src/hw/fault_hooks.h"
-#include "src/hw/memnode.h"
 #include "src/resilience/fault_plan.h"
 #include "src/sim/engine.h"
 #include "src/sim/random.h"
 #include "src/sim/task.h"
 
 namespace magesim {
+
+class FleetManager;
 
 class FaultInjector : public HwFaultModel {
  public:
@@ -29,18 +28,12 @@ class FaultInjector : public HwFaultModel {
   SimTime ExtraIpiDelayNs(SimTime now) override;
 
   // Spawns the episode driver: emits a kFaultWindow marker as each window
-  // opens and flips memory node availability across crash windows (the nodes
-  // themselves trace kMemnodeCrash / kMemnodeRecover on the transition). A
-  // node-targeted crash flips `nodes[window.node]`; an untargeted crash flips
-  // node 0, so `nodes` must cover every server the plan names. Call once,
-  // before Engine::Run.
-  void Start(Engine& eng, std::vector<MemoryNode*> nodes);
-
-  // Invoked after every availability flip the episode driver performs, with
-  // the node id and its new state — the fleet manager's crash/recover hook.
-  void SetAvailabilityListener(std::function<void(int node, bool up)> fn) {
-    availability_listener_ = std::move(fn);
-  }
+  // opens and takes servers down and back up across crash windows
+  // (FleetManager::OnNodeCrash / OnNodeRecover, which count and trace the
+  // episode). A node-targeted crash hits `window.node`; an untargeted crash
+  // hits server 0, so `fleet` must cover every server the plan names. Call
+  // once, before Engine::Run.
+  void Start(Engine& eng, FleetManager& fleet);
 
   const FaultPlan& plan() const { return plan_; }
 
@@ -57,8 +50,7 @@ class FaultInjector : public HwFaultModel {
   FaultPlan plan_;
   size_t cursor_ = 0;
   Rng rng_;
-  std::vector<MemoryNode*> nodes_;
-  std::function<void(int, bool)> availability_listener_;
+  FleetManager* fleet_ = nullptr;
 
   uint64_t drops_ = 0;
   uint64_t errors_ = 0;

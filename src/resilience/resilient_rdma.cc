@@ -308,7 +308,8 @@ Task<> ResilienceManager::WriteSlotsMain(int evictor_id, std::vector<uint64_t> s
 }
 
 Task<> ResilienceManager::EvictionBackpressure(int evictor_id) {
-  // Pause against the worst open write channel.
+  // Pause against the worst open write channel, for at most this long.
+  constexpr SimTime kBackpressureMaxNs = 400 * kMicrosecond;
   const CircuitBreaker* gate = nullptr;
   for (const CircuitBreaker& b : node_write_breakers_) {
     if (b.degraded() && (gate == nullptr || b.open_until() > gate->open_until())) {
@@ -319,7 +320,7 @@ Task<> ResilienceManager::EvictionBackpressure(int evictor_id) {
   SimTime now = Engine::current().now();
   SimTime wait = gate->open_until() - now;
   if (wait < 10 * kMicrosecond) wait = 10 * kMicrosecond;
-  if (wait > opt_.backpressure_max_ns) wait = opt_.backpressure_max_ns;
+  if (wait > kBackpressureMaxNs) wait = kBackpressureMaxNs;
   ++backpressure_waits_;
   TraceEmit(TraceEventType::kEvictBackpressure, evictor_id, kTraceNoPage, kTraceNoFrame,
             static_cast<uint64_t>(wait));

@@ -42,8 +42,6 @@ struct ResilienceOptions {
   RetryPolicy retry;
   BreakerPolicy breaker;
   TerminalPolicy terminal = TerminalPolicy::kPoisonPage;
-  // Upper bound on one eviction-backpressure pause.
-  SimTime backpressure_max_ns = 400 * kMicrosecond;
   // 0 = derive from the machine seed.
   uint64_t seed = 0;
 };

@@ -183,6 +183,39 @@ TEST(FleetIntegrationTest, NicCountersCoverEveryServer) {
   EXPECT_EQ(reg.Hist("rdma_read_latency_ns").histogram().count(), read_ops);
 }
 
+// The sampler's NIC utilization columns are the mean busy share of every
+// server's link: weighted by window length they add up to the fleet's total
+// busy time over N links and the sampled span.
+TEST(FleetIntegrationTest, SamplerNicUtilizationIsTheFleetMean) {
+  GupsWorkload wl(SmallGups());
+  FarMemoryMachine::Options opt = FleetOptions(7, 4, 2);
+  opt.metrics.enabled = true;
+  opt.metrics.sample_interval = 500 * kMicrosecond;
+  FarMemoryMachine m(opt, wl);
+  m.Run();
+  const auto& samples = m.sampler()->samples();
+  ASSERT_GT(samples.size(), 2u);
+  double read_weighted = 0.0, write_weighted = 0.0;
+  for (size_t i = 1; i < samples.size(); ++i) {
+    double dt = static_cast<double>(samples[i].t - samples[i - 1].t);
+    EXPECT_LE(samples[i].nic_read_util, 1.0);
+    EXPECT_LE(samples[i].nic_write_util, 1.0);
+    read_weighted += samples[i].nic_read_util * dt;
+    write_weighted += samples[i].nic_write_util * dt;
+  }
+  const double span = static_cast<double>(samples.back().t - samples.front().t);
+  uint64_t read_busy = 0, write_busy = 0;
+  for (int i = 0; i < 4; ++i) {
+    read_busy += m.fleet()->nic(i).read_busy_ns();
+    write_busy += m.fleet()->nic(i).write_busy_ns();
+  }
+  EXPECT_GT(m.fleet()->nic(1).read_busy_ns(), 0u);
+  const double want_read = static_cast<double>(read_busy) / (4.0 * span);
+  const double want_write = static_cast<double>(write_busy) / (4.0 * span);
+  EXPECT_NEAR(read_weighted / span, want_read, 1e-9 * want_read);
+  EXPECT_NEAR(write_weighted / span, want_write, 1e-9 * want_write);
+}
+
 // Every fleet surface rejects a server count above the 16-server limit, and
 // the text surfaces reject anything but a whole number > 0.
 TEST(FleetIntegrationTest, OptionsRejectServerCountOutsideLimit) {
@@ -237,8 +270,8 @@ TEST(FleetIntegrationTest, SingleNodeMachineRejectsNodeTargetedPlans) {
   EXPECT_THROW({ FarMemoryMachine m(opt, wl); }, std::invalid_argument);
 }
 
-// The crash/recover transitions themselves are traced from SetAvailable, so
-// a fleet chaos run carries them (and the crash-episode metric counts them).
+// The crash/recover transitions themselves are traced by the fleet, so a
+// fleet chaos run carries them (and the crash-episode metric counts them).
 TEST(FleetIntegrationTest, CrashEpisodeMetricCountsPerNodeTransitions) {
   GupsWorkload wl(SmallGups());
   FarMemoryMachine::Options opt = FleetOptions(11, 4, 2);
@@ -247,9 +280,9 @@ TEST(FleetIntegrationTest, CrashEpisodeMetricCountsPerNodeTransitions) {
   RunResult r = m.Run();
   EXPECT_EQ(r.memnode_crashes, 2u);
   ASSERT_NE(m.fleet(), nullptr);
-  EXPECT_EQ(m.fleet()->node(1).crash_episodes(), 1u);
-  EXPECT_EQ(m.fleet()->node(3).crash_episodes(), 1u);
-  EXPECT_EQ(m.fleet()->node(0).crash_episodes(), 0u);
+  EXPECT_EQ(m.fleet()->crash_episodes(1), 1u);
+  EXPECT_EQ(m.fleet()->crash_episodes(3), 1u);
+  EXPECT_EQ(m.fleet()->crash_episodes(0), 0u);
   EXPECT_EQ(r.fleet_silent_losses, 0u);
   EXPECT_EQ(r.invariant_violations, 0u);
 }

@@ -1,14 +1,17 @@
 // FleetManager replica-table semantics: prepopulation, read/write target
-// resolution, crash bookkeeping (surfaced loss, never silent), repair
-// queueing, and recovery-driven re-replication.
+// resolution, crash bookkeeping (surfaced loss, never silent, and crash
+// episodes counted per server), repair queueing, and recovery-driven
+// re-replication.
 #include <gtest/gtest.h>
 
-#include <memory>
+#include <string>
 
 #include "src/fleet/fleet.h"
 #include "src/hw/machine_params.h"
-#include "src/hw/memnode.h"
-#include "src/hw/rdma.h"
+#include "src/resilience/fault_injector.h"
+#include "src/resilience/fault_plan.h"
+#include "src/sim/engine.h"
+#include "src/trace/trace.h"
 
 namespace magesim {
 namespace {
@@ -17,19 +20,31 @@ constexpr uint64_t kSlots = 256;
 
 struct FleetFixture {
   MachineParams params = BareMetalParams();
-  RdmaNic nic0{params, 0};
-  MemoryNode node0{64ull << 20, 0};
   FleetManager fleet;
 
   explicit FleetFixture(int nodes, int replicas, uint64_t seed = 9)
-      : fleet(nic0, node0, params,
-              FleetManager::Options{.num_nodes = nodes,
-                                    .replication = replicas,
-                                    .seed = seed}) {
-    node0.RegisterSetup();
+      : fleet(params, FleetManager::Options{.num_nodes = nodes,
+                                            .replication = replicas,
+                                            .seed = seed}) {
     fleet.Prepopulate(kSlots);
   }
 };
+
+// Runs `plan`'s episodes against `fleet` through a FaultInjector, tracing
+// into `hash`.
+void RunPlan(FleetManager& fleet, const std::string& plan_text, TraceHashSink& hash) {
+  FaultPlan plan;
+  std::string err;
+  ASSERT_TRUE(FaultPlan::Parse(plan_text, &plan, &err)) << err;
+  FaultInjector injector(std::move(plan), /*seed=*/1);
+  Tracer tracer;
+  tracer.AddSink(&hash);
+  tracer.Install();
+  Engine eng;
+  injector.Start(eng, fleet);
+  eng.Run();
+  tracer.Uninstall();
+}
 
 // The per-slot replica table Prepopulate stores is the placement map's
 // answer for every slot, order included, at every fleet shape up to the
@@ -169,13 +184,69 @@ TEST(FleetTest, WriteTargetsSkipDeadServers) {
   }
 }
 
+TEST(FleetTest, CrashEpisodesAreCounted) {
+  FleetFixture f(3, 2);
+  Engine eng;  // the trace clock
+  TraceHashSink hash;
+  Tracer tracer;
+  tracer.AddSink(&hash);
+  tracer.Install();
+  f.fleet.OnNodeCrash(1);
+  f.fleet.OnNodeRecover(1);
+  f.fleet.OnNodeCrash(1);
+  tracer.Uninstall();
+  EXPECT_EQ(f.fleet.crash_episodes(1), 2u);
+  EXPECT_EQ(f.fleet.crash_episodes(0), 0u);
+  EXPECT_EQ(f.fleet.live_mask(), 0b101);
+  EXPECT_EQ(hash.count(TraceEventType::kMemnodeCrash), 2u);
+  EXPECT_EQ(hash.count(TraceEventType::kMemnodeRecover), 1u);
+}
+
 TEST(FleetTest, CrashEpisodesSumAcrossServers) {
   FleetFixture f(3, 2);
-  f.fleet.node(1).SetAvailable(false);
-  f.fleet.node(1).SetAvailable(true);
-  f.fleet.node(2).SetAvailable(false);
-  f.fleet.node(2).SetAvailable(true);
+  f.fleet.OnNodeCrash(1);
+  f.fleet.OnNodeRecover(1);
+  f.fleet.OnNodeCrash(2);
+  f.fleet.OnNodeRecover(2);
+  EXPECT_EQ(f.fleet.crash_episodes(1), 1u);
+  EXPECT_EQ(f.fleet.crash_episodes(2), 1u);
   EXPECT_EQ(f.fleet.crash_episodes(), 2u);
+  EXPECT_EQ(f.fleet.live_mask(), 0b111);
+}
+
+// Overlapping crash windows on one server are one outage: one episode, one
+// crash record, and the server rejoins only when the last window closes.
+TEST(FleetTest, OverlappingCrashWindowsCountOneEpisode) {
+  FleetFixture f(4, 2);
+  TraceHashSink hash;
+  RunPlan(f.fleet, "crash@1ms-3ms:node=1;crash@2ms-4ms:node=1", hash);
+  EXPECT_EQ(f.fleet.crash_episodes(1), 1u);
+  EXPECT_EQ(f.fleet.crash_episodes(), 1u);
+  EXPECT_EQ(hash.count(TraceEventType::kFaultWindow), 2u);
+  EXPECT_EQ(hash.count(TraceEventType::kMemnodeCrash), 1u);
+  EXPECT_EQ(hash.count(TraceEventType::kMemnodeRecover), 1u);
+  EXPECT_EQ(f.fleet.live_mask(), 0b1111);
+}
+
+// A one-server fleet has nothing to rebuild from: its outage is counted and
+// traced, and its replica table stays exactly as it was.
+TEST(FleetTest, OneServerOutageCountsOneEpisodeAndKeepsReplicaTable) {
+  FleetFixture f(1, 1);
+  TraceHashSink hash;
+  RunPlan(f.fleet, "crash@1ms-2ms", hash);
+  EXPECT_EQ(f.fleet.crash_episodes(0), 1u);
+  EXPECT_EQ(hash.count(TraceEventType::kMemnodeCrash), 1u);
+  EXPECT_EQ(hash.count(TraceEventType::kMemnodeRecover), 1u);
+  EXPECT_EQ(f.fleet.live_mask(), 1u);
+  EXPECT_EQ(f.fleet.slots_lost(), 0u);
+  EXPECT_EQ(f.fleet.repairs_queued(), 0u);
+  EXPECT_EQ(f.fleet.rebuild_pending(), 0u);
+  for (uint64_t s = 0; s < kSlots; ++s) {
+    FleetManager::ReadTarget t = f.fleet.ReadTargetFor(s);
+    ASSERT_EQ(t.node, 0) << "slot " << s;
+    EXPECT_FALSE(t.degraded);
+    EXPECT_FALSE(f.fleet.IsLostReported(s));
+  }
 }
 
 }  // namespace

@@ -14,7 +14,6 @@
 
 #include "src/fleet/fleet.h"
 #include "src/hw/machine_params.h"
-#include "src/hw/memnode.h"
 #include "src/hw/rdma.h"
 #include "src/resilience/fault_injector.h"
 #include "src/resilience/fault_plan.h"
@@ -29,18 +28,14 @@ constexpr uint64_t kSlots = 512;
 
 struct ChaosRig {
   MachineParams params = BareMetalParams();
-  RdmaNic nic0{params, 0};
-  MemoryNode node0{64ull << 20, 0};
   FleetManager fleet;
   RebuildDriver rebuild;
 
   ChaosRig(int nodes, int replicas, uint64_t seed, uint64_t slots = kSlots)
-      : fleet(nic0, node0, params,
-              FleetManager::Options{.num_nodes = nodes,
-                                    .replication = replicas,
-                                    .seed = seed}),
+      : fleet(params, FleetManager::Options{.num_nodes = nodes,
+                                            .replication = replicas,
+                                            .seed = seed}),
         rebuild(fleet, /*rebuild_gbps=*/100.0, RetryPolicy{}) {
-    node0.RegisterSetup();
     fleet.Prepopulate(slots);
   }
 };
@@ -53,14 +48,12 @@ Task<> ChaosTask(ChaosRig* rig, uint64_t seed, int episodes,
     co_await Delay{50 * kMicrosecond +
                    static_cast<SimTime>(rng.NextU64(400 * kMicrosecond))};
     int victim = static_cast<int>(rng.NextU64(static_cast<uint64_t>(nodes)));
-    rig->fleet.node(victim).SetAvailable(false);
     rig->fleet.OnNodeCrash(victim);
     // The invariant must hold at the worst instant: right after the crash,
     // with rebuild possibly mid-burst.
     *max_silent = std::max(*max_silent, rig->fleet.CheckConsistency());
     co_await Delay{100 * kMicrosecond +
                    static_cast<SimTime>(rng.NextU64(600 * kMicrosecond))};
-    rig->fleet.node(victim).SetAvailable(true);
     rig->fleet.OnNodeRecover(victim);
     *max_silent = std::max(*max_silent, rig->fleet.CheckConsistency());
   }
@@ -101,16 +94,12 @@ TEST(RebuildPropertyTest, DoubleCrashSurfacesLossAndConverges) {
   rig.rebuild.Start(eng);
   eng.Spawn([](ChaosRig* r) -> Task<> {
     co_await Delay{100 * kMicrosecond};
-    r->fleet.node(0).SetAvailable(false);
     r->fleet.OnNodeCrash(0);
     co_await Delay{20 * kMicrosecond};  // rebuild barely started
-    r->fleet.node(1).SetAvailable(false);
     r->fleet.OnNodeCrash(1);
     EXPECT_EQ(r->fleet.CheckConsistency(), 0u);
     co_await Delay{500 * kMicrosecond};
-    r->fleet.node(0).SetAvailable(true);
     r->fleet.OnNodeRecover(0);
-    r->fleet.node(1).SetAvailable(true);
     r->fleet.OnNodeRecover(1);
   }(&rig));
   eng.Run();

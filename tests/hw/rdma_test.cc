@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "src/hw/memnode.h"
 #include "src/resilience/fault_injector.h"
 #include "src/resilience/fault_plan.h"
 #include "src/sim/engine.h"
@@ -248,51 +247,6 @@ TEST(RdmaTest, FaultModelErrorSignalsFailedCompletion) {
   EXPECT_FALSE(c->ok());
   EXPECT_EQ(c->status(), RdmaCompletion::Status::kError);
   EXPECT_EQ(nic.writes_errored(), 1u);
-}
-
-TEST(MemNodeTest, SetupAndDirectReservation) {
-  Engine e;
-  MemoryNode node(1ULL << 30);
-  auto body = [](MemoryNode& n) -> Task<> { co_await n.Setup(); };
-  e.Spawn(body(node));
-  e.Run();
-  EXPECT_TRUE(node.registered());
-  EXPECT_EQ(node.capacity_pages(), (1ULL << 30) / kPageSize);
-  EXPECT_TRUE(node.ReserveDirect(1ULL << 29));
-  EXPECT_EQ(node.direct_reserved(), 1ULL << 29);
-  EXPECT_FALSE(node.ReserveDirect(1ULL << 31));
-}
-
-TEST(MemNodeTest, ReserveRequiresRegistration) {
-  MemoryNode node(1ULL << 30);
-  EXPECT_FALSE(node.ReserveDirect(kPageSize));
-  EXPECT_EQ(node.direct_reserved(), 0u);
-  node.RegisterSetup();
-  EXPECT_TRUE(node.ReserveDirect(kPageSize));
-  EXPECT_EQ(node.direct_reserved(), kPageSize);
-}
-
-TEST(MemNodeTest, ReservationsAccumulateAndRejectOverflow) {
-  MemoryNode node(10 * kPageSize);
-  node.RegisterSetup();
-  EXPECT_TRUE(node.ReserveDirect(6 * kPageSize));
-  EXPECT_TRUE(node.ReserveDirect(4 * kPageSize));
-  EXPECT_EQ(node.direct_reserved(), 10 * kPageSize);
-  // A second reservation must not silently overwrite the first: the region
-  // is full, so any further request is rejected and state is unchanged.
-  EXPECT_FALSE(node.ReserveDirect(1));
-  EXPECT_EQ(node.direct_reserved(), 10 * kPageSize);
-}
-
-TEST(MemNodeTest, CrashEpisodesAreCounted) {
-  MemoryNode node(1ULL << 20);
-  EXPECT_TRUE(node.available());
-  node.SetAvailable(false);
-  node.SetAvailable(false);  // already down: not a new episode
-  node.SetAvailable(true);
-  node.SetAvailable(false);
-  EXPECT_FALSE(node.available());
-  EXPECT_EQ(node.crash_episodes(), 2u);
 }
 
 }  // namespace

@@ -171,12 +171,6 @@ TEST(SwapAllocatorTest, WordScanMatchesBitWalk) {
   }
 }
 
-TEST(DirectMappingTest, IsLinearAndFree) {
-  DirectMapping dm(1000);
-  EXPECT_EQ(dm.RemoteOffsetFor(0), 1000u);
-  EXPECT_EQ(dm.RemoteOffsetFor(128), 1128u);
-}
-
 TEST(VmaTest, LockedSetFindsCoveringVma) {
   Engine e;
   LockedVmaSet vmas;

@@ -13,9 +13,7 @@ struct Rig {
       : params(cfg.virtualized ? VirtualizedParams() : BareMetalParams()),
         topo(params),
         tlb(topo),
-        nic(params),
-        memnode(wss * kPageSize),
-        fleet(nic, memnode, params, FleetManager::Options{}),
+        fleet(params, FleetManager::Options{}),
         resilience(fleet, ResilienceOptions{}),
         kernel(cfg, topo, tlb, resilience, local, wss) {
     std::vector<CoreId> cores;
@@ -26,8 +24,6 @@ struct Rig {
   MachineParams params;
   Topology topo;
   TlbShootdownManager tlb;
-  RdmaNic nic;
-  MemoryNode memnode;
   FleetManager fleet;
   ResilienceManager resilience;
   Kernel kernel;
@@ -104,7 +100,7 @@ TEST(KernelTest, FaultDedupIssuesOneRead) {
   rig.engine.Run();
   EXPECT_EQ(rig.kernel.stats().faults, 1u);
   EXPECT_EQ(rig.kernel.stats().dedup_waits, 3u);
-  EXPECT_EQ(rig.nic.reads_posted(), 1u);
+  EXPECT_EQ(rig.fleet.nic(0).reads_posted(), 1u);
 }
 
 TEST(KernelTest, EvictBatchFreesPagesAndWritesDirty) {
@@ -121,7 +117,7 @@ TEST(KernelTest, EvictBatchFreesPagesAndWritesDirty) {
   EXPECT_EQ(rig.kernel.free_pages(), free_before + 256);
   EXPECT_EQ(rig.kernel.stats().evicted_pages, 256u);
   // Only dirtied pages hit the write channel; the rest reclaim clean.
-  EXPECT_LE(rig.nic.writes_posted(), 50u);
+  EXPECT_LE(rig.fleet.nic(0).writes_posted(), 50u);
   EXPECT_GT(rig.kernel.stats().clean_reclaims, 0u);
   EXPECT_GT(rig.tlb.shootdowns(), 0u);
 }

@@ -10,7 +10,6 @@
 
 #include "src/fleet/fleet.h"
 #include "src/hw/machine_params.h"
-#include "src/hw/memnode.h"
 #include "src/hw/rdma.h"
 #include "src/resilience/resilient_rdma.h"
 #include "src/sim/engine.h"
@@ -24,15 +23,10 @@ constexpr uint64_t kSlots = 256;
 struct Rig {
   Engine engine;
   MachineParams params = BareMetalParams();
-  RdmaNic nic{params, 0};
-  MemoryNode node{64ull << 20, 0};
-  FleetManager fleet{nic, node, params, FleetManager::Options{}};
+  FleetManager fleet{params, FleetManager::Options{}};
   ResilienceManager resilience{fleet, ResilienceOptions{}};
 
-  Rig() {
-    node.RegisterSetup();
-    fleet.Prepopulate(kSlots);
-  }
+  Rig() { fleet.Prepopulate(kSlots); }
 };
 
 struct Outcome {
@@ -71,8 +65,8 @@ Outcome RunBatch(int pages, bool pipelined, bool traced) {
     out.events = rig.engine.events_processed();
     // Every write was posted at time 0, so the largest latency is the latest
     // completion time.
-    out.latest_write = static_cast<SimTime>(rig.nic.write_latency().max());
-    EXPECT_EQ(rig.nic.writes_posted(), static_cast<uint64_t>(pages));
+    out.latest_write = static_cast<SimTime>(rig.fleet.nic(0).write_latency().max());
+    EXPECT_EQ(rig.fleet.nic(0).writes_posted(), static_cast<uint64_t>(pages));
   }
   tracer.Uninstall();
   out.write_done_records = hash.count(TraceEventType::kRdmaWriteDone);

@@ -25,9 +25,7 @@ struct Rig {
       : params(BareMetalParams()),
         topo(params),
         tlb(topo),
-        nic(params),
-        memnode(kWss * kPageSize),
-        fleet(nic, memnode, params, FleetManager::Options{}),
+        fleet(params, FleetManager::Options{}),
         resilience(fleet, ResilienceOptions{}),
         kernel(MageLibConfig(), topo, tlb, resilience, /*local_pages=*/1024, kWss),
         thread(kernel, /*core=*/0, /*seed=*/1) {
@@ -38,8 +36,6 @@ struct Rig {
   MachineParams params;
   Topology topo;
   TlbShootdownManager tlb;
-  RdmaNic nic;
-  MemoryNode memnode;
   FleetManager fleet;
   ResilienceManager resilience;
   Kernel kernel;

@@ -16,7 +16,7 @@ namespace magesim {
 // dangle. Mirrors MAGESIM_LONG_LIVED_TYPES in magesim_tidy_lite.py.
 static const char kDefaultLongLived[] =
     "Engine;Topology;TlbShootdownManager;RdmaNic;Kernel;FarMemoryMachine;"
-    "TenancyManager;ResilienceManager;MemoryNode;FleetManager;"
+    "TenancyManager;ResilienceManager;FleetManager;"
     "RebuildDriver;AppThread;Workload;MachineParams;KernelConfig;SimMutex;"
     "SimEvent;MetricsRegistry;MetricsSampler;"
     "SpanTracer;PageFrame;PageTable;PageAccounting;PageAllocator;FramePool;"

@@ -62,7 +62,7 @@ SINK_RE = re.compile(
 # `char` (string literals live forever).
 LONG_LIVED_TYPES = {
     "Engine", "Topology", "TlbShootdownManager", "RdmaNic", "Kernel",
-    "FarMemoryMachine", "TenancyManager", "ResilienceManager", "MemoryNode",
+    "FarMemoryMachine", "TenancyManager", "ResilienceManager",
     "FleetManager", "RebuildDriver", "AppThread", "Workload",
     "MachineParams", "KernelConfig", "SimMutex", "SimEvent",
     "MetricsRegistry", "MetricsSampler", "SpanTracer",
