@@ -35,7 +35,7 @@ int main() {
               Table::Pct(res["mglru"][i].normalized * 100),
               Table::Pct(res["s3fifo"][i].normalized * 100)});
   }
-  t.Print();
+  PrintFigureTable(t);
 
   std::printf("\nmajor faults at 30%% far memory (replacement accuracy):\n");
   for (const auto& cfg : configs) {

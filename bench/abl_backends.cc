@@ -56,7 +56,7 @@ int main() {
     t.AddRow({b.name, Table::Pct(mage * 100), Table::Pct(hermit * 100),
               Table::Num(hermit > 0 ? mage / hermit : 0, 2) + "x"});
   }
-  t.Print();
+  PrintFigureTable(t);
   std::printf("(normalized throughput at 30%% offloading vs each system's all-local run)\n");
   return 0;
 }

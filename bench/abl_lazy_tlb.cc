@@ -52,6 +52,6 @@ int main() {
               std::to_string(a.ipis), Table::Num(b.fault_mops), Table::Num(b.p99_us, 1),
               std::to_string(b.ipis)});
   }
-  t.Print();
+  PrintFigureTable(t);
   return 0;
 }

@@ -14,12 +14,15 @@
 #define MAGESIM_BENCH_BENCH_COMMON_H_
 
 #include <algorithm>
+#include <cerrno>
+#include <chrono>
 #include <climits>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "src/core/farmem.h"
 #include "src/core/ideal_model.h"
@@ -83,6 +86,41 @@ inline BenchReps BenchRepsFromEnv(int default_warmup, int default_measure) {
 
 // Offloading sweep used by most application figures (percent far memory).
 inline std::vector<int> OffloadSweep() { return {0, 10, 20, 30, 40, 50, 60, 70, 80, 90}; }
+
+// The process's start, for the figure tables' `harness_ns`.
+inline const auto kHarnessStart = std::chrono::steady_clock::now();
+
+// Prints a figure harness's table and, with MAGESIM_BENCH_OUT_DIR set,
+// records it in <dir>/BENCH_<program>.json. Its "sim" group holds each
+// printed cell, verbatim, under "t<table>/<row>:<first cell>/<column header>"
+// (tables count from 1 and rows from 0, in print order); its "wall" group
+// holds `harness_ns`, the process's wall time up to its latest table. The
+// file is rewritten whole after each table, so it is complete whenever the
+// process stops. tools/perf_diff.py matches the sim group exactly against
+// bench/baselines/figures/, so the figure's printed numbers are gated byte
+// for byte. Tables printed with Table::Print are not recorded.
+inline void PrintFigureTable(const Table& t) {
+  static BenchFile file;
+  static int tables = 0;
+  t.Print();
+  const char* dir = std::getenv("MAGESIM_BENCH_OUT_DIR");
+  if (dir == nullptr || *dir == '\0') return;
+  file.name = program_invocation_short_name;
+  file.scale = BenchScale();
+  const std::string table = "t" + std::to_string(++tables) + "/";
+  const auto& rows = t.rows();
+  for (size_t r = 0; r < rows.size(); ++r) {
+    const std::string row =
+        table + std::to_string(r) + ":" + (rows[r].empty() ? "" : rows[r][0]) + "/";
+    for (size_t c = 0; c < t.headers().size(); ++c) {
+      file.sim.emplace_back(row + t.headers()[c], BenchFile::Str(rows[r][c]));
+    }
+  }
+  const auto wall = std::chrono::steady_clock::now() - kHarnessStart;
+  file.wall = {{"harness_ns", BenchFile::U64(static_cast<uint64_t>(
+                                  std::chrono::nanoseconds(wall).count()))}};
+  file.Write();
+}
 
 }  // namespace magesim
 

@@ -30,7 +30,7 @@ int main() {
               Table::Pct(results["hermit"][i].normalized * 100)});
   }
   std::printf("normalized throughput (100%% = all-local baseline of each system)\n");
-  t.Print();
+  PrintFigureTable(t);
 
   // Key paper claims at 10% offloading: MAGE loses ~15-19%, DiLOS/Hermit
   // lose ~51-74%.

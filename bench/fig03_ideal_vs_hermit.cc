@@ -24,7 +24,7 @@ int main() {
                 Table::Pct(analytic * 100), Table::Pct(hermit[i].normalized * 100)});
     }
     std::printf("\n%s (normalized throughput)\n", title.c_str());
-    t.Print();
+    PrintFigureTable(t);
   };
 
   run_pair("(a) GapBS PageRank", PageRankFactory({.scale = 17, .iterations = 3, .threads = 48}));

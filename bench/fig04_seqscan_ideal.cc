@@ -32,6 +32,6 @@ int main() {
               Table::Pct(hermit[i].normalized * 100), Table::Num(mops(dilos[i])),
               Table::Pct(dilos[i].normalized * 100)});
   }
-  t.Print();
+  PrintFigureTable(t);
   return 0;
 }

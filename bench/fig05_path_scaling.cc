@@ -59,6 +59,6 @@ int main() {
     }
     t.AddRow(row);
   }
-  t.Print();
+  PrintFigureTable(t);
   return 0;
 }

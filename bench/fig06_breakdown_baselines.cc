@@ -67,7 +67,7 @@ int main() {
       t.AddRow(row);
     }
   }
-  t.Print();
+  PrintFigureTable(t);
   std::printf("('tlb' in the fault handler = synchronous-eviction shootdowns; zero means\n"
               " eviction stayed asynchronous)\n");
   return 0;

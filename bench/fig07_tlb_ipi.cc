@@ -41,6 +41,6 @@ int main() {
               Table::Num(m.tlb_shootdown_latency.mean() / 1000.0),
               Table::Num(m.ipi_delivery_latency.mean() / 1000.0)});
   }
-  t.Print();
+  PrintFigureTable(t);
   return 0;
 }

@@ -23,7 +23,7 @@ int main() {
                 Table::Pct(res["hermit"][i].normalized * 100)});
     }
     std::printf("\n%s (normalized throughput, 100%% = all-local)\n", title.c_str());
-    t.Print();
+    PrintFigureTable(t);
 
     // "Offloadable memory at a 30% throughput-drop SLO" summary (§6.2).
     for (const auto& cfg : systems) {

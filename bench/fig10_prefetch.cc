@@ -41,7 +41,7 @@ int main() {
               Table::Pct(res["hermit"][i].normalized * 100),
               Table::Pct(res["hermit+pf"][i].normalized * 100)});
   }
-  t.Print();
+  PrintFigureTable(t);
   std::printf("\nmajor faults at 10%% far memory: magelib %llu -> magelib+pf %llu "
               "(paper: 1.2M -> 324K)\n",
               static_cast<unsigned long long>(res["magelib"][1].faults),

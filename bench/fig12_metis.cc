@@ -54,7 +54,7 @@ int main() {
       t.AddRow(row);
     }
     std::printf("\n%s\n", title);
-    t.Print();
+    PrintFigureTable(t);
   };
   print_phase("(a) map phase", false);
   print_phase("(b) reduce phase (after the working-set change)", true);

@@ -46,7 +46,7 @@ int main() {
     }
     a.AddRow(row);
   }
-  a.Print();
+  PrintFigureTable(a);
 
   std::printf("\n(b) p99 latency (us) vs offered load at 50%% local memory\n");
   Table b({"load(Kops)", "magelib", "magelnx", "dilos", "hermit"});
@@ -59,6 +59,6 @@ int main() {
     }
     b.AddRow(row);
   }
-  b.Print();
+  PrintFigureTable(b);
   return 0;
 }

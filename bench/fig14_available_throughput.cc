@@ -27,7 +27,7 @@ int main() {
               Table::Num(static_cast<double>(r.fault_latency.Percentile(99)) / 1000.0, 1),
               std::to_string(r.sync_evictions), std::to_string(r.faults)});
   }
-  t.Print();
+  PrintFigureTable(t);
   std::printf("(paper: magelib 181 Gbps / p99 12 us, magelnx 139 Gbps / p99 31 us,\n"
               " dilos p99 82 us, hermit p99 255 us; magelib has zero sync evictions)\n");
   return 0;

@@ -80,7 +80,7 @@ int main() {
       t.AddRow({cfg.name, Table::Num(p.mops), Table::Num(p.p99_us, 1)});
     }
   }
-  t.Print();
+  PrintFigureTable(t);
   std::printf("(magelib should hold a flat tail into saturation: its fault path\n"
               " back-pressures the NIC instead of overrunning it)\n");
   return 0;

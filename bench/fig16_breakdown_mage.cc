@@ -67,7 +67,7 @@ int main() {
       t.AddRow(row);
     }
   }
-  t.Print();
+  PrintFigureTable(t);
   std::printf("(paper at 48T: magelib accounting 2.1->0.2 us via partitioning,\n"
               " circulation 2.4->0.5 us via the staging allocator, no TLB in FP)\n");
   return 0;

@@ -53,7 +53,7 @@ int main() {
                 Table::Pct(res["+multilayer"][i].normalized * 100)});
     }
     std::printf("\n%s\n", title.c_str());
-    t.Print();
+    PrintFigureTable(t);
     // Offloadable memory under a 20%-drop SLO (the paper's summary metric).
     for (const auto& cfg : ladder) {
       int offloadable = 0;

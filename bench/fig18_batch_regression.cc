@@ -26,7 +26,7 @@ int main() {
       t.AddRow({std::to_string(batch), Table::Pct(rp[1].normalized * 100),
                 Table::Pct(rs[1].normalized * 100)});
     }
-    t.Print();
+    PrintFigureTable(t);
   }
 
   PrintBanner("Figure 18b: regression at 4 threads (low fault-in demand)");
@@ -43,7 +43,7 @@ int main() {
                 Table::Pct(res["dilos"][i].normalized * 100),
                 Table::Pct(res["hermit"][i].normalized * 100)});
     }
-    t.Print();
+    PrintFigureTable(t);
     std::printf("(at low demand all systems should be comparable: no throughput\n"
                 " regression from MAGE's scalability-oriented design)\n");
   }

@@ -1,7 +1,8 @@
 // Shared machinery for the tracked perf harnesses (bench/perf_*).
 //
 // Each harness runs `warmup + measure` repetitions of a deterministic
-// scenario and emits BENCH_<name>.json. The JSON has two metric groups:
+// scenario and emits BENCH_<name>.json (BenchFile, src/core/report.h). The
+// JSON has two metric groups:
 //
 //   "sim"  -- deterministic per-rep values (event counts, faults, simulated
 //             seconds). Same seed + same binary => identical values; any
@@ -18,7 +19,6 @@
 #define MAGESIM_BENCH_PERF_COMMON_H_
 
 #include <chrono>
-#include <cinttypes>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -51,14 +51,22 @@ inline uint64_t BestRepNs(const std::vector<uint64_t>& rep_ns) {
 // byte-identical files modulo the "wall" group.
 class PerfReport {
  public:
-  PerfReport(std::string name, BenchReps reps) : name_(std::move(name)), reps_(reps) {}
+  PerfReport(std::string name, BenchReps reps) {
+    file_.name = std::move(name);
+    file_.scale = BenchScale();
+    file_.reps = "{\"warmup\": " + std::to_string(reps.warmup) +
+                 ", \"measure\": " + std::to_string(reps.measure) + ", \"source\": \"" +
+                 (reps.from_env ? "env" : "default") + "\"}";
+  }
 
   // Deterministic per-rep metrics ("sim" group).
-  void Sim(const std::string& key, uint64_t v) { sim_.emplace_back(key, FmtU64(v)); }
-  void SimF(const std::string& key, double v) { sim_.emplace_back(key, FmtF(v)); }
+  void Sim(const std::string& key, uint64_t v) { file_.sim.emplace_back(key, BenchFile::U64(v)); }
+  void SimF(const std::string& key, double v) { file_.sim.emplace_back(key, BenchFile::F(v)); }
   // Machine-dependent metrics ("wall" group).
-  void Wall(const std::string& key, uint64_t v) { wall_.emplace_back(key, FmtU64(v)); }
-  void WallF(const std::string& key, double v) { wall_.emplace_back(key, FmtF(v)); }
+  void Wall(const std::string& key, uint64_t v) {
+    file_.wall.emplace_back(key, BenchFile::U64(v));
+  }
+  void WallF(const std::string& key, double v) { file_.wall.emplace_back(key, BenchFile::F(v)); }
 
   // Wall ns per `unit` over the best rep, as "ns_per_<unit>" (skipped when
   // there is no rep or no unit).
@@ -86,66 +94,16 @@ class PerfReport {
     }
   }
 
-  std::string ToJson() const {
-    std::string out;
-    out += "{\n";
-    out += "  \"schema\": \"magesim-bench-v1\",\n";
-    out += "  \"name\": \"" + name_ + "\",\n";
-    out += "  \"reps\": {\"warmup\": " + std::to_string(reps_.warmup) +
-           ", \"measure\": " + std::to_string(reps_.measure) + ", \"source\": \"" +
-           (reps_.from_env ? "env" : "default") + "\"},\n";
-    out += "  \"scale\": " + FmtF(BenchScale()) + ",\n";
-    out += Group("sim", sim_) + ",\n";
-    out += Group("wall", wall_) + "\n";
-    out += "}\n";
-    return out;
-  }
-
-  // Writes BENCH_<name>.json and prints the path + headline to stdout.
-  // Returns the path written.
+  // Writes BENCH_<name>.json (BenchFile::Write) and prints the path to
+  // stdout. Returns the path written.
   std::string Write() const {
-    const char* dir = std::getenv("MAGESIM_BENCH_OUT_DIR");
-    std::string path = (dir != nullptr && *dir != '\0' ? std::string(dir) + "/" : std::string()) +
-                       "BENCH_" + name_ + ".json";
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "perf: cannot write %s\n", path.c_str());
-      std::exit(1);
-    }
-    std::string json = ToJson();
-    std::fwrite(json.data(), 1, json.size(), f);
-    std::fclose(f);
+    const std::string path = file_.Write();
     std::printf("wrote %s\n", path.c_str());
     return path;
   }
 
  private:
-  using Kv = std::pair<std::string, std::string>;
-
-  static std::string FmtU64(uint64_t v) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%" PRIu64, v);
-    return buf;
-  }
-  static std::string FmtF(double v) {
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.9g", v);
-    return buf;
-  }
-  static std::string Group(const std::string& name, const std::vector<Kv>& kvs) {
-    std::string out = "  \"" + name + "\": {";
-    for (size_t i = 0; i < kvs.size(); ++i) {
-      out += (i == 0 ? "\n" : ",\n");
-      out += "    \"" + kvs[i].first + "\": " + kvs[i].second;
-    }
-    out += "\n  }";
-    return out;
-  }
-
-  std::string name_;
-  BenchReps reps_;
-  std::vector<Kv> sim_;
-  std::vector<Kv> wall_;
+  BenchFile file_;
 };
 
 }  // namespace magesim

@@ -83,7 +83,7 @@ int main() {
     };
     t.AddRow({app.name, cell("magelib"), cell("magelnx"), cell("dilos"), cell("hermit")});
   }
-  t.Print();
+  PrintFigureTable(t);
   std::printf("(paper: Hermit fastest on bare metal; VM systems regress 2-8.6%%)\n");
   return 0;
 }

@@ -1,7 +1,11 @@
 #include "src/core/report.h"
 
 #include <algorithm>
+#include <cinttypes>
 #include <cstdio>
+#include <cstdlib>
+
+#include "src/metrics/run_report.h"
 
 namespace magesim {
 
@@ -78,6 +82,58 @@ void Table::Print() const { std::fputs(ToString().c_str(), stdout); }
 
 void PrintBanner(const std::string& title) {
   std::printf("\n== %s ==\n", title.c_str());
+}
+
+std::string BenchFile::U64(uint64_t v) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%" PRIu64, v);
+  return buf;
+}
+
+std::string BenchFile::F(double v) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%.9g", v);
+  return buf;
+}
+
+std::string BenchFile::Str(const std::string& s) {
+  JsonWriter w;
+  w.String(s);
+  return w.Take();
+}
+
+std::string BenchFile::ToJson() const {
+  auto group = [](const char* group_name, const std::vector<Kv>& kvs) {
+    std::string out = "  \"" + std::string(group_name) + "\": {";
+    for (size_t i = 0; i < kvs.size(); ++i) {
+      out += (i == 0 ? "\n" : ",\n");
+      out += "    " + Str(kvs[i].first) + ": " + kvs[i].second;
+    }
+    return out + "\n  }";
+  };
+  std::string out = "{\n  \"schema\": \"magesim-bench-v1\",\n";
+  out += "  \"name\": " + Str(name) + ",\n";
+  if (!reps.empty()) out += "  \"reps\": " + reps + ",\n";
+  out += "  \"scale\": " + F(scale) + ",\n";
+  out += group("sim", sim) + ",\n";
+  out += group("wall", wall) + "\n}\n";
+  return out;
+}
+
+std::string BenchFile::Write() const {
+  const char* dir = std::getenv("MAGESIM_BENCH_OUT_DIR");
+  const std::string path =
+      (dir != nullptr && *dir != '\0' ? std::string(dir) + "/" : std::string()) + "BENCH_" +
+      name + ".json";
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  if (f == nullptr) {
+    std::fprintf(stderr, "bench: cannot write %s\n", path.c_str());
+    std::exit(1);
+  }
+  const std::string json = ToJson();
+  std::fwrite(json.data(), 1, json.size(), f);
+  std::fclose(f);
+  return path;
 }
 
 }  // namespace magesim

@@ -87,6 +87,11 @@ class TlbShootdownManager {
   void SetFaultModel(HwFaultModel* model) { fault_model_ = model; }
 
  private:
+  // One IPI: the transit Delay, the target's `irq` mutex, the handler, the
+  // ack. Spawned at the send, so the transit is an event of its own; starting
+  // it at the arrival instead (Engine::SpawnAt) would move a printed figure
+  // cell, because events for the arrival's exact instant can be queued
+  // between the send and this task's first step (docs/INTERNALS.md §4).
   Task<> DeliverIpi(CoreId target, int num_pages, SimTime send_time,
                     std::shared_ptr<ShootdownOp> op, SimTime delivery_ns);
 

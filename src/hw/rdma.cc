@@ -10,20 +10,25 @@ namespace magesim {
 RdmaNic::RdmaNic(const MachineParams& params, int node_id)
     : params_(params), node_id_(node_id) {}
 
-Task<> RdmaNic::SignalAt(std::shared_ptr<RdmaCompletion> c) {
-  co_await Delay{c->completes_at() - Engine::current().now()};
-  const bool ok = c->outcome_ == RdmaCompletion::Status::kOk;
+void RdmaNic::Complete(RdmaCompletion& c) {
+  const bool ok = c.outcome_ == RdmaCompletion::Status::kOk;
   TraceEventType done_ev =
-      c->is_write_ ? (ok ? TraceEventType::kRdmaWriteDone : TraceEventType::kRdmaWriteError)
-                   : (ok ? TraceEventType::kRdmaReadDone : TraceEventType::kRdmaReadError);
+      c.is_write_ ? (ok ? TraceEventType::kRdmaWriteDone : TraceEventType::kRdmaWriteError)
+                  : (ok ? TraceEventType::kRdmaReadDone : TraceEventType::kRdmaReadError);
   TraceEmit(done_ev, -1, kTraceNoPage, kTraceNoFrame,
-            static_cast<uint64_t>(c->completes_at_ - c->posted_at_));
-  c->Signal(c->outcome_);
+            static_cast<uint64_t>(c.completes_at_ - c.posted_at_));
+  c.Signal(c.outcome_);
+}
+
+Task<> RdmaNic::SignalAt(std::shared_ptr<RdmaCompletion> c) {
+  Complete(*c);
+  co_return;
 }
 
 void RdmaNic::Arm(std::shared_ptr<RdmaCompletion> c) {
   if (c->status() == RdmaCompletion::Status::kLost) return;
-  Engine::current().Spawn(SignalAt(std::move(c)));
+  const SimTime t = c->completes_at();
+  Engine::current().SpawnAt(t, SignalAt(std::move(c)));
 }
 
 std::shared_ptr<RdmaCompletion> RdmaNic::Post(Channel& ch, uint64_t bytes, Histogram& lat,
@@ -73,12 +78,16 @@ std::shared_ptr<RdmaCompletion> RdmaNic::Post(Channel& ch, uint64_t bytes, Histo
 }
 
 std::shared_ptr<RdmaCompletion> RdmaNic::PostRead(uint64_t bytes) {
+  auto c = PostReadUnarmed(bytes);
+  Arm(c);
+  return c;
+}
+
+std::shared_ptr<RdmaCompletion> RdmaNic::PostReadUnarmed(uint64_t bytes) {
   bytes_read_ += bytes;
   ++reads_posted_;
   TraceEmit(TraceEventType::kRdmaReadPost, -1, kTraceNoPage, kTraceNoFrame, bytes);
-  auto c = Post(read_ch_, bytes, read_latency_, &read_queueing_, /*is_write=*/false);
-  Arm(c);
-  return c;
+  return Post(read_ch_, bytes, read_latency_, &read_queueing_, /*is_write=*/false);
 }
 
 std::shared_ptr<RdmaCompletion> RdmaNic::PostWrite(uint64_t bytes) {

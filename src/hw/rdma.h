@@ -22,7 +22,8 @@ namespace magesim {
 
 // Completion handle for asynchronously posted operations. Posting fixes the
 // op's completion time and outcome; arming (RdmaNic::Arm) schedules the event
-// that delivers them.
+// that delivers them, or a caller that sleeps until completes_at() itself
+// delivers them there (RdmaNic::Complete).
 class RdmaCompletion {
  public:
   enum class Status : uint8_t {
@@ -72,14 +73,20 @@ class RdmaNic {
   std::shared_ptr<RdmaCompletion> PostRead(uint64_t bytes);
   std::shared_ptr<RdmaCompletion> PostWrite(uint64_t bytes);
 
-  // PostWrite without arming: the op takes its channel time, stats and fate,
-  // but schedules nothing until Arm(c). For a writer that awaits only one of
-  // its ops and so leaves the rest unarmed (ResilienceManager::PostWrites).
+  // PostRead/PostWrite without arming: the op takes its channel time, stats
+  // and fate, but schedules nothing until Arm(c). For a writer that awaits
+  // only one of its ops and so leaves the rest unarmed
+  // (ResilienceManager::PostWrites), and for a reader that cannot fail and
+  // sleeps until completes_at() itself (ResilienceManager::ReadPage).
+  std::shared_ptr<RdmaCompletion> PostReadUnarmed(uint64_t bytes);
   std::shared_ptr<RdmaCompletion> PostWriteUnarmed(uint64_t bytes);
-  // Schedules `c`'s completion event: at completes_at() it emits the op's
-  // done/error trace record and signals the handle. A dropped op never
-  // completes, so arming it schedules nothing.
+  // Schedules `c`'s completion: one task started at completes_at()
+  // (Engine::SpawnAt, no sleep of its own) that runs Complete(c). A dropped
+  // op never completes, so arming it schedules nothing.
   static void Arm(std::shared_ptr<RdmaCompletion> c);
+  // Delivers `c` now: emits the op's done/error trace record and signals the
+  // handle, waking its waiters.
+  static void Complete(RdmaCompletion& c);
 
   // Synchronous helpers.
   Task<> Read(uint64_t bytes);
@@ -123,7 +130,7 @@ class RdmaNic {
     SimTime busy_ns = 0;
   };
 
-  // Posts an op unarmed (see PostWriteUnarmed).
+  // Posts an op unarmed (see PostReadUnarmed).
   std::shared_ptr<RdmaCompletion> Post(Channel& ch, uint64_t bytes, Histogram& lat,
                                        Histogram* queueing, bool is_write);
   static Task<> SignalAt(std::shared_ptr<RdmaCompletion> c);

@@ -125,10 +125,15 @@ Task<RemoteOpStatus> ResilienceManager::ReadPage(int core, uint64_t vpn, uint64_
   FleetManager::ReadTarget t = fleet_.ReadTargetFor(slot);
   if (!fleet_.ops_can_fail() && t.node >= 0) {
     // Nothing can fail (and with no fault plan nothing crashes): a plain read
-    // from the placement primary, exactly as a bare NIC read.
+    // from the placement primary. It completes at completes_at(), so the
+    // reader sleeps until then itself instead of arming a signal task, and
+    // keeps the one hop that the signal's wake-up of it made
+    // (docs/INTERNALS.md §4).
     SimTime p0 = Engine::current().now();
-    auto c = fleet_.nic(t.node).PostRead(kPageSize);
-    co_await c->Wait();
+    auto c = fleet_.nic(t.node).PostReadUnarmed(kPageSize);
+    co_await Delay{c->completes_at() - p0};
+    RdmaNic::Complete(*c);
+    co_await YieldNow{};
     SpanLeafUnder(op, SpanKind::kRdmaRead, p0, Engine::current().now(), core, vpn);
     co_return RemoteOpStatus::kOk;
   }

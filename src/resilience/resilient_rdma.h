@@ -6,8 +6,9 @@
 // There is one selection inside, on a fact the hardware model exposes: an
 // RdmaNic fails an op (drop or error) only on its attached fault model's say.
 // Without a fault model on any server NIC no op can fail, so ops are awaited
-// directly, as bare NIC reads and writes, and a writeback batch arms only the
-// completion it waits on.
+// directly: a read is a sleep until its completion time plus the one hop its
+// signal's wake-up made (no completion task), and a writeback batch arms only
+// the completion it waits on.
 // With one, every op runs under a deadline with bounded retries, exponential
 // backoff and a circuit breaker per server channel, and the kernel gets
 // graceful-degradation hooks (eviction backpressure, prefetch throttling,

@@ -21,12 +21,6 @@ Engine::Engine() {
 
 Engine::~Engine() { current_ = nullptr; }
 
-TaskId Engine::Spawn(Task<> task) {
-  TaskId id = ++last_task_id_;
-  ScheduleAt(now_, task.Detach(), id);
-  return id;
-}
-
 uint64_t Engine::Run() {
   uint64_t processed = 0;
   const EventBefore before{};

@@ -6,7 +6,8 @@
 // engine's time-ordered event queue. The engine is strictly single-threaded
 // and deterministic: events with equal timestamps run in scheduling order.
 //
-// Every top-level coroutine spawned through Spawn() gets a logical TaskId.
+// Every top-level coroutine spawned through Spawn() or SpawnAt() gets a
+// logical TaskId.
 // Scheduling a continuation inherits the scheduler's current task by default;
 // primitives that wake *other* tasks (lock handoff, event release) pass the
 // woken task's id explicitly so the analyzer can attribute every resumption
@@ -18,6 +19,7 @@
 #include <cassert>
 #include <coroutine>
 #include <cstdint>
+#include <utility>
 
 #include "src/sim/analysis_hooks.h"
 #include "src/sim/event_heap.h"
@@ -80,9 +82,17 @@ class Engine {
     return false;
   }
 
-  // Detaches `task` and schedules its first step at the current time under a
-  // fresh logical task id, which is returned.
-  TaskId Spawn(Task<> task);
+  // Detaches `task` and schedules its first step at `t` (clamped to now)
+  // under a fresh logical task id, which is returned. A task whose first
+  // action would be a Delay to a time known at the spawn starts there instead
+  // (docs/INTERNALS.md §4, "Starting a task at its first wake-up").
+  TaskId SpawnAt(SimTime t, Task<> task) {
+    const TaskId id = ++last_task_id_;
+    ScheduleAt(t, task.Detach(), id);
+    return id;
+  }
+  // SpawnAt(now()).
+  TaskId Spawn(Task<> task) { return SpawnAt(now_, std::move(task)); }
 
   // The logical task whose event is currently being processed; kNoTask
   // outside Run() (setup and teardown code).

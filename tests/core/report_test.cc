@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
+#include <sstream>
+#include <string>
+
 #include "src/core/ideal_model.h"
 #include "src/hw/machine_params.h"
 
@@ -44,6 +50,55 @@ TEST(TableTest, NumberFormatting) {
   EXPECT_EQ(Table::Num(3.14159, 2), "3.14");
   EXPECT_EQ(Table::Num(3.0, 0), "3");
   EXPECT_EQ(Table::Pct(12.345, 1), "12.3%");
+}
+
+// The magesim-bench-v1 layout: schema, name, optional reps, scale, then the
+// sim and wall groups in insertion order, keys escaped as JSON strings.
+TEST(BenchFileTest, RendersGroupsInInsertionOrder) {
+  BenchFile f;
+  f.name = "demo";
+  f.reps = "{\"warmup\": 1, \"measure\": 3, \"source\": \"default\"}";
+  f.scale = 0.25;
+  f.sim = {{"zeta", BenchFile::U64(18446744073709551615ull)},
+           {"alpha", BenchFile::F(1.0 / 3.0)},
+           {"t1/0:a\"b/c", BenchFile::Str("x\\y")}};
+  f.wall = {{"ns", BenchFile::U64(7)}};
+  EXPECT_EQ(f.ToJson(),
+            "{\n"
+            "  \"schema\": \"magesim-bench-v1\",\n"
+            "  \"name\": \"demo\",\n"
+            "  \"reps\": {\"warmup\": 1, \"measure\": 3, \"source\": \"default\"},\n"
+            "  \"scale\": 0.25,\n"
+            "  \"sim\": {\n"
+            "    \"zeta\": 18446744073709551615,\n"
+            "    \"alpha\": 0.333333333,\n"
+            "    \"t1/0:a\\\"b/c\": \"x\\\\y\"\n"
+            "  },\n"
+            "  \"wall\": {\n"
+            "    \"ns\": 7\n"
+            "  }\n"
+            "}\n");
+  BenchFile bare;
+  bare.name = "bare";
+  EXPECT_EQ(bare.ToJson(),
+            "{\n  \"schema\": \"magesim-bench-v1\",\n  \"name\": \"bare\",\n"
+            "  \"scale\": 1,\n  \"sim\": {\n  },\n  \"wall\": {\n  }\n}\n");
+}
+
+// Write puts BENCH_<name>.json in MAGESIM_BENCH_OUT_DIR and returns its path.
+TEST(BenchFileTest, WritesIntoTheOutDir) {
+  const std::string dir = testing::TempDir();
+  ASSERT_EQ(setenv("MAGESIM_BENCH_OUT_DIR", dir.c_str(), 1), 0);
+  BenchFile f;
+  f.name = "report_test_write";
+  f.sim = {{"k", BenchFile::U64(1)}};
+  const std::string path = f.Write();
+  unsetenv("MAGESIM_BENCH_OUT_DIR");
+  EXPECT_EQ(path, dir + "/BENCH_report_test_write.json");
+  std::stringstream ss;
+  ss << std::ifstream(path).rdbuf();
+  std::remove(path.c_str());
+  EXPECT_EQ(ss.str(), f.ToJson());
 }
 
 TEST(IdealModelTest, ClosedFormProperties) {

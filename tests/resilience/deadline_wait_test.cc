@@ -145,31 +145,26 @@ Script RunScript(bool watchers, SimTime grace) {
   RdmaNic nic(p);
   ScriptedFaults faults(Fates());
   nic.SetFaultModel(&faults);
-  // Tickers queued before the ops are posted run ahead of every completion
-  // signal at their time; those the poster spawns after posting run behind.
+  // Wake-ups queued before the ops are posted run ahead of every completion
+  // signal at their time (an armed op's signal is queued at its post); those
+  // the poster spawns after posting run behind. The due-now waiter's wake-up
+  // at its op's due time is one of the former, so it finds the op due but
+  // unsignaled; the "mid" tickers queue theirs between it and the signal.
   for (SimTime t : marks) e.Spawn(Ticker(s, "early@" + std::to_string(t), t));
+  e.Spawn(Waiter(s, watchers, kNowOp, due[kNowOp], grace));
+  for (SimTime t : marks) e.Spawn(Ticker(s, "mid@" + std::to_string(t), t));
   e.Spawn([](Script& s, RdmaNic& nic, bool watchers, SimTime grace,
              std::vector<SimTime> marks, SimTime done_start,
              SimTime late_start) -> Task<> {
     Engine& eng = Engine::current();
-    for (int i = 0; i < kNumOps; ++i) {
-      // Tickers spawned between two posts queue their wake-ups between this
-      // task's wake-up at the due-now op's time and that op's signal.
-      if (i == kNowOp) {
-        for (SimTime t : marks) eng.Spawn(Ticker(s, "mid@" + std::to_string(t), t));
-      }
-      s.ops.push_back(nic.PostRead(kPageSize));
-    }
+    for (int i = 0; i < kNumOps; ++i) s.ops.push_back(nic.PostRead(kPageSize));
     eng.Spawn(Waiter(s, watchers, kDoneOp, done_start, grace));
     eng.Spawn(Waiter(s, watchers, kLaterOp, 0, grace));
     eng.Spawn(Waiter(s, watchers, kLostOp, 0, grace));
     eng.Spawn(Waiter(s, watchers, kErrorOp, 0, grace));
     eng.Spawn(Waiter(s, watchers, kLostLateOp, late_start, grace));
     for (SimTime t : marks) eng.Spawn(Ticker(s, "late@" + std::to_string(t), t));
-    // This task's wake-up at the op's due time is queued before the op's
-    // completion signal (the signal's Delay is queued when its spawned task
-    // first runs, after this step), so it finds the op due but unsignaled.
-    co_await Waiter(s, watchers, kNowOp, s.ops[kNowOp]->completes_at(), grace);
+    co_return;
   }(s, nic, watchers, grace, marks, done_start, late_start));
   s.events = e.Run();
   return s;

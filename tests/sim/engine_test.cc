@@ -229,5 +229,67 @@ TEST(EngineTest, DelayInPlaceStillReportsTheAwait) {
   EXPECT_EQ(counter.delays, 2);
 }
 
+Task<> LogNow(Engine& e, std::string name, std::vector<std::pair<std::string, SimTime>>& log) {
+  log.emplace_back(std::move(name), e.now());
+  co_return;
+}
+
+// A task spawned for a future time takes its first step there, in one event.
+TEST(EngineTest, SpawnAtStartsAtAFutureTime) {
+  Engine e;
+  std::vector<std::pair<std::string, SimTime>> log;
+  e.SpawnAt(250, LogNow(e, "late", log));
+  e.SpawnAt(100, LogNow(e, "early", log));
+  EXPECT_EQ(e.Run(), 2u);
+  EXPECT_EQ(log, (std::vector<std::pair<std::string, SimTime>>{{"early", 100},
+                                                                {"late", 250}}));
+  EXPECT_EQ(e.now(), 250);
+}
+
+// SpawnAt(now()) is Spawn: both go to the ready ring in call order.
+TEST(EngineTest, SpawnAtNowIsSpawn) {
+  Engine e;
+  std::vector<std::pair<std::string, SimTime>> log;
+  e.Spawn(LogNow(e, "a", log));
+  e.SpawnAt(e.now(), LogNow(e, "b", log));
+  e.Spawn(LogNow(e, "c", log));
+  EXPECT_EQ(e.Run(), 3u);
+  EXPECT_EQ(log, (std::vector<std::pair<std::string, SimTime>>{{"a", 0}, {"b", 0}, {"c", 0}}));
+}
+
+// A time in the past clamps to now(): the task starts behind the spawner's
+// current step, as Spawn would start it.
+TEST(EngineTest, SpawnAtClampsAPastTimeToNow) {
+  Engine e;
+  std::vector<std::pair<std::string, SimTime>> log;
+  auto spawner = [](Engine& e, std::vector<std::pair<std::string, SimTime>>& log) -> Task<> {
+    co_await Delay{500};
+    e.SpawnAt(100, LogNow(e, "past", log));
+    e.SpawnAt(-1, LogNow(e, "negative", log));
+    log.emplace_back("spawner", e.now());
+  };
+  e.Spawn(spawner(e, log));
+  e.Run();
+  EXPECT_EQ(log, (std::vector<std::pair<std::string, SimTime>>{
+                     {"spawner", 500}, {"past", 500}, {"negative", 500}}));
+}
+
+// Each spawn, either form, takes the next task id, and the task runs under it.
+TEST(EngineTest, SpawnAtReturnsTheTasksId) {
+  Engine e;
+  std::vector<TaskId> ran;
+  auto body = [](Engine& e, std::vector<TaskId>& ran) -> Task<> {
+    ran.push_back(e.current_task());
+    co_return;
+  };
+  const TaskId a = e.Spawn(body(e, ran));
+  const TaskId b = e.SpawnAt(40, body(e, ran));
+  const TaskId c = e.SpawnAt(10, body(e, ran));
+  EXPECT_EQ(b, a + 1);
+  EXPECT_EQ(c, b + 1);
+  e.Run();
+  EXPECT_EQ(ran, (std::vector<TaskId>{a, c, b}));
+}
+
 }  // namespace
 }  // namespace magesim

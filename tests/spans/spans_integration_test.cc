@@ -27,6 +27,7 @@
 #include "src/tenancy/tenant_spec.h"
 #include "src/trace/trace.h"
 #include "src/workloads/seqscan.h"
+#include "tests/trace/golden_update.h"
 
 namespace magesim {
 namespace {
@@ -91,7 +92,7 @@ void CheckSpansGolden(const std::string& name, const std::string& what,
                       const std::string& fingerprint) {
   ASSERT_FALSE(fingerprint.empty());
   const std::string path = GoldenPath(name);
-  if (std::getenv("MAGESIM_UPDATE_GOLDEN") != nullptr) {
+  if (GoldenUpdateRequested()) {
     std::ofstream out(path);
     out << "# Span-stream fingerprint for the " << what << " scenario.\n"
         << "# Regenerate: MAGESIM_UPDATE_GOLDEN=1 "

@@ -25,6 +25,7 @@
 #include "src/sim/sync.h"
 #include "src/trace/trace.h"
 #include "src/workloads/seqscan.h"
+#include "tests/trace/golden_update.h"
 
 namespace magesim {
 namespace {
@@ -173,7 +174,7 @@ TEST(AnalysisGoldenTest, SyntheticBugScenarioMatchesGolden) {
   std::string path = std::string(MAGESIM_GOLDEN_DIR) + "/analysis_synthetic.golden";
   std::map<std::string, uint64_t> fp = RunSyntheticBugs();
 
-  if (std::getenv("MAGESIM_UPDATE_GOLDEN") != nullptr) {
+  if (GoldenUpdateRequested()) {
     SaveGolden(path,
                "# Golden fingerprint for the synthetic lock-discipline bug "
                "scenario (analysis.* stream).\n"

@@ -25,6 +25,7 @@
 #include "src/trace/trace.h"
 #include "src/workloads/pagerank.h"
 #include "src/workloads/seqscan.h"
+#include "tests/trace/golden_update.h"
 
 namespace magesim {
 namespace {
@@ -174,7 +175,7 @@ void SaveGolden(const std::string& path, const std::string& what,
 void CheckGolden(const std::string& name, const std::string& what,
                  const std::map<std::string, uint64_t>& fp) {
   const std::string path = GoldenPath(name);
-  if (std::getenv("MAGESIM_UPDATE_GOLDEN") != nullptr) {
+  if (GoldenUpdateRequested()) {
     SaveGolden(path, what, fp);
     GTEST_SKIP() << "golden regenerated at " << path;
   }

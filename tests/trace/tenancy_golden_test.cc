@@ -21,6 +21,7 @@
 #include "src/tenancy/tenant_spec.h"
 #include "src/trace/trace.h"
 #include "src/workloads/seqscan.h"
+#include "tests/trace/golden_update.h"
 
 namespace magesim {
 namespace {
@@ -105,7 +106,7 @@ void SaveGolden(const std::string& path, const std::map<std::string, uint64_t>& 
 TEST(TenancyGoldenTest, CanonicalTwoTenantScenarioMatchesGolden) {
   std::map<std::string, uint64_t> fp = RunCanonical();
 
-  if (std::getenv("MAGESIM_UPDATE_GOLDEN") != nullptr) {
+  if (GoldenUpdateRequested()) {
     SaveGolden(GoldenPath(), fp);
     GTEST_SKIP() << "golden regenerated at " << GoldenPath();
   }
