@@ -100,6 +100,7 @@ class FleetManager {
   // Commits a writeback's acknowledged replica mask. Zero acks surfaces the
   // slot as lost; a partial set queues repair toward the missing replicas.
   void CommitWrite(uint64_t slot, uint16_t acked_mask);
+  uint16_t CopyMask(uint64_t slot) const { return copies_[slot]; }
   bool HasLiveCopy(uint64_t slot) const { return (copies_[slot] & live_mask_) != 0; }
   bool IsLostReported(uint64_t slot) const { return lost_[slot] != 0; }
   uint16_t live_mask() const { return live_mask_; }

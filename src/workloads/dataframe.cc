@@ -26,51 +26,79 @@ Task<> DataframeWorkload::ThreadBody(AppThread& t, int tid) {
   // Each query: SELECT group, SUM(c2) WHERE c1 > threshold GROUP BY hash(c0)
   // over this thread's row shard. Column data is synthesized on the fly from
   // a per-row hash so the computation is real and deterministic.
-  Engine& eng = Engine::current();
   uint64_t shard = opt_.num_rows / static_cast<uint64_t>(opt_.threads);
   uint64_t row_begin = shard * static_cast<uint64_t>(tid);
   uint64_t row_end = (tid == opt_.threads - 1) ? opt_.num_rows : row_begin + shard;
-  uint64_t local_hash = 0;
-  uint64_t local_matched = 0;
 
-  for (int q = 0; q < opt_.queries_per_thread; ++q) {
-    if (eng.shutdown_requested()) co_return;
-    uint64_t threshold = 0x4000000000000000ULL + (static_cast<uint64_t>(q) << 60);
-    uint64_t last_vpn0 = ~0ULL, last_vpn1 = ~0ULL, last_vpn2 = ~0ULL;
+  // Cursor: the query and row in progress, and the last page touched in
+  // each column; a column's guard moves past a page only once its Touch
+  // hit, so a run resumed at a missed access skips every earlier access of
+  // the row and repeats that one. A query's shutdown check and reset run
+  // once, before its first access.
+  struct Cursor {
+    int query = 0;
+    bool begun = false;
+    bool stopped = false;
+    uint64_t row = 0;
+    uint64_t last_vpn0 = 0, last_vpn1 = 0, last_vpn2 = 0;
     uint64_t agg = 0;
-    for (uint64_t row = row_begin; row < row_end; ++row) {
-      // Columns stream sequentially at page granularity.
-      uint64_t v0 = ColumnVpn(0, row);
-      if (v0 != last_vpn0) {
-        co_await t.AccessPage(v0, false);
-        last_vpn0 = v0;
-        t.Compute(opt_.compute_per_row_page_ns);
+    uint64_t hash = 0;
+    uint64_t matched = 0;
+  } cur;
+  co_await t.RunHits([&](AppThread::HitRun& r) {
+    Cursor c = cur;
+    const Options o = opt_;
+    while (c.query < o.queries_per_thread) {
+      if (!c.begun) {
+        if (r.shutdown_requested()) {
+          c.stopped = true;
+          break;
+        }
+        c.row = row_begin;
+        c.last_vpn0 = c.last_vpn1 = c.last_vpn2 = ~0ULL;
+        c.agg = 0;
+        c.begun = true;
       }
-      uint64_t key = row * 0x9e3779b97f4a7c15ULL;  // synthesized c0
-      uint64_t v1 = ColumnVpn(1, row);
-      if (v1 != last_vpn1) {
-        co_await t.AccessPage(v1, false);
-        last_vpn1 = v1;
+      uint64_t threshold = 0x4000000000000000ULL + (static_cast<uint64_t>(c.query) << 60);
+      for (; c.row < row_end; ++c.row) {
+        // Columns stream sequentially at page granularity.
+        uint64_t v0 = ColumnVpn(0, c.row);
+        if (v0 != c.last_vpn0) {
+          if (!r.Touch(v0, /*write=*/false)) break;
+          c.last_vpn0 = v0;
+          r.Compute(o.compute_per_row_page_ns);
+        }
+        uint64_t key = c.row * 0x9e3779b97f4a7c15ULL;  // synthesized c0
+        uint64_t v1 = ColumnVpn(1, c.row);
+        if (v1 != c.last_vpn1) {
+          if (!r.Touch(v1, /*write=*/false)) break;
+          c.last_vpn1 = v1;
+        }
+        uint64_t pred = key ^ (key >> 29);  // synthesized c1
+        if (pred <= threshold) continue;    // predicate filters most pages' rows
+        uint64_t v2 = ColumnVpn(2, c.row);
+        if (v2 != c.last_vpn2) {
+          if (!r.Touch(v2, /*write=*/false)) break;
+          c.last_vpn2 = v2;
+        }
+        // Group-by update: hash-scattered write.
+        uint64_t group = (key >> 17) % o.groups;
+        if (!r.Touch(GroupVpn(group), /*write=*/true)) break;
+        c.agg += pred >> 32;
+        ++c.matched;
       }
-      uint64_t pred = key ^ (key >> 29);  // synthesized c1
-      if (pred <= threshold) continue;    // predicate filters most pages' rows
-      uint64_t v2 = ColumnVpn(2, row);
-      if (v2 != last_vpn2) {
-        co_await t.AccessPage(v2, false);
-        last_vpn2 = v2;
-      }
-      // Group-by update: hash-scattered write.
-      uint64_t group = (key >> 17) % opt_.groups;
-      co_await t.AccessPage(GroupVpn(group), /*write=*/true);
-      agg += pred >> 32;
-      ++local_matched;
+      if (c.row < row_end) break;
+      c.hash ^= c.agg + static_cast<uint64_t>(c.query);
+      ++r.ops;
+      ++c.query;
+      c.begun = false;
     }
-    local_hash ^= agg + static_cast<uint64_t>(q);
-    ++t.ops;
-  }
+    cur = c;
+  });
+  if (cur.stopped) co_return;
   co_await t.Sync();
-  result_hash_ ^= local_hash;
-  rows_matched_ += local_matched;
+  result_hash_ ^= cur.hash;
+  rows_matched_ += cur.matched;
 }
 
 }  // namespace magesim

@@ -17,9 +17,19 @@ Task<> GupsWorkload::ThreadBody(AppThread& t, int tid) {
     uint64_t shard = region_a_pages_ / static_cast<uint64_t>(opt_.threads) + 1;
     uint64_t begin = shard * static_cast<uint64_t>(tid);
     uint64_t end = std::min(region_a_pages_, begin + shard);
-    for (uint64_t vpn = begin; vpn < end && !eng.shutdown_requested(); ++vpn) {
-      co_await t.AccessPage(vpn, /*write=*/true);
-      t.Compute(200);
+    // The shutdown check before each page: the first here, the rest in the
+    // run, after the page before it is done. Cursor: the next page.
+    uint64_t next = begin;
+    if (next < end && !eng.shutdown_requested()) {
+      co_await t.RunHits([&](AppThread::HitRun& r) {
+        uint64_t vpn = next;
+        for (;;) {
+          if (!r.Touch(vpn, /*write=*/true)) break;
+          r.Compute(200);
+          if (++vpn == end || r.shutdown_requested()) break;
+        }
+        next = vpn;
+      });
     }
     co_await t.Sync();
   }

@@ -55,12 +55,22 @@ Task<> MemcachedWorkload::ThreadBody(AppThread& t, int tid) {
   while (!eng.shutdown_requested()) {
     if (queue_->empty() && eng.now() >= opt_.duration) co_return;
     Request req = co_await queue_->Pop();
-    // Bucket probe (open addressing: usually one page touch).
-    uint64_t h = ScrambleIndex(req.key, opt_.num_keys);
-    co_await t.AccessPage(BucketVpn(h), /*write=*/false);
-    // Value access: read for GET, write for SET.
-    co_await t.AccessPage(ValueVpn(req.key), req.is_set);
-    t.Compute(opt_.service_compute_ns);
+    // One run per request, since the Sync after it stamps the request's
+    // latency: the bucket probe (open addressing: usually one page touch),
+    // then the value access, read for GET and write for SET. Cursor:
+    // whether the probe is done. The request counts in `ops` only after the
+    // Sync, which the metrics sampler can observe mid-delay.
+    const uint64_t bucket = BucketVpn(ScrambleIndex(req.key, opt_.num_keys));
+    const uint64_t value = ValueVpn(req.key);
+    bool probed = false;
+    co_await t.RunHits([&](AppThread::HitRun& r) {
+      if (!probed) {
+        if (!r.Touch(bucket, /*write=*/false)) return;
+        probed = true;
+      }
+      if (!r.Touch(value, req.is_set)) return;
+      r.Compute(opt_.service_compute_ns);
+    });
     co_await t.Sync();
     latency_.Record(eng.now() - req.arrival);
     ++completed_;

@@ -56,16 +56,25 @@ Task<> FaultOnlySeqRead::ThreadBody(AppThread& t, int tid) {
   for (uint64_t vpn = begin; vpn < end; ++vpn) {
     t.kernel().InstantReclaim(vpn);
   }
-  for (uint64_t vpn = begin; vpn < end; ++vpn) {
-    if (eng.shutdown_requested()) break;
-    co_await t.AccessPage(vpn, /*write=*/false);
-    if (opt_.compute_per_page_ns > 0) t.Compute(opt_.compute_per_page_ns);
-    ++t.ops;
-    // Emulate madvise_pageout far behind the cursor: zero-cost reclaim keeps
-    // every access a major fault without engaging the eviction path.
-    if (vpn >= begin + dist) {
-      t.kernel().InstantReclaim(vpn - dist);
-    }
+  // The shutdown check before each page: the first here, the rest in the
+  // run, after the page before it is done. Cursor: the next page.
+  uint64_t next = begin;
+  if (begin < end && !eng.shutdown_requested()) {
+    co_await t.RunHits([&](AppThread::HitRun& r) {
+      const SimTime compute = opt_.compute_per_page_ns;
+      uint64_t vpn = next;
+      for (;;) {
+        if (!r.Touch(vpn, /*write=*/false)) break;
+        if (compute > 0) r.Compute(compute);
+        ++r.ops;
+        // Emulate madvise_pageout far behind the cursor: zero-cost reclaim
+        // keeps every access a major fault without engaging the eviction
+        // path.
+        if (vpn >= begin + dist) t.kernel().InstantReclaim(vpn - dist);
+        if (++vpn == end || r.shutdown_requested()) break;
+      }
+      next = vpn;
+    });
   }
   // Leave no resident pages behind so repeated runs are independent.
   for (uint64_t vpn = end > dist ? end - dist : 0; vpn < end; ++vpn) {

@@ -154,14 +154,34 @@ Trace GenerateMixedTrace(const TraceGenOptions& opt, double theta, double scan_f
 }
 
 Task<> TraceReplayWorkload::ThreadBody(AppThread& t, int tid) {
-  Engine& eng = Engine::current();
   const auto& stream = trace_.streams[static_cast<size_t>(tid)];
-  for (const TraceRecord& rec : stream) {
-    if (eng.shutdown_requested()) co_return;
-    t.Compute(rec.compute_ns);
-    co_await t.AccessPage(rec.vpn, rec.write);
-    ++t.ops;
-  }
+  // Cursor: the next record, and whether its shutdown check and compute
+  // (which come before its access) already ran.
+  size_t next = 0;
+  bool computed = false;
+  bool stopped = false;
+  co_await t.RunHits([&](AppThread::HitRun& r) {
+    size_t i = next;
+    bool done_compute = computed;
+    while (i < stream.size()) {
+      const TraceRecord& rec = stream[i];
+      if (!done_compute) {
+        if (r.shutdown_requested()) {
+          stopped = true;
+          break;
+        }
+        r.Compute(rec.compute_ns);
+        done_compute = true;
+      }
+      if (!r.Touch(rec.vpn, rec.write)) break;
+      done_compute = false;
+      ++r.ops;
+      ++i;
+    }
+    next = i;
+    computed = done_compute;
+  });
+  if (stopped) co_return;
   co_await t.Sync();
 }
 

@@ -48,34 +48,21 @@ class AppThread {
   // The locally accumulated compute time itself, fractional ns included.
   double pending_compute() const { return pending_acc_; }
 
-  // The access fast path as a plain call: touches page `vpn` (relative to
-  // vpn_base) and returns true when the PTE is present, the quantum is not
-  // exceeded and no interrupt time was stolen since the last flush. Returns
-  // false with no side effect at all (no PTE bit, counter or pending time
-  // changes); the caller then takes the awaited path, `co_await
-  // AccessPage(vpn, write)`, which retries this check and faults. A loop
-  // runs its hits in plain code through RunHits below (docs/INTERNALS.md §2).
-  bool TryAccessPage(uint64_t vpn, bool write) {
-    return pending_acc_ < static_cast<double>(kAppQuantum) &&
-           cpu_->stolen_total_ns() == stolen_seen_ &&
-           kernel_.TryFastAccess(vpn + vpn_base_, write);
-  }
-
   // One plain run of a workload's access sequence (docs/INTERNALS.md §2):
-  // the body calls Touch, Compute and `++ops` where the awaited loop would
-  // call AccessPage, AppThread::Compute and `++t.ops`. No engine event can
-  // run inside a plain call, so a run snapshots what only an event can
-  // change (engine time, the shutdown flag, whether time was stolen), keeps
-  // the PTE base, the pending time and its counters in locals, and writes
-  // them back once, when it ends.
+  // the body calls Touch, Compute and `++ops`. No engine event can run
+  // inside a plain call, so a run snapshots what only an event can change
+  // (engine time, the shutdown flag, whether time was stolen), keeps the PTE
+  // base, the pending time and its counters in locals, and writes them back
+  // once, when it ends.
   class HitRun {
    public:
-    // One access to page `vpn` (relative to vpn_base). A hit returns true
-    // with the effects of an awaited access that hits. A miss (page not
-    // present, quantum exceeded, or time stolen since the last flush)
-    // returns false with no side effect, and the body must return at once;
-    // the awaited path does the access, and in the next run this same
-    // access, its first Touch, returns true at once.
+    // One access to page `vpn` (relative to vpn_base). A hit (page present,
+    // quantum not exceeded, no time stolen since the last flush) marks the
+    // PTE accessed (and dirty on a write) and counts a fast hit, and a
+    // prefetch hit on a prefetched page. A miss returns false with no side
+    // effect, and the body must return at once; the awaited path does the
+    // access, and in the next run this same access, its first Touch,
+    // returns true at once.
     bool Touch(uint64_t vpn, bool write) {
       if (resume_) [[unlikely]] {
         resume_ = false;
@@ -154,31 +141,6 @@ class AppThread {
     return RunAwaiter<Body>{*this, std::move(body), {}};
   }
 
-  // Touches the page containing `addr`. Fast path (TryAccessPage) never
-  // suspends.  Usage: `co_await t.Access(addr, write);`
-  struct AccessAwaiter {
-    AppThread& t;
-    uint64_t vpn;  // relative to vpn_base
-    bool write;
-    Task<> slow;
-
-    bool await_ready() { return t.TryAccessPage(vpn, write); }
-    std::coroutine_handle<> await_suspend(std::coroutine_handle<> h) {
-      slow = t.AccessSlow(vpn + t.vpn_base_, write);
-      return slow.BeginAwait(h);
-    }
-    void await_resume() {
-      if (slow.valid()) slow.RethrowIfException();
-    }
-  };
-
-  AccessAwaiter Access(uint64_t addr, bool write) {
-    return AccessAwaiter{*this, addr >> kPageShift, write, {}};
-  }
-  AccessAwaiter AccessPage(uint64_t vpn, bool write) {
-    return AccessAwaiter{*this, vpn, write, {}};
-  }
-
   // Shifts every access by a fixed page offset: multi-tenant composition
   // places each tenant's workload in its own disjoint vpn window while the
   // inner workload keeps addressing [0, wss_pages).
@@ -195,8 +157,6 @@ class AppThread {
   uint64_t ops = 0;  // workload-defined unit of work counter
 
  private:
-  friend struct AccessAwaiter;
-
   SimTime TakePending() {
     SimTime whole = static_cast<SimTime>(pending_acc_);
     pending_acc_ -= static_cast<double>(whole);  // keep the fractional remainder
@@ -210,14 +170,6 @@ class AppThread {
       prof->AddPhase(core_, SimPhase::kTlbWait, stolen);
     }
     return whole + stolen;
-  }
-
-  Task<> AccessSlow(uint64_t vpn, bool write) {
-    SimTime d = TakePending();
-    if (d > 0) co_await Delay{d};
-    while (!kernel_.TryFastAccess(vpn, write)) {
-      co_await kernel_.Fault(core_, vpn, write);
-    }
   }
 
   // One plain run of `body`; true when it finished, false when it stopped
@@ -238,15 +190,21 @@ class AppThread {
     return !r.missed_;
   }
 
-  // The awaited side of RunHits: does each missed access as AccessPage
-  // would (the plain check just refused it, and no event ran since), then
-  // resumes the body.
+  // The awaited side of RunHits: does each missed access (the plain check
+  // just refused it, and no event ran since) by flushing the pending time,
+  // then faulting until the access hits, and resumes the body.
   // magesim-lint: allow(coroutine-ref-capture): body is the RunAwaiter's
   // member, which lives in the awaiting frame until this task resumes it.
   template <typename Body>
   Task<> RunSlow(Body& body) {
     do {
-      co_await AccessSlow(miss_vpn_ + vpn_base_, miss_write_);
+      SimTime d = TakePending();
+      if (d > 0) co_await Delay{d};
+      const uint64_t vpn = miss_vpn_ + vpn_base_;
+      const bool write = miss_write_;
+      while (!kernel_.TryFastAccess(vpn, write)) {
+        co_await kernel_.Fault(core_, vpn, write);
+      }
     } while (!RunPlain(body, /*resume=*/true));
   }
 

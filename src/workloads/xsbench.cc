@@ -19,37 +19,69 @@ XsBenchWorkload::XsBenchWorkload(Options opt) : opt_(opt) {
 }
 
 Task<> XsBenchWorkload::ThreadBody(AppThread& t, int tid) {
-  Engine& eng = Engine::current();
-  uint64_t local_hash = 0;
-  for (uint64_t l = 0; l < opt_.lookups_per_thread; ++l) {
-    if (eng.shutdown_requested()) break;
-    // Sample a particle energy, binary-search the unionized grid. The first
-    // probes hit the (hot) middle of the array; the final probes are random.
-    uint64_t lo = 0, hi = opt_.gridpoints - 1;
-    uint64_t target = ScrambleIndex(energy_dist_->Next(t.rng()), opt_.gridpoints);
-    while (lo < hi) {
-      uint64_t mid = lo + (hi - lo) / 2;
-      co_await t.AccessPage(GridVpn(mid), /*write=*/false);
-      if (mid < target) {
-        lo = mid + 1;
-      } else {
-        hi = mid;
-      }
-    }
-    // Gather cross sections for a handful of nuclides at scattered rows.
+  // Cursor: the lookup in progress. Its energy target and each gather's
+  // nuclide row are drawn once, before their first access, and kept, so a
+  // run resumed at a missed access finds them drawn; the loop condition
+  // runs with the target's draw, after the lookup before is done.
+  struct Cursor {
+    uint64_t lookups_done = 0;
+    bool started = false;  // target drawn, search and gather reset
+    uint64_t target = 0, lo = 0, hi = 0;
+    int gathered = 0;
+    bool row_drawn = false;
+    uint64_t row = 0;
     double macro_xs = 0.0;
-    for (int k = 0; k < opt_.nuclides_per_lookup; ++k) {
-      uint64_t nuclide = t.rng().NextU64(static_cast<uint64_t>(opt_.nuclides));
-      uint64_t row = ScrambleIndex(lo * 131 + nuclide, xs_entries_);
-      co_await t.AccessPage(XsVpn(row), /*write=*/false);
-      macro_xs += static_cast<double>((row % 997) + 1) * 1e-3;
+    uint64_t hash = 0;
+  } cur;
+  co_await t.RunHits([&](AppThread::HitRun& r) {
+    Cursor c = cur;
+    const Options o = opt_;
+    for (;;) {
+      if (!c.started) {
+        if (c.lookups_done == o.lookups_per_thread || r.shutdown_requested()) break;
+        // Sample a particle energy, binary-search the unionized grid. The
+        // first probes hit the (hot) middle of the array; the final probes
+        // are random.
+        c.target = ScrambleIndex(energy_dist_->Next(t.rng()), o.gridpoints);
+        c.lo = 0;
+        c.hi = o.gridpoints - 1;
+        c.gathered = 0;
+        c.macro_xs = 0.0;
+        c.started = true;
+      }
+      while (c.lo < c.hi) {
+        uint64_t mid = c.lo + (c.hi - c.lo) / 2;
+        if (!r.Touch(GridVpn(mid), /*write=*/false)) break;
+        if (mid < c.target) {
+          c.lo = mid + 1;
+        } else {
+          c.hi = mid;
+        }
+      }
+      if (c.lo < c.hi) break;
+      // Gather cross sections for a handful of nuclides at scattered rows.
+      while (c.gathered < o.nuclides_per_lookup) {
+        if (!c.row_drawn) {
+          uint64_t nuclide = t.rng().NextU64(static_cast<uint64_t>(o.nuclides));
+          c.row = ScrambleIndex(c.lo * 131 + nuclide, xs_entries_);
+          c.row_drawn = true;
+        }
+        if (!r.Touch(XsVpn(c.row), /*write=*/false)) break;
+        c.row_drawn = false;
+        c.macro_xs += static_cast<double>((c.row % 997) + 1) * 1e-3;
+        ++c.gathered;
+      }
+      if (c.gathered < o.nuclides_per_lookup) break;
+      c.hash ^= static_cast<uint64_t>(c.macro_xs * 1e6) + c.lo;
+      r.Compute(o.compute_per_lookup_ns);
+      ++r.ops;
+      ++c.lookups_done;
+      c.started = false;
     }
-    local_hash ^= static_cast<uint64_t>(macro_xs * 1e6) + lo;
-    t.Compute(opt_.compute_per_lookup_ns);
-    ++t.ops;
-  }
+    cur = c;
+  });
   co_await t.Sync();
-  result_hash_ ^= local_hash;
+  result_hash_ ^= cur.hash;
 }
 
 }  // namespace magesim

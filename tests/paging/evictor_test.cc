@@ -120,10 +120,21 @@ TEST(PrefetchTest, RandomPatternDoesNotPrefetch) {
     uint64_t wss_pages() const override { return 8192; }
     int num_threads() const override { return 4; }
     Task<> ThreadBody(AppThread& t, int tid) override {
-      for (int i = 0; i < 2000; ++i) {
-        co_await t.AccessPage(t.rng().NextU64(8192), false);
-        t.Compute(500);
-      }
+      // Cursor: reads done, and the next page once drawn.
+      int done = 0;
+      bool drawn = false;
+      uint64_t vpn = 0;
+      co_await t.RunHits([&](AppThread::HitRun& r) {
+        for (; done < 2000; ++done) {
+          if (!drawn) {
+            vpn = t.rng().NextU64(8192);
+            drawn = true;
+          }
+          if (!r.Touch(vpn, false)) return;
+          drawn = false;
+          r.Compute(500);
+        }
+      });
     }
   };
   RandomReads wl;

@@ -32,10 +32,6 @@
 namespace magesim {
 namespace {
 
-std::string GoldenPath(const std::string& name) {
-  return std::string(MAGESIM_GOLDEN_DIR) + "/" + name + ".golden";
-}
-
 constexpr const char* kTenants =
     "lat:4:0.4:latency=seqscan/2,pages=2048,passes=2;"
     "bg:1:0.7:batch=seqscan/2,pages=4096,passes=2";

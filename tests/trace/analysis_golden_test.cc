@@ -14,10 +14,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdlib>
-#include <fstream>
-#include <map>
-#include <sstream>
 #include <string>
 
 #include "src/analysis/lock_analyzer.h"
@@ -30,46 +26,8 @@
 namespace magesim {
 namespace {
 
-std::map<std::string, uint64_t> LoadGolden(const std::string& path) {
-  std::map<std::string, uint64_t> g;
-  std::ifstream in(path);
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty() || line[0] == '#') continue;
-    size_t eq = line.find('=');
-    if (eq == std::string::npos) continue;
-    g[line.substr(0, eq)] = std::strtoull(line.c_str() + eq + 1, nullptr, 10);
-  }
-  return g;
-}
-
-void SaveGolden(const std::string& path, const std::string& header,
-                const std::map<std::string, uint64_t>& fp) {
-  std::ofstream out(path);
-  out << header;
-  for (const auto& [k, v] : fp) out << k << "=" << v << "\n";
-}
-
-std::string DiffAgainst(const std::map<std::string, uint64_t>& golden,
-                        const std::map<std::string, uint64_t>& fp) {
-  std::ostringstream diff;
-  for (const auto& [k, want] : golden) {
-    auto it = fp.find(k);
-    uint64_t got = it == fp.end() ? 0 : it->second;
-    if (got != want) {
-      diff << "  " << k << ": golden=" << want << " got=" << got << "\n";
-    }
-  }
-  for (const auto& [k, v] : fp) {
-    if (golden.find(k) == golden.end() && v != 0) {
-      diff << "  " << k << ": golden=<absent> got=" << v << "\n";
-    }
-  }
-  return diff.str();
-}
-
 // Mirrors golden_trace_test's canonical scenario, with the analyzer on.
-std::map<std::string, uint64_t> RunCanonicalAnalyzed() {
+Fingerprint RunCanonicalAnalyzed() {
   SeqScanWorkload wl(
       SeqScanWorkload::Options{.region_pages = 2048, .threads = 2, .passes = 2});
   FarMemoryMachine::Options opt;
@@ -88,7 +46,7 @@ std::map<std::string, uint64_t> RunCanonicalAnalyzed() {
   EXPECT_EQ(r.analysis_violations, 0u);
   EXPECT_GT(r.analysis_locks, 0u);
 
-  std::map<std::string, uint64_t> fp;
+  Fingerprint fp;
   fp["hash"] = hash.hash();
   fp["total"] = hash.total_events();
   for (int i = 0; i < kNumTraceEventTypes; ++i) {
@@ -103,18 +61,18 @@ std::map<std::string, uint64_t> RunCanonicalAnalyzed() {
 }
 
 TEST(AnalysisGoldenTest, AnalyzedCanonicalRunMatchesAnalyzerOffGolden) {
-  std::string path = std::string(MAGESIM_GOLDEN_DIR) + "/seqscan_magelib.golden";
-  std::map<std::string, uint64_t> golden = LoadGolden(path);
+  std::string path = GoldenPath("seqscan_magelib");
+  Fingerprint golden = LoadGolden(path);
   ASSERT_FALSE(golden.empty())
       << "missing golden file " << path
       << " — generate with MAGESIM_UPDATE_GOLDEN=1 ./build/tests/golden_trace_test";
 
-  std::map<std::string, uint64_t> fp = RunCanonicalAnalyzed();
+  Fingerprint fp = RunCanonicalAnalyzed();
   EXPECT_EQ(fp["count.analysis.lock_order_edge"], 0u)
       << "the clean canonical scenario must emit no analysis events";
   EXPECT_EQ(fp["count.analysis.violation"], 0u);
 
-  std::string diff = DiffAgainst(golden, fp);
+  std::string diff = DiffGolden(golden, fp);
   EXPECT_TRUE(diff.empty())
       << "analyzer-on trace diverged from the analyzer-off golden (" << path
       << ") — the hooks must not perturb simulation behavior:\n" << diff;
@@ -123,7 +81,7 @@ TEST(AnalysisGoldenTest, AnalyzedCanonicalRunMatchesAnalyzerOffGolden) {
 // Synthetic discipline-bug scenario: deterministic nested acquisitions that
 // grow two order edges and close a cycle, plus a double unlock. Pins the
 // analysis.* event stream.
-std::map<std::string, uint64_t> RunSyntheticBugs() {
+Fingerprint RunSyntheticBugs() {
   Engine e;
   AnalysisOptions ao;
   ao.abort_on_violation = false;  // capture: we want the events, not an abort
@@ -157,7 +115,7 @@ std::map<std::string, uint64_t> RunSyntheticBugs() {
   e.Spawn(sloppy(a));
   e.Run();
 
-  std::map<std::string, uint64_t> fp;
+  Fingerprint fp;
   fp["hash"] = hash.hash();
   fp["total"] = hash.total_events();
   fp["count.analysis.lock_order_edge"] =
@@ -171,29 +129,11 @@ std::map<std::string, uint64_t> RunSyntheticBugs() {
 }
 
 TEST(AnalysisGoldenTest, SyntheticBugScenarioMatchesGolden) {
-  std::string path = std::string(MAGESIM_GOLDEN_DIR) + "/analysis_synthetic.golden";
-  std::map<std::string, uint64_t> fp = RunSyntheticBugs();
-
-  if (GoldenUpdateRequested()) {
-    SaveGolden(path,
-               "# Golden fingerprint for the synthetic lock-discipline bug "
-               "scenario (analysis.* stream).\n"
-               "# Regenerate: MAGESIM_UPDATE_GOLDEN=1 "
-               "./build/tests/analysis_golden_test\n",
-               fp);
-    GTEST_SKIP() << "golden regenerated at " << path;
-  }
-
-  std::map<std::string, uint64_t> golden = LoadGolden(path);
-  ASSERT_FALSE(golden.empty())
-      << "missing golden file " << path
-      << " — generate it with MAGESIM_UPDATE_GOLDEN=1";
-  std::string diff = DiffAgainst(golden, fp);
-  EXPECT_TRUE(diff.empty())
-      << "analysis event stream diverged from golden (" << path << "):\n"
-      << diff
-      << "If this change is intentional, regenerate with MAGESIM_UPDATE_GOLDEN=1 "
-         "and commit the new golden.";
+  CheckGolden("analysis_synthetic",
+              "# Golden fingerprint for the synthetic lock-discipline bug "
+              "scenario (analysis.* stream).\n"
+              "# Regenerate: MAGESIM_UPDATE_GOLDEN=1 ./build/tests/analysis_golden_test\n",
+              RunSyntheticBugs());
 }
 
 }  // namespace

@@ -11,10 +11,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdlib>
-#include <fstream>
-#include <map>
-#include <sstream>
 #include <string>
 
 #include "src/core/farmem.h"
@@ -26,16 +22,12 @@
 namespace magesim {
 namespace {
 
-std::string GoldenPath() {
-  return std::string(MAGESIM_GOLDEN_DIR) + "/tenancy_synthetic.golden";
-}
-
 // Canonical scenario: a weight-4 latency scanner with a 40% hard limit next
 // to a weight-1 batch scanner allowed 70%, at 50% far memory. Small enough
 // to run in about a second, rich enough to exercise charging, tiered victim
 // selection, prefetch QoS gating, batch backpressure and soft-limit
 // adjustment.
-std::map<std::string, uint64_t> RunCanonical() {
+Fingerprint RunCanonical() {
   FarMemoryMachine::Options opt;
   opt.kernel = MageLibConfig();
   opt.local_mem_ratio = 0.5;
@@ -58,7 +50,7 @@ std::map<std::string, uint64_t> RunCanonical() {
   RunResult r = m.Run();
   tracer.Uninstall();
 
-  std::map<std::string, uint64_t> fp;
+  Fingerprint fp;
   fp["hash"] = hash.hash();
   fp["total"] = hash.total_events();
   for (int i = 0; i < kNumTraceEventTypes; ++i) {
@@ -83,59 +75,11 @@ std::map<std::string, uint64_t> RunCanonical() {
   return fp;
 }
 
-std::map<std::string, uint64_t> LoadGolden(const std::string& path) {
-  std::map<std::string, uint64_t> g;
-  std::ifstream in(path);
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty() || line[0] == '#') continue;
-    size_t eq = line.find('=');
-    if (eq == std::string::npos) continue;
-    g[line.substr(0, eq)] = std::strtoull(line.c_str() + eq + 1, nullptr, 10);
-  }
-  return g;
-}
-
-void SaveGolden(const std::string& path, const std::map<std::string, uint64_t>& fp) {
-  std::ofstream out(path);
-  out << "# Golden fingerprint for the canonical two-tenant scenario.\n"
-      << "# Regenerate: MAGESIM_UPDATE_GOLDEN=1 ./build/tests/tenancy_golden_test\n";
-  for (const auto& [k, v] : fp) out << k << "=" << v << "\n";
-}
-
 TEST(TenancyGoldenTest, CanonicalTwoTenantScenarioMatchesGolden) {
-  std::map<std::string, uint64_t> fp = RunCanonical();
-
-  if (GoldenUpdateRequested()) {
-    SaveGolden(GoldenPath(), fp);
-    GTEST_SKIP() << "golden regenerated at " << GoldenPath();
-  }
-
-  std::map<std::string, uint64_t> golden = LoadGolden(GoldenPath());
-  ASSERT_FALSE(golden.empty())
-      << "missing golden file " << GoldenPath()
-      << " — generate it with MAGESIM_UPDATE_GOLDEN=1";
-
-  std::ostringstream diff;
-  for (const auto& [k, want] : golden) {
-    auto it = fp.find(k);
-    uint64_t got = it == fp.end() ? 0 : it->second;
-    if (got != want) {
-      diff << "  " << k << ": golden=" << want << " got=" << got << " ("
-           << (got >= want ? "+" : "-") << (got >= want ? got - want : want - got)
-           << ")\n";
-    }
-  }
-  for (const auto& [k, v] : fp) {
-    if (golden.find(k) == golden.end() && v != 0) {
-      diff << "  " << k << ": golden=<absent> got=" << v << "\n";
-    }
-  }
-  EXPECT_TRUE(diff.str().empty())
-      << "trace fingerprint diverged from golden (" << GoldenPath() << "):\n"
-      << diff.str()
-      << "If this change is intentional, regenerate with MAGESIM_UPDATE_GOLDEN=1 "
-         "and commit the new golden.";
+  CheckGolden("tenancy_synthetic",
+              "# Golden fingerprint for the canonical two-tenant scenario.\n"
+              "# Regenerate: MAGESIM_UPDATE_GOLDEN=1 ./build/tests/tenancy_golden_test\n",
+              RunCanonical());
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
-// AppThread's access fast path: TryAccessPage either performs exactly one
-// awaited access's hit or refuses with no side effect, and a hit run
-// (AppThread::RunHits) is the awaited loop, event for event: the
-// differential tests below run the old TryAccessPage loop, kept here as the
+// AppThread's one access form, the hit run (AppThread::RunHits): a
+// HitRun::Touch either performs exactly one access's hit or refuses with no
+// side effect, and a hit run is the awaited access loop, event for event:
+// the differential tests below run that loop, written here on
+// Kernel::TryFastAccess, Kernel::Fault and AppThread::Sync as the
 // reference, beside the hit run on identical machines.
 #include "src/workloads/workload.h"
 
@@ -57,13 +58,14 @@ struct Rig {
 };
 
 // Everything a hit may change: the page's PTE bits, the kernel's hit
-// counters, and the thread's pending (not yet flushed) time.
+// counters, and the pending (not yet flushed) time, read as `logical_now`
+// minus engine time.
 struct HitState {
   bool accessed, dirty, remote_valid, prefetched;
   uint64_t fast_hits, prefetch_hits;
   SimTime pending;
 
-  static HitState Of(Rig& rig, uint64_t vpn) {
+  static HitState Of(Rig& rig, uint64_t vpn, SimTime logical_now) {
     const Pte& pte = rig.kernel.page_table().At(vpn);
     return {pte.accessed,
             pte.dirty,
@@ -71,66 +73,113 @@ struct HitState {
             pte.prefetched,
             rig.kernel.stats().fast_hits,
             rig.kernel.stats().prefetch_hits,
-            rig.thread.logical_now() - rig.engine.now()};
+            logical_now - rig.engine.now()};
+  }
+  static HitState Of(Rig& rig, uint64_t vpn) {
+    return Of(rig, vpn, rig.thread.logical_now());
   }
   bool operator==(const HitState&) const = default;
 };
 
-TEST(AppThreadTest, TryAccessPageRefusesANonPresentPageUntouched) {
+// One hit run whose body makes a single Touch of `vpn`: what that Touch
+// returned, the state right after it (inside the body, with the run's own
+// pending time), and the state once the run, and any miss it took, is done.
+struct OneTouch {
+  bool hit = false;
+  HitState at_touch{};
+  HitState after{};
+};
+
+OneTouch TouchOnce(Rig& rig, uint64_t vpn, bool write) {
+  OneTouch out;
+  rig.engine.Spawn([](Rig& rig, uint64_t vpn, bool write, OneTouch& out) -> Task<> {
+    bool first = true;
+    co_await rig.thread.RunHits([&](AppThread::HitRun& r) {
+      bool hit = r.Touch(vpn, write);
+      if (!first) return;  // the resumed Touch of a miss
+      first = false;
+      out.hit = hit;
+      out.at_touch = HitState::Of(rig, vpn, r.logical_now());
+    });
+  }(rig, vpn, write, out));
+  rig.engine.Run();
+  out.after = HitState::Of(rig, vpn);
+  return out;
+}
+
+// A refused Touch changes nothing, and the miss path then does the access
+// once: one fast hit (the hit after the fault or flush), never two.
+TEST(AppThreadTest, TouchRefusesANonPresentPageUntouched) {
   Rig rig;
   uint64_t v = rig.NonResident();
   HitState before = HitState::Of(rig, v);
-  EXPECT_FALSE(rig.thread.TryAccessPage(v, /*write=*/true));
-  EXPECT_EQ(HitState::Of(rig, v), before);
+  OneTouch t = TouchOnce(rig, v, /*write=*/true);
+  EXPECT_FALSE(t.hit);
+  EXPECT_EQ(t.at_touch, before);
+  EXPECT_EQ(rig.kernel.stats().faults, 1u);
+  EXPECT_TRUE(rig.kernel.page_table().At(v).present);
+  EXPECT_TRUE(t.after.dirty);
+  EXPECT_EQ(t.after.fast_hits, before.fast_hits + 1);
+  EXPECT_EQ(t.after.prefetch_hits, before.prefetch_hits);
 }
 
-TEST(AppThreadTest, TryAccessPageRefusesOnceTheQuantumIsExceeded) {
+TEST(AppThreadTest, TouchRefusesOnceTheQuantumIsExceeded) {
   Rig rig;
   uint64_t v = rig.Resident(1)[0];
   rig.kernel.page_table().At(v).prefetched = true;
   rig.thread.Compute(kAppQuantum);
   HitState before = HitState::Of(rig, v);
   EXPECT_FALSE(before.accessed);  // prepopulated pages start unreferenced
-  EXPECT_FALSE(rig.thread.TryAccessPage(v, /*write=*/true));
-  EXPECT_EQ(HitState::Of(rig, v), before);
+  OneTouch t = TouchOnce(rig, v, /*write=*/true);
+  EXPECT_FALSE(t.hit);
+  EXPECT_EQ(t.at_touch, before);
+  EXPECT_EQ(rig.engine.now(), before.pending);  // the miss path flushed the time
+  EXPECT_EQ(rig.kernel.stats().faults, 0u);
+  EXPECT_TRUE(t.after.accessed);
+  EXPECT_EQ(t.after.fast_hits, before.fast_hits + 1);
+  EXPECT_EQ(t.after.prefetch_hits, before.prefetch_hits + 1);
 }
 
-TEST(AppThreadTest, TryAccessPageRefusesAfterNewlyStolenTime) {
+TEST(AppThreadTest, TouchRefusesAfterNewlyStolenTime) {
   Rig rig;
   uint64_t v = rig.Resident(1)[0];
   rig.kernel.page_table().At(v).prefetched = true;
   rig.topo.core(0).AddStolenTime(500);  // a flush IPI's handler ran on core 0
   HitState before = HitState::Of(rig, v);
-  EXPECT_FALSE(rig.thread.TryAccessPage(v, /*write=*/true));
-  EXPECT_EQ(HitState::Of(rig, v), before);
+  OneTouch t = TouchOnce(rig, v, /*write=*/true);
+  EXPECT_FALSE(t.hit);
+  EXPECT_EQ(t.at_touch, before);
+  EXPECT_EQ(rig.engine.now(), 500);  // the miss path absorbed the stolen time
+  EXPECT_EQ(rig.kernel.stats().faults, 0u);
+  EXPECT_TRUE(t.after.accessed);
+  EXPECT_EQ(t.after.fast_hits, before.fast_hits + 1);
+  EXPECT_EQ(t.after.prefetch_hits, before.prefetch_hits + 1);
 }
 
-// One access to a resident page marked prefetched, on a fresh rig: a plain
-// TryAccessPage call, or one awaited access. Returns the page's state before
-// and after.
-std::pair<HitState, HitState> OneHit(bool write, bool awaited) {
+// One access to a resident page marked prefetched, on a fresh rig: a Touch
+// in a hit run, or the awaited access's hit, a plain Kernel::TryFastAccess.
+// Returns the page's state before and after.
+std::pair<HitState, HitState> OneHit(bool write, bool touch) {
   Rig rig;
   uint64_t v = rig.Resident(1)[0];
   rig.kernel.page_table().At(v).prefetched = true;
   HitState before = HitState::Of(rig, v);
-  if (awaited) {
-    rig.engine.Spawn([](AppThread& t, uint64_t vpn, bool write) -> Task<> {
-      co_await t.AccessPage(vpn, write);
-    }(rig.thread, v, write));
-    rig.engine.Run();
+  if (touch) {
+    EXPECT_TRUE(TouchOnce(rig, v, write).hit);
   } else {
-    EXPECT_TRUE(rig.thread.TryAccessPage(v, write));
+    EXPECT_TRUE(rig.kernel.TryFastAccess(v, write));
   }
   EXPECT_EQ(rig.engine.now(), 0);
   return {before, HitState::Of(rig, v)};
 }
 
-// On a hit, TryAccessPage has the effects of one awaited access: the same
-// PTE bits, one fast hit, one prefetch hit on a prefetched page, and no time.
-TEST(AppThreadTest, TryAccessPageHitEqualsOneAwaitedAccess) {
+// A Touch that hits has the effects of one awaited access that hits: the
+// same PTE bits, one fast hit, one prefetch hit on a prefetched page, and no
+// time.
+TEST(AppThreadTest, TouchHitEqualsOneAwaitedAccess) {
   for (bool write : {false, true}) {
-    auto [before, after] = OneHit(write, /*awaited=*/false);
-    EXPECT_EQ(OneHit(write, /*awaited=*/true), std::make_pair(before, after));
+    auto [before, after] = OneHit(write, /*touch=*/true);
+    EXPECT_EQ(OneHit(write, /*touch=*/false), std::make_pair(before, after));
     EXPECT_TRUE(after.accessed);
     EXPECT_EQ(after.dirty, write);
     EXPECT_EQ(after.remote_valid, !write);
@@ -232,11 +281,23 @@ class SequenceWorkload : public Workload {
         }
       });
     } else {
-      // The awaited loop as workloads wrote it before RunHits: a plain
-      // TryAccessPage per access, the awaited access on a refusal.
+      // The awaited loop as workloads wrote it before RunHits. An access
+      // hits in place while the quantum is not exceeded, no time was stolen
+      // since the thread's last flush, and the page is present; otherwise it
+      // flushes the pending time and faults until the access hits.
+      Core& cpu = t.kernel().topology().core(t.core());
+      SimTime stolen_seen = 0;  // cpu's stolen-time total as of the last flush
       for (const Step& st : seq) {
         if (eng.shutdown_requested()) co_return;
-        if (!t.TryAccessPage(st.vpn, st.write)) co_await t.AccessPage(st.vpn, st.write);
+        const uint64_t vpn = st.vpn + t.vpn_base();
+        if (!(t.pending_compute() < static_cast<double>(kAppQuantum) &&
+              cpu.stolen_total_ns() == stolen_seen && t.kernel().TryFastAccess(vpn, st.write))) {
+          stolen_seen = cpu.stolen_total_ns();  // Sync drains up to here, at once
+          co_await t.Sync();
+          while (!t.kernel().TryFastAccess(vpn, st.write)) {
+            co_await t.kernel().Fault(t.core(), vpn, st.write);
+          }
+        }
         t.Compute(st.ns);
         ++t.ops;
         log.push_back(t.logical_now());
